@@ -6,7 +6,7 @@ beta aggregated symbols across the rack boundary.
 """
 
 from .codec import Codec, ErasurePattern, MdsReport, Stripe
-from .construction import CodeConstants, ParityCheckMatrix, build_constants, build_parity_check
+from .construction import CodeConstants, ParityCheckMatrix, build_constants
 from .errors import (
     InternalError,
     MsrrError,
@@ -18,7 +18,7 @@ from .errors import (
 )
 from .field import FieldCtx, find_field, find_primitive, find_unity_root
 from .params import CodeParams
-from .repair import RepairJob, RepairTranscript, helper_message, rack_aggregate, repair_from_stripe, repair_node
+from .repair import RepairJob, RepairTranscript, helper_message, repair_from_stripe, repair_node
 from .stripe_io import Manifest, decode_file, encode_file, repair_shard
 
 __version__ = "0.1.0"
@@ -43,14 +43,12 @@ __all__ = [
     "Stripe",
     "SymbolMappingError",
     "build_constants",
-    "build_parity_check",
     "decode_file",
     "encode_file",
     "find_field",
     "find_primitive",
     "find_unity_root",
     "helper_message",
-    "rack_aggregate",
     "repair_from_stripe",
     "repair_node",
     "repair_shard",

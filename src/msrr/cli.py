@@ -17,12 +17,12 @@ import time
 
 import numpy as np
 
-from .codec import Codec
+from .codec import Codec, Stripe
 from .construction import build_constants
 from .errors import MsrrError, ParameterError
 from .field import FieldCtx
 from .params import CodeParams
-from .repair import RepairJob, helper_message, repair_node
+from .repair import RepairJob, repair_from_stripe
 from .stripe_io import decode_file, encode_file, repair_shard
 
 SWEEP_CAP = 100_000
@@ -72,37 +72,34 @@ def _param_record(params: CodeParams, field: FieldCtx, constants) -> dict:
     }
 
 
-def cmd_plan(args) -> int:
+def _cost_record(record: str, args) -> tuple[CodeParams, dict]:
+    """Parameters plus the repair costs that plan and report both print."""
     params = _params(args)
     field = FieldCtx.for_code(params, args.min_field)
-    constants = build_constants(params, field)
-    rec = {"record": "plan", **_param_record(params, field, constants)}
-    rec.update({
+    rec = {
+        "record": record,
+        **_param_record(params, field, build_constants(params, field)),
         "cross_rack_repair_symbols": params.d_bar * params.beta,
-        "intra_rack_repair_symbols": (params.u - 1) * params.alpha,
         "access_per_helper_rack": params.u * params.beta,
         "alpha_one_rack_per_digit": params.s_bar**params.n_bar,
-    })
+    }
+    return params, rec
+
+
+def cmd_plan(args) -> int:
+    params, rec = _cost_record("plan", args)
+    rec["intra_rack_repair_symbols"] = (params.u - 1) * params.alpha
     _emit([rec], args.pretty)
     return 0
 
 
 def cmd_report(args) -> int:
-    params = _params(args)
-    field = FieldCtx.for_code(params, args.min_field)
-    constants = build_constants(params, field)
-    cross = params.d_bar * params.beta
+    params, rec = _cost_record("report", args)
     # Naive baseline: decode from the u-1 free intra-rack survivors plus
     # k-u+1 whole nodes pulled across racks.
     naive = (params.k - params.u + 1) * params.alpha
-    rec = {"record": "report", **_param_record(params, field, constants)}
-    rec.update({
-        "cross_rack_repair_symbols": cross,
-        "naive_cross_rack_symbols": naive,
-        "savings_ratio": cross / naive,
-        "access_per_helper_rack": params.u * params.beta,
-        "alpha_one_rack_per_digit": params.s_bar**params.n_bar,
-    })
+    rec["naive_cross_rack_symbols"] = naive
+    rec["savings_ratio"] = rec["cross_rack_repair_symbols"] / naive
     _emit([rec], args.pretty)
     return 0
 
@@ -186,7 +183,7 @@ def cmd_verify(args) -> int:
                 **_param_record(params, codec.field, codec.constants)}]
 
     mds = codec.verify_mds(mode=args.mode, samples=args.samples,
-                           seed=args.seed, cap=SWEEP_CAP, workers=args.workers)
+                           seed=args.seed, cap=SWEEP_CAP)
     records.append({
         "record": "mds", "mode": mds.mode,
         "subsets_checked": mds.subsets_checked,
@@ -197,19 +194,15 @@ def cmd_verify(args) -> int:
     jobs_checked = 0
     repair_failures = []
     w = STRIPES_PER_VERIFY_JOB
+    present = np.ones(params.n, dtype=bool)
     for job in _repair_jobs(params, args.mode, args.samples, rng):
         data = np.array(
             [[[rng.randrange(codec.p) for _ in range(w)]
               for _ in range(params.alpha)] for _ in range(params.k)],
             dtype=np.int64)
         vectors = codec.encode_batch(data)
-        u = params.u
-        messages = {
-            h: helper_message(codec, vectors[h * u:(h + 1) * u], h, job)
-            for h in job.helpers}
-        survivors = {g: vectors[params.node_index(job.e_star, g)]
-                     for g in range(u) if g != job.g_star}
-        transcript = repair_node(codec, job, messages, survivors)
+        transcript = repair_from_stripe(
+            codec, Stripe(params, vectors, present), job)
         target = params.node_index(job.e_star, job.g_star)
         ok = bool(np.array_equal(transcript.recovered, vectors[target]))
         jobs_checked += 1
@@ -280,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int, default=100,
                         help="subset/job count in sample mode")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--workers", type=int, default=1)
     verify.set_defaults(func=cmd_verify)
 
     for sub in (plan, report, encode, decode, repair, verify):

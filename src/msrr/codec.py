@@ -13,14 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import linalg
-from .construction import CodeConstants, ParityCheckMatrix, build_constants, build_parity_check
+from .construction import CodeConstants, ParityCheckMatrix, build_constants
 from .errors import InternalError, ParameterError, SingularMatrixError
 from .field import FieldCtx
 from .params import CodeParams
@@ -28,7 +26,11 @@ from .params import CodeParams
 
 @dataclass
 class Stripe:
-    """One codeword: vectors has shape (n, alpha); present marks live nodes."""
+    """One codeword: vectors has shape (n, alpha); present marks live nodes.
+
+    vectors may carry a trailing stripe axis, (n, alpha[, stripes]), to hold
+    a batch of codewords sharing one erasure pattern.
+    """
 
     params: CodeParams
     vectors: np.ndarray
@@ -46,7 +48,7 @@ class Stripe:
         return self.vectors[self.params.node_index(e, g)]
 
     def rack(self, e: int) -> np.ndarray:
-        """The u node vectors of rack e, shape (u, alpha)."""
+        """The u node vectors of rack e, shape (u, alpha[, stripes])."""
         u = self.params.u
         return self.vectors[e * u:(e + 1) * u]
 
@@ -92,7 +94,6 @@ class MdsReport:
     mode: str
     subsets_checked: int
     failures: list = dc_field(default_factory=list)  # (node subset, rank found)
-    elapsed_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -107,7 +108,7 @@ class Codec:
         self.params = params
         self.field = field if field is not None else FieldCtx.for_code(params, min_field)
         self.constants: CodeConstants = build_constants(params, self.field)
-        self.pcm: ParityCheckMatrix = build_parity_check(params, self.constants)
+        self.pcm = ParityCheckMatrix(params, self.constants)
         self._dense_nodes: list[np.ndarray] | None = None
         self._parity_inv: np.ndarray | None = None
 
@@ -235,7 +236,7 @@ class Codec:
     # -- MDS sweep ---------------------------------------------------------------
 
     def verify_mds(self, mode: str = "exhaustive", samples: int = 0,
-                   seed: int = 0, cap: int = 100_000, workers: int = 1) -> MdsReport:
+                   seed: int = 0, cap: int = 100_000) -> MdsReport:
         """Check invertibility of the r-column-group concatenations.
 
         mode "exhaustive" walks every r-subset of nodes (refused above cap);
@@ -258,27 +259,11 @@ class Codec:
             raise ValueError(f"unknown mode {mode!r}")
 
         dense = self.dense_nodes()
-        started = time.monotonic()
-
-        def check(subset):
-            concat = np.hstack([dense[i] for i in subset])
-            rk = linalg.rank(concat, p)
-            return subset, rk
-
         report = MdsReport(mode=mode, subsets_checked=0)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(check, subsets)
-                for subset, rk in results:
-                    report.subsets_checked += 1
-                    if rk != params.r * params.alpha:
-                        report.failures.append((subset, rk))
-        else:
-            for subset in subsets:
-                subset, rk = check(subset)
-                report.subsets_checked += 1
-                if rk != params.r * params.alpha:
-                    report.failures.append((subset, rk))
+        for subset in subsets:
+            rk = linalg.rank(np.hstack([dense[i] for i in subset]), p)
+            report.subsets_checked += 1
+            if rk != params.r * params.alpha:
+                report.failures.append((subset, rk))
         report.failures.sort()
-        report.elapsed_s = time.monotonic() - started
         return report

@@ -175,7 +175,3 @@ class ParityCheckMatrix:
                     block[t, rows, self.sibling_cols[tau][v - 1]] = \
                         self.off_values[t, e, g, v - 1]
         return block.reshape(params.r * alpha, alpha)
-
-
-def build_parity_check(params: CodeParams, constants: CodeConstants) -> ParityCheckMatrix:
-    return ParityCheckMatrix(params, constants)

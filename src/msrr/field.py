@@ -87,8 +87,8 @@ def find_unity_root(p: int, primitive_root: int, u: int) -> int:
 class FieldCtx:
     """GF(p) with its distinguished elements.
 
-    Immutable after construction; all operations are pure functions on
-    canonical integer representatives in [0, p - 1].
+    Immutable after construction; field elements are canonical integer
+    representatives in [0, p - 1].
     """
 
     p: int
@@ -114,23 +114,3 @@ class FieldCtx:
     def __post_init__(self):
         if pow(self.unity_root, self.u, self.p) != 1:
             raise ParameterError("u_not_dividing", "unity root has wrong order")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)

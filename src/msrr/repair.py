@@ -73,23 +73,6 @@ class RepairTranscript:
     stripe_count: int = 1
 
 
-def rack_aggregate(codec: Codec, rack_vectors: np.ndarray, e: int,
-                   e_star: int) -> np.ndarray:
-    """Locator-weighted sum of rack e's node vectors, with the weights the
-    repair of rack e_star uses (exponent = e_star's residue)."""
-    params, p = codec.params, codec.p
-    rack_vectors = np.asarray(rack_vectors, dtype=np.int64) % p
-    if rack_vectors.shape[:2] != (params.u, params.alpha):
-        raise ValueError(
-            f"rack needs shape ({params.u}, {params.alpha}, ...), got {rack_vectors.shape}")
-    res = params.rack_residue(e_star)
-    out = np.zeros(rack_vectors.shape[1:], dtype=np.int64)
-    for g in range(params.u):
-        weight = pow(codec.constants.locators[e][g], res, p)
-        out = (out + weight * rack_vectors[g]) % p
-    return out
-
-
 def helper_message(codec: Codec, rack_vectors: np.ndarray, e: int,
                    job: RepairJob) -> np.ndarray:
     """The beta symbols helper rack e ships for the job.
@@ -205,8 +188,9 @@ def repair_node(codec: Codec, job: RepairJob, messages: dict[int, np.ndarray],
 
 
 def repair_from_stripe(codec: Codec, stripe: Stripe, job: RepairJob) -> RepairTranscript:
-    """Run the full protocol against one stripe: helpers compute their
-    messages, survivors hand over their vectors, the engine recovers the rest."""
+    """Run the full protocol against one stripe (or a batch of stripes):
+    helpers compute their messages, survivors hand over their vectors, the
+    engine recovers the rest."""
     params = codec.params
     for e in job.helpers:
         for g in range(params.u):

@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import Codec
+from .codec import Codec, Stripe
 from .construction import build_constants
 from .errors import RepairRefusedError, ShardFormatError, SymbolMappingError
 from .field import FieldCtx
 from .params import CodeParams
-from .repair import RepairJob, RepairTranscript, helper_message, repair_node
+from .repair import RepairJob, RepairTranscript, repair_from_stripe
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -278,12 +278,6 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
             f"other shards missing {missing_others}; repair serves exactly "
             f"one failed node, run decode instead")
     job = RepairJob.create(params, e, g, helpers)
-    u = params.u
-    messages = {
-        h: helper_message(codec, vectors[h * u:(h + 1) * u], h, job)
-        for h in job.helpers}
-    survivors = {gg: vectors[params.node_index(e, gg)]
-                 for gg in range(u) if gg != g}
-    transcript = repair_node(codec, job, messages, survivors)
+    transcript = repair_from_stripe(codec, Stripe(params, vectors, present), job)
     path = write_one_shard(in_dir, manifest, e, g, transcript.recovered)
     return manifest, transcript, path

@@ -60,6 +60,50 @@ def test_report_savings_ratio(capsys):
     assert rec["savings_ratio"] == 0.5
 
 
+U0_FLAGS = ["--racks", "5", "--nodes-per-rack", "3", "--k", "7", "--helpers", "3"]
+
+# Whole output lines, frozen before plan and report shared one record builder.
+FROZEN_RECORDS = [
+    ("plan", P1_FLAGS,
+     '{"access_per_helper_rack": 4, "alpha": 4, "alpha_one_rack_per_digit": 16, '
+     '"beta": 2, "cross_rack_repair_symbols": 6, "data_racks": 2, '
+     '"digit_positions": 2, "extra_points": [2], "helper_racks": 3, '
+     '"intra_rack_repair_symbols": 4, "k": 4, "n": 8, "nodes_per_rack": 2, '
+     '"p": 11, "primitive_root": 2, "r": 4, "racks": 4, "record": "plan", '
+     '"repair_stretch": 2, "residual_nodes": 0, "unity_root": 10}'),
+    ("report", P1_FLAGS,
+     '{"access_per_helper_rack": 4, "alpha": 4, "alpha_one_rack_per_digit": 16, '
+     '"beta": 2, "cross_rack_repair_symbols": 6, "data_racks": 2, '
+     '"digit_positions": 2, "extra_points": [2], "helper_racks": 3, "k": 4, '
+     '"n": 8, "naive_cross_rack_symbols": 12, "nodes_per_rack": 2, "p": 11, '
+     '"primitive_root": 2, "r": 4, "racks": 4, "record": "report", '
+     '"repair_stretch": 2, "residual_nodes": 0, "savings_ratio": 0.5, '
+     '"unity_root": 10}'),
+    ("plan", U0_FLAGS,
+     '{"access_per_helper_rack": 12, "alpha": 8, "alpha_one_rack_per_digit": 32, '
+     '"beta": 4, "cross_rack_repair_symbols": 12, "data_racks": 2, '
+     '"digit_positions": 3, "extra_points": [2], "helper_racks": 3, '
+     '"intra_rack_repair_symbols": 16, "k": 7, "n": 15, "nodes_per_rack": 3, '
+     '"p": 19, "primitive_root": 2, "r": 8, "racks": 5, "record": "plan", '
+     '"repair_stretch": 2, "residual_nodes": 1, "unity_root": 7}'),
+    ("report", U0_FLAGS,
+     '{"access_per_helper_rack": 12, "alpha": 8, "alpha_one_rack_per_digit": 32, '
+     '"beta": 4, "cross_rack_repair_symbols": 12, "data_racks": 2, '
+     '"digit_positions": 3, "extra_points": [2], "helper_racks": 3, "k": 7, '
+     '"n": 15, "naive_cross_rack_symbols": 40, "nodes_per_rack": 3, "p": 19, '
+     '"primitive_root": 2, "r": 8, "racks": 5, "record": "report", '
+     '"repair_stretch": 2, "residual_nodes": 1, "savings_ratio": 0.3, '
+     '"unity_root": 7}'),
+]
+
+
+@pytest.mark.parametrize("command,flags,line", FROZEN_RECORDS,
+                         ids=["plan-p1", "report-p1", "plan-u0", "report-u0"])
+def test_plan_and_report_lines_are_frozen(capsys, command, flags, line):
+    assert main([command, *flags]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_verify_exhaustive_p1(capsys):
     code, records = run(capsys, ["verify", *P1_FLAGS])
     assert code == 0
@@ -77,12 +121,17 @@ def test_verify_exhaustive_p1(capsys):
 def test_verify_sample_mode_deterministic(capsys):
     argv = ["verify", *P1_FLAGS, "--mode", "sample", "--samples", "7",
             "--seed", "42"]
-    code_a = main(argv)
-    out_a = capsys.readouterr().out
-    code_b = main(argv)
-    out_b = capsys.readouterr().out
-    assert code_a == code_b == 0
-    assert out_a == out_b
+    runs = []
+    for _ in range(2):
+        code, records = run(capsys, argv)
+        assert code == 0
+        summary = records[-1]
+        assert summary["record"] == "summary"
+        # Wall time is the one field allowed to differ between runs.
+        elapsed = summary.pop("elapsed_s")
+        assert isinstance(elapsed, (int, float)) and elapsed >= 0
+        runs.append(records)
+    assert runs[0] == runs[1]
 
 
 def test_pretty_output_is_not_json(capsys):

@@ -156,13 +156,6 @@ def test_verify_mds_cap_and_mode_validation(p3_codec):
         p3_codec.verify_mds("shuffle")
 
 
-def test_verify_mds_threaded_matches_serial(p1_codec):
-    serial = p1_codec.verify_mds("exhaustive")
-    threaded = p1_codec.verify_mds("exhaustive", workers=4)
-    assert serial.subsets_checked == threaded.subsets_checked
-    assert serial.failures == threaded.failures
-
-
 def test_codec_respects_explicit_min_field():
     codec = Codec(P1, min_field=257)
     assert codec.p == 257

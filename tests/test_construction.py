@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msrr import CodeParams, Codec, build_constants, build_parity_check
+from msrr import CodeParams, Codec, build_constants
 from msrr.field import FieldCtx
 
 from conftest import P1, P1_DEGENERATE, P3

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msrr import RepairJob, helper_message, rack_aggregate, repair_from_stripe, repair_node
+from msrr import RepairJob, helper_message, repair_from_stripe, repair_node
 
 from conftest import random_stripe
+
+
+def reference_aggregate(codec, rack, e, e_star):
+    """sum_g locator[e][g]^residue(e_star) * rack[g] mod p, over all alpha rows."""
+    params, p = codec.params, codec.p
+    res = params.rack_residue(e_star)
+    return sum(pow(codec.constants.locators[e][g], res, p) * rack[g]
+               for g in range(params.u)) % p
 
 
 def all_jobs(params):
@@ -28,23 +36,19 @@ def test_job_defaults_to_smallest_helper_racks(p3_codec):
 
 
 def test_rack_aggregate_plain_sum_when_residue_zero(p1_codec):
+    # Host rack 0 has residue 0, so rack 1's message is its plain node sum.
+    params = p1_codec.params
     stripe = random_stripe(p1_codec, seed=0)
-    agg = rack_aggregate(p1_codec, stripe.rack(1), 1, e_star=0)
-    assert np.array_equal(agg, stripe.rack(1).sum(axis=0) % p1_codec.p)
-
-
-def test_rack_aggregate_uses_locator_weights(p1_codec):
-    # Aggregating rack 1 for a host rack with residue 1 weights the two node
-    # vectors by their locators 2 and 9.
-    stripe = random_stripe(p1_codec, seed=1)
-    agg = rack_aggregate(p1_codec, stripe.rack(1), 1, e_star=3)
-    manual = (2 * stripe.node(1, 0) + 9 * stripe.node(1, 1)) % p1_codec.p
-    assert np.array_equal(agg, manual)
+    job = RepairJob.create(params, 0, 0)
+    rows = params.zero_digit_rows(job.digit_position(params))
+    msg = helper_message(p1_codec, stripe.rack(1), 1, job)
+    assert np.array_equal(msg, stripe.rack(1).sum(axis=0)[rows] % p1_codec.p)
 
 
 def test_rack_aggregate_zero_rack(p1_codec):
+    job = RepairJob.create(p1_codec.params, 0, 0)
     zeros = np.zeros((2, 4), dtype=np.int64)
-    assert not rack_aggregate(p1_codec, zeros, 2, e_star=0).any()
+    assert not helper_message(p1_codec, zeros, 2, job).any()
 
 
 def test_helper_message_is_restricted_aggregate(p1_codec):
@@ -56,8 +60,22 @@ def test_helper_message_is_restricted_aggregate(p1_codec):
     for e in job.helpers:
         msg = helper_message(p1_codec, stripe.rack(e), e, job)
         assert msg.shape == (params.beta,)
-        full = rack_aggregate(p1_codec, stripe.rack(e), e, job.e_star)
+        full = reference_aggregate(p1_codec, stripe.rack(e), e, job.e_star)
         assert np.array_equal(msg, full[rows])
+        # Host rack 0 has residue 0, so every locator weight is 1.
+        assert np.array_equal(msg, stripe.rack(e).sum(axis=0)[rows] % p1_codec.p)
+
+
+def test_helper_message_uses_locator_weights(p1_codec):
+    # Rack 1 serving a host rack with residue 1 weights its two node vectors
+    # by their locators 2 and 9.
+    params = p1_codec.params
+    stripe = random_stripe(p1_codec, seed=1)
+    job = RepairJob.create(params, 3, 0)
+    rows = params.zero_digit_rows(job.digit_position(params))
+    msg = helper_message(p1_codec, stripe.rack(1), 1, job)
+    manual = (2 * stripe.node(1, 0) + 9 * stripe.node(1, 1)) % p1_codec.p
+    assert np.array_equal(msg, manual[rows])
 
 
 def test_helper_message_degenerate_code_ships_whole_aggregate(degenerate_codec):
@@ -68,7 +86,7 @@ def test_helper_message_degenerate_code_ships_whole_aggregate(degenerate_codec):
     msg = helper_message(degenerate_codec, stripe.rack(e), e, job)
     assert msg.shape == (1,)
     assert np.array_equal(
-        msg, rack_aggregate(degenerate_codec, stripe.rack(e), e, 1))
+        msg, reference_aggregate(degenerate_codec, stripe.rack(e), e, 1))
 
 
 def test_helper_message_rejects_non_helper(p1_codec):
@@ -104,7 +122,7 @@ def test_side_aggregates_match_ground_truth(p3_codec):
     transcript = repair_from_stripe(p3_codec, stripe, job)
     assert set(transcript.side_aggregates) == {5}
     rows = params.zero_digit_rows(job.digit_position(params))
-    truth = rack_aggregate(p3_codec, stripe.rack(5), 5, job.e_star)[rows]
+    truth = reference_aggregate(p3_codec, stripe.rack(5), 5, job.e_star)[rows]
     assert np.array_equal(transcript.side_aggregates[5], truth)
 
 
