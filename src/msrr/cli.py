@@ -134,7 +134,11 @@ def cmd_decode(args) -> int:
 def cmd_repair(args) -> int:
     helpers = None
     if args.helpers:
-        helpers = [int(x) for x in args.helpers.split(",")]
+        try:
+            helpers = [int(x) for x in args.helpers.split(",")]
+        except ValueError:
+            raise ParameterError("bad_repair_job", "--helpers needs comma-separated "
+                                 f"rack numbers, got {args.helpers!r}") from None
     manifest, transcript, path = repair_shard(
         args.in_dir, args.rack, args.node, helpers=helpers, force=args.force)
     width = manifest.symbol_width_bytes

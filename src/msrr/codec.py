@@ -1,10 +1,15 @@
 """Systematic encoding, syndrome computation, erasure decoding, MDS sweeps.
 
 A stripe is one codeword: n node vectors of alpha symbols.  Data occupies the
-lexicographically first k nodes; the remaining r node vectors are the unique
-solution of the parity-check system given the data (the required square
-sub-system is invertible for every choice of r column groups, which is what
-verify_mds sweeps).  Batch variants carry a trailing stripe axis so that file
+lexicographically first k nodes; encoding is decoding with the r parity nodes
+erased.  Off its diagonal, parity-check row a of a column group refers only to
+digit siblings of a with one fewer zero digit.  So with the known nodes moved
+to the right-hand side and the coordinates taken level by level in ascending
+zero-digit count, each coordinate is an r x r Vandermonde system
+V[t, j] = locator_j^t in the r unknown nodes, whose right-hand side needs only
+values solved at the level before.  The locators are distinct, so each system
+is invertible; verify_mds checks the MDS property independently on dense
+column groups.  Batch variants carry a trailing stripe axis so that file
 striping can encode and decode many stripes in one shot.
 """
 
@@ -100,6 +105,24 @@ class MdsReport:
         return not self.failures
 
 
+# Stripes per chunk of a level solve are chosen so that no per-level temporary
+# exceeds this many symbols.
+_CHUNK_SYMBOLS = 1 << 17
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Level-ordered solve for r unknown nodes; inverse is V^-1.  Each level is
+    (rows, src, coef, starts, tgt): its right-hand-side rows (r, coords), and
+    off-diagonal terms coef * solution[src], summed per run from starts and
+    subtracted from right-hand-side row tgt."""
+
+    unknowns: tuple[int, ...]
+    inverse: np.ndarray
+    levels: tuple[tuple[np.ndarray, ...], ...]
+    chunk: int
+
+
 class Codec:
     """Encoder/decoder for one concrete code over one field."""
 
@@ -107,30 +130,77 @@ class Codec:
                  min_field: int = 0):
         self.params = params
         self.field = field if field is not None else FieldCtx.for_code(params, min_field)
+        # The level solves multiply an r x r inverse by symbols in float64:
+        # exact while every dot product, at most r * (p - 1)^2, is below 2^53.
+        if params.r * (self.p - 1) ** 2 >= 2**53:
+            raise InternalError(
+                f"r={params.r}, p={self.p} overflow the exact float64 product")
         self.constants: CodeConstants = build_constants(params, self.field)
         self.pcm = ParityCheckMatrix(params, self.constants)
-        self._dense_nodes: list[np.ndarray] | None = None
-        self._parity_inv: np.ndarray | None = None
+        self._encode_plan: _Plan | None = None
 
     @property
     def p(self) -> int:
         return self.field.p
 
-    def dense_nodes(self) -> list[np.ndarray]:
-        """Dense (r*alpha, alpha) column group per node, cached."""
-        if self._dense_nodes is None:
-            self._dense_nodes = [
-                self.pcm.dense_node(e, g) for e, g in self.params.nodes()]
-        return self._dense_nodes
+    def _plan(self, unknowns: list[int]) -> _Plan:
+        """Solve tables for r unknown node indices, ascending."""
+        params, pcm, p = self.params, self.pcm, self.p
+        r, alpha = params.r, params.alpha
+        locators = [self.constants.locators[e][g]
+                    for e, g in map(params.node_pair, unknowns)]
+        try:
+            inverse = linalg.vandermonde_solve(
+                locators, np.eye(r, dtype=np.int64), p).astype(np.float64)
+        except SingularMatrixError as exc:  # locators are distinct by construction
+            raise InternalError("erasure system singular; constants are broken") from exc
+        # Off-diagonal entries of the unknown column groups, as flat indices:
+        # right-hand-side row t*alpha + a, solution row slot*alpha + sibling.
+        entries = [(np.empty(0, np.intp),) * 3]  # none at all when s_bar = 1
+        for slot, (e, g) in enumerate(map(params.node_pair, unknowns)):
+            tau = params.rack_digit(e)
+            zero = pcm.zero_rows[tau]
+            for t in np.flatnonzero(pcm.off_mask[:, e]):
+                for v in range(1, params.s_bar):
+                    entries.append((t * alpha + zero,
+                                    slot * alpha + pcm.sibling_cols[tau][v - 1],
+                                    np.full(zero.size, pcm.off_values[t, e, g, v - 1])))
+        tgt, src, coef = map(np.concatenate, zip(*entries))
+        order = np.argsort(tgt)
+        tgt, src, coef = tgt[order], src[order], coef[order, None]
+        digits = np.arange(alpha)[:, None] // params.s_bar ** np.arange(params.m) % params.s_bar
+        level = np.count_nonzero(digits == 0, axis=1)  # zero-digit count per coordinate
+        levels = []
+        for lvl in np.unique(level):
+            sel = level[tgt % alpha] == lvl
+            starts = np.flatnonzero(np.diff(tgt[sel], prepend=-1))
+            rows = np.arange(r)[:, None] * alpha + np.flatnonzero(level == lvl)
+            levels.append((rows, src[sel], coef[sel], starts, tgt[sel][starts]))
+        widest = max(max(rows.size, s.size) for rows, s, *_ in levels)
+        return _Plan(tuple(unknowns), inverse, tuple(levels),
+                     max(1, _CHUNK_SYMBOLS // widest))
 
-    def _parity_inverse(self) -> np.ndarray:
-        # Factorization of the square sub-system on the r parity nodes is
-        # shared by every stripe of the code.
-        if self._parity_inv is None:
-            dense = self.dense_nodes()
-            parity = np.hstack([dense[i] for i in range(self.params.k, self.params.n)])
-            self._parity_inv = linalg.inverse(parity, self.p)
-        return self._parity_inv
+    def _solve(self, plan: _Plan, vectors) -> np.ndarray:
+        """Values of plan.unknowns, (r, alpha) + tail, from vectors[i] of every
+        other node i."""
+        params, p = self.params, self.p
+        r, alpha = params.r, params.alpha
+        rhs = 0
+        for i in range(params.n):
+            if i not in plan.unknowns:
+                rhs -= self.pcm.apply_node(*params.node_pair(i), vectors[i])
+        rhs %= p
+        tail, rhs = rhs.shape[1:], rhs.reshape(r * alpha, -1)
+        out = np.empty_like(rhs)
+        for lo in range(0, rhs.shape[1], plan.chunk):
+            b, x = rhs[:, lo:lo + plan.chunk], out[:, lo:lo + plan.chunk]
+            for rows, src, coef, starts, tgt in plan.levels:
+                if src.size:
+                    b[tgt] -= np.add.reduceat(coef * x[src], starts, axis=0)
+                level_rhs = (b[rows] % p).reshape(r, -1).astype(np.float64)
+                x[rows] = (plan.inverse @ level_rhs % p).astype(np.int64).reshape(
+                    rows.shape + (-1,))
+        return out.reshape((r, alpha) + tail)
 
     # -- encoding ------------------------------------------------------------
 
@@ -141,14 +211,9 @@ class Codec:
         if data.shape[:2] != (params.k, params.alpha):
             raise ValueError(
                 f"data shape {data.shape} does not start with {(params.k, params.alpha)}")
-        tail = data.shape[2:]
-        rhs = np.zeros((params.r * params.alpha,) + tail, dtype=np.int64)
-        for i in range(params.k):
-            e, g = params.node_pair(i)
-            rhs = (rhs - self.pcm.apply_node(e, g, data[i])) % p
-        parity = self._parity_inverse() @ rhs.reshape(rhs.shape[0], -1) % p
-        parity = parity.reshape((params.r, params.alpha) + tail)
-        return np.concatenate([data, parity], axis=0)
+        if self._encode_plan is None:
+            self._encode_plan = self._plan(list(range(params.k, params.n)))
+        return np.concatenate([data, self._solve(self._encode_plan, data)], axis=0)
 
     def encode_systematic(self, data: np.ndarray) -> Stripe:
         """Encode k data vectors of length alpha into a complete stripe."""
@@ -164,11 +229,8 @@ class Codec:
         """Parity-check residual of shape (r*alpha,) + tail; zero iff codeword."""
         params, p = self.params, self.p
         vectors = np.asarray(vectors, dtype=np.int64)
-        out = np.zeros((params.r * params.alpha,) + vectors.shape[2:], dtype=np.int64)
-        for i in range(params.n):
-            e, g = params.node_pair(i)
-            out = (out + self.pcm.apply_node(e, g, vectors[i])) % p
-        return out
+        return sum(self.pcm.apply_node(*params.node_pair(i), vectors[i])
+                   for i in range(params.n)) % p
 
     def syndrome(self, stripe: Stripe) -> np.ndarray:
         if not stripe.is_complete:
@@ -190,33 +252,12 @@ class Codec:
                 f"{len(missing)} nodes missing, more than r={params.r}")
         # Pad with the smallest present nodes so the sub-system is square; the
         # unique solution restores their known values alongside the missing ones.
-        unknowns = list(missing)
-        for i in range(params.n):
-            if len(unknowns) == params.r:
-                break
-            if present[i]:
-                unknowns.append(i)
-        unknowns.sort()
-        unknown_set = set(unknowns)
-        dense = self.dense_nodes()
-        system = np.hstack([dense[i] for i in unknowns])
-        tail = vectors.shape[2:]
-        rhs = np.zeros((params.r * params.alpha,) + tail, dtype=np.int64)
-        for i in range(params.n):
-            if i not in unknown_set:
-                e, g = params.node_pair(i)
-                rhs = (rhs - self.pcm.apply_node(e, g, vectors[i])) % p
-        try:
-            sol = linalg.solve(system, rhs.reshape(rhs.shape[0], -1), p)
-        except SingularMatrixError as exc:  # impossible for a correct build
-            raise InternalError(
-                "erasure sub-system singular; the construction is broken") from exc
-        sol = sol.reshape((params.r, params.alpha) + tail)
-        out = vectors.copy()
-        for slot, i in enumerate(unknowns):
-            if i in missing:
-                out[i] = sol[slot]
-        return out
+        pad = [i for i in range(params.n) if present[i]][:params.r - len(missing)]
+        unknowns = sorted(missing + pad)
+        sol = self._solve(self._plan(unknowns), vectors)
+        for i in missing:  # vectors is this call's own reduced copy
+            vectors[i] = sol[unknowns.index(i)]
+        return vectors
 
     def decode_erasures(self, stripe: Stripe, pattern) -> Stripe:
         """Reconstruct the erased nodes of a stripe; all other nodes must be live."""
@@ -258,7 +299,7 @@ class Codec:
         else:
             raise ValueError(f"unknown mode {mode!r}")
 
-        dense = self.dense_nodes()
+        dense = [self.pcm.dense_node(e, g) for e, g in params.nodes()]
         report = MdsReport(mode=mode, subsets_checked=0)
         for subset in subsets:
             rk = linalg.rank(np.hstack([dense[i] for i in subset]), p)

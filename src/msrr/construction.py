@@ -149,15 +149,17 @@ class ParityCheckMatrix:
             raise ValueError(
                 f"node vector has {vec.shape[0]} coordinates, expected {params.alpha}")
         tau = params.rack_digit(e)
+        ones = (1,) * vec.ndim
+        out = self.diag[:, e, g].reshape((-1,) + ones) * vec
+        # All off-diagonal blocks of the column group at once: (blocks, beta, ...).
+        blocks = np.flatnonzero(self.off_mask[:, e])[:, None]
         rows = self.zero_rows[tau]
-        out = np.empty((params.r,) + vec.shape, dtype=np.int64)
-        for t in range(params.r):
-            out[t] = self.diag[t, e, g] * vec % p
-            if self.off_mask[t, e]:
-                for v in range(1, params.s_bar):
-                    out[t][rows] += (
-                        self.off_values[t, e, g, v - 1] * vec[self.sibling_cols[tau][v - 1]] % p)
-                out[t][rows] %= p
+        acc = out[blocks, rows]
+        for v in range(1, params.s_bar):
+            acc += (self.off_values[blocks, e, g, v - 1].reshape((-1,) + ones)
+                    * vec[self.sibling_cols[tau][v - 1]])
+        out[blocks, rows] = acc
+        out %= p
         return out.reshape((params.r * params.alpha,) + vec.shape[1:])
 
     def dense_node(self, e: int, g: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .codec import Codec, Stripe
 from .construction import build_constants
-from .errors import RepairRefusedError, ShardFormatError, SymbolMappingError
+from .errors import ParameterError, RepairRefusedError, ShardFormatError, SymbolMappingError
 from .field import FieldCtx
 from .params import CodeParams
 from .repair import RepairJob, RepairTranscript, repair_from_stripe
@@ -266,6 +266,10 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
     """
     manifest, vectors, present = read_shards(in_dir)
     params = manifest.params
+    try:
+        job = RepairJob.create(params, e, g, helpers)
+    except (ValueError, IndexError) as exc:  # a bad request for this code
+        raise ParameterError("bad_repair_job", str(exc)) from None
     codec = codec_for_manifest(manifest)
     target = params.node_index(e, g)
     if present[target] and not force:
@@ -277,7 +281,6 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
         raise RepairRefusedError(
             f"other shards missing {missing_others}; repair serves exactly "
             f"one failed node, run decode instead")
-    job = RepairJob.create(params, e, g, helpers)
     transcript = repair_from_stripe(codec, Stripe(params, vectors, present), job)
     path = write_one_shard(in_dir, manifest, e, g, transcript.recovered)
     return manifest, transcript, path

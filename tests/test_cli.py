@@ -209,6 +209,26 @@ def test_repair_refusals_exit_with_usage_error(capsys, encoded_dir):
     assert "present" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("helpers,message", [
+    ("1,2", "need 3 distinct helper racks"),      # P1 repairs from d_bar=3 racks
+    ("1,1,2", "need 3 distinct helper racks"),
+    ("1,2,9", "invalid helper rack 9"),
+    ("1,x", "comma-separated rack numbers"),
+])
+def test_repair_bad_helpers_exit_with_usage_error(capsys, encoded_dir, helpers,
+                                                  message):
+    _, out = encoded_dir
+    shard = out / shard_name(0, 0)
+    original = shard.read_bytes()
+    assert main(["repair", "--in", str(out), "--rack", "0", "--node", "0",
+                 "--helpers", helpers, "--force"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad_repair_job: ")
+    assert message in captured.err
+    assert shard.read_bytes() == original
+
+
 def test_missing_directory_is_a_usage_error(capsys):
     assert main(["decode", "--in", "/nonexistent-dir", "--output", "x.bin"]) == 2
     assert "error" in capsys.readouterr().err

@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from msrr import Codec, ErasurePattern, Stripe
-from msrr.errors import ParameterError
+from msrr import Codec, CodeParams, ErasurePattern, Stripe, linalg
+from msrr.errors import InternalError, ParameterError
+from msrr.field import FieldCtx
 
-from conftest import P1, random_stripe
+from conftest import P1, P1_DEGENERATE, P2, random_stripe
 
 # Encoding the first standard basis vector (node (0,0), coordinate 0) of the
 # p=11 code; validated once by a zero syndrome plus re-decoding from every
@@ -161,3 +162,110 @@ def test_codec_respects_explicit_min_field():
     assert codec.p == 257
     stripe = random_stripe(codec, seed=11)
     assert not codec.syndrome(stripe).any()
+
+
+# -- structured codec against a dense oracle -----------------------------------
+
+
+def dense_solve(codec, vectors, unknowns):
+    """Oracle: values of the r nodes `unknowns` that zero the syndrome, by
+    Gauss-Jordan on the dense parity-check column groups."""
+    params, p = codec.params, codec.p
+    cols = [codec.pcm.dense_node(e, g) for e, g in params.nodes()]
+    rhs = -sum(cols[i] @ vectors[i] for i in range(params.n)
+               if i not in unknowns) % p
+    sol = linalg.solve(np.hstack([cols[i] for i in unknowns]), rhs, p)
+    return sol.reshape((len(unknowns), params.alpha) + vectors.shape[2:])
+
+
+# Every admissible code with n_bar <= 6 and u <= 3 that the dense oracle can
+# afford; about half of them have s_bar = 1.
+SMALL_CODES = [
+    params for params in (
+        CodeParams(n_bar=n_bar, u=u, u0=u0, k_bar=k_bar, d_bar=d_bar)
+        for u in (2, 3) for n_bar in range(2, 7) for u0 in range(u)
+        for k_bar in range(1, n_bar) for d_bar in range(k_bar, n_bar))
+    if params.r * params.alpha <= 600]
+
+
+@st.composite
+def small_cases(draw):
+    params = draw(st.sampled_from(SMALL_CODES))
+    return (params, draw(st.integers(1, params.r)), draw(st.sampled_from([1, 3])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_cases())
+@example((P1_DEGENERATE, 4, 3, 0))   # s_bar = 1: alpha = 1, a single level
+@example((P2, 1, 1, 1))              # u0 > 0
+@example((P2, 5, 3, 2))
+def test_structured_codec_matches_dense_oracle(case):
+    params, erasures, width, seed = case
+    codec = Codec(params)
+    n, k, r, p = params.n, params.k, params.r, codec.p
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, p, size=(k, params.alpha, width))
+    parity = dense_solve(codec, data, list(range(k, n)))
+    stripe = codec.encode_batch(data)
+    assert np.array_equal(stripe, np.concatenate([data, parity]))
+
+    erased = sorted(rng.choice(n, size=erasures, replace=False).tolist())
+    present = np.ones(n, dtype=bool)
+    present[erased] = False
+    zeroed = np.where(present[:, None, None], stripe, 0)
+    assert np.array_equal(codec.decode_batch(zeroed, present), stripe)
+    # The oracle pads with the largest present nodes, the codec with the
+    # smallest; on a codeword both must restore the erased nodes.
+    pad = [i for i in range(n - 1, -1, -1) if present[i]][:r - erasures]
+    unknowns = sorted(erased + pad)
+    oracle = dense_solve(codec, zeroed, unknowns)
+    assert np.array_equal(oracle[[unknowns.index(i) for i in erased]],
+                          stripe[erased])
+    # With exactly r unknowns the solution is unique for any input, codeword
+    # or not, so the two solvers must agree on noise too.
+    noise = rng.integers(0, p, size=stripe.shape)
+    full = np.ones(n, dtype=bool)
+    full[unknowns] = False
+    assert np.array_equal(codec.decode_batch(noise, full)[unknowns],
+                          dense_solve(codec, noise, unknowns))
+
+
+def test_wide_code_beyond_the_dense_path():
+    # alpha = 1024 and r*alpha = 11264: a dense int64 parity inverse alone
+    # would take about 1 GiB.
+    codec = Codec(CodeParams.from_total_k(10, 2, 9, 5))
+    params = codec.params
+    assert (params.alpha, params.r * params.alpha) == (1024, 11264)
+    rng = np.random.default_rng(12)
+    stripe = codec.encode_batch(
+        rng.integers(0, codec.p, size=(params.k, params.alpha, 4)))
+    assert not codec.syndrome_batch(stripe).any()
+    erased = rng.choice(params.n, size=params.r, replace=False)
+    present = np.ones(params.n, dtype=bool)
+    present[erased] = False
+    zeroed = np.where(present[:, None, None], stripe, 0)
+    restored = codec.decode_batch(zeroed, present)
+    assert np.array_equal(restored, stripe)
+    assert not codec.syndrome_batch(restored).any()
+
+
+def test_stripe_chunks_do_not_change_results(monkeypatch, p3_codec):
+    params = p3_codec.params
+    vectors = random_stripe(p3_codec, seed=13, stripes=7)
+    present = np.ones(params.n, dtype=bool)
+    present[[1, 4, 5, 10]] = False
+    zeroed = np.where(present[:, None, None], vectors, 0)
+    # A one-symbol budget forces one stripe per chunk.
+    monkeypatch.setattr("msrr.codec._CHUNK_SYMBOLS", 1)
+    chunked = Codec(params)
+    assert chunked._plan(list(range(params.k, params.n))).chunk == 1
+    assert np.array_equal(chunked.encode_batch(vectors[:params.k]), vectors)
+    assert np.array_equal(chunked.decode_batch(zeroed, present), vectors)
+
+
+def test_codec_refuses_a_field_beyond_the_exact_float64_product():
+    p = 2**31 - 1   # prime; r * (p - 1)^2 far exceeds 2^53
+    field = FieldCtx(p=p, primitive_root=7, unity_root=p - 1, u=2)
+    with pytest.raises(InternalError, match="float64"):
+        Codec(P1, field=field)

@@ -212,3 +212,127 @@ def test_repair_shard_with_explicit_helpers(tmp_path):
     _, transcript, _ = repair_shard(out, 3, 1, helpers=[0, 1, 2])
     assert transcript.job.helpers == (0, 1, 2)
     assert target.read_bytes() == original
+
+
+# sha256 of every file encode_file writes for a seeded 20 KiB payload, captured
+# before the codec followed the level order of the construction; shard bytes
+# on disk must never change.
+GOLDEN_PAYLOAD_SEED = 20240
+GOLDEN_PAYLOAD_SHA256 = (
+    "6b77b2c4a3c736a521da7b8132b5e4fc1377e9a343f4a69865f3641a5ec54975")
+GOLDEN_FILES = {
+    (4, 2, 4, 3): {
+        "manifest.json":
+            "2acdd3ad766a8a86250da2ddf964a4b412c915e33db90e84da79b63458cab648",
+        "node_0_0.shard":
+            "7610efff9926eed485bf76f28d00ef1487830df609c78140684a167e817bd7ff",
+        "node_0_1.shard":
+            "2f177837de2bb2d0a0d4d3af0c91b2c42475300ef372d28ebdd4c6ce9e0e76a5",
+        "node_1_0.shard":
+            "7547b8ab7464b3f4f3c1ad5de7dbe83ac15bee41a717e34151ae9776ef6f77d2",
+        "node_1_1.shard":
+            "ae5cf3af03571d3ef0307ce7a27ad90f8b057b0bb70503d892b26f4d157a0769",
+        "node_2_0.shard":
+            "eec0feeb80799d0c8d5b51f26cbdeb39a14b7e7bad129b030632817527c232e7",
+        "node_2_1.shard":
+            "257ba324d9e90740d110e6080c7644c7610b72a7b918cb45ee84a6f1dfe47e5c",
+        "node_3_0.shard":
+            "f7f8f3abc1c4a68f21c1d4099ee2841eb3e774abe7010ba6ef4c2a4f4737618c",
+        "node_3_1.shard":
+            "ec7e6739797130af4b2362d19a2a17cd6bd4ca8d3eb68be2230162f817712c80",
+    },
+    (6, 2, 6, 4): {
+        "manifest.json":
+            "a4421985cbb9063e802ca75ea3b8fbde7c09f84f14e849a4f0562bbccd46700f",
+        "node_0_0.shard":
+            "a94911d405928463065999025419c1379665f410b3d21b2c926bbe3c0804a5b8",
+        "node_0_1.shard":
+            "e8c094a4aa827f820481a937bc98ffd72c7ba06a16d4fdefcf484d2061e09a4c",
+        "node_1_0.shard":
+            "7bd86343a3e00c64bb1b035963a5fb8c348f55305a4240503e830235fde9f40e",
+        "node_1_1.shard":
+            "f1e67fce4463281d75c36db3e5b9cd9711df1d4e8c61766e309c67f2e9e9debb",
+        "node_2_0.shard":
+            "3791e3c854dfbb01fef524dc571c36ef06f3742a0411482eb1ffd5531861009d",
+        "node_2_1.shard":
+            "21b4c13d7672dac97e13f6094a2c8c6aee29c7ccbec177a26b5c4b9a90315fd1",
+        "node_3_0.shard":
+            "bd7a92572ac4527aafc303f1753c71ad3202ffd11e022811855ba8cb5bffbf1c",
+        "node_3_1.shard":
+            "16992d35b0c09ae4372f0534016be4c99fa01875212247631e49e98e9a7b871f",
+        "node_4_0.shard":
+            "01e761c7029ab54ac73255b39ab09f3f90756ef4b670ec1cdb00767851ad7059",
+        "node_4_1.shard":
+            "1a63f951dbd78a9f3832fb433a093cce79a00284dc023ddfc446346735db8a34",
+        "node_5_0.shard":
+            "747d28cd7c8a5a1d7aeb89016126daab4b186445c1303daa4145002fbac96dbc",
+        "node_5_1.shard":
+            "a01968eccf75c159e0a6efa69967a7d152e498995bcd91a6e88c8926a70e20de",
+    },
+    (8, 3, 12, 6): {
+        "manifest.json":
+            "cf22269cf480ae8599c586a0f75d0333b880afabe86e27e505f59e8e28f4fccc",
+        "node_0_0.shard":
+            "c2d17f3a170b9f9aaac4a8a225ad4efdb3e44ad9ce80512275eb69ce8fed7f06",
+        "node_0_1.shard":
+            "ea0b34c5de8c07de3af26b8a65ba7afb03e223da96ba5d08feb2a903c084e8f9",
+        "node_0_2.shard":
+            "4a79344cbcbfe60571e118ec0acce6ed4b5de6078ab900d9556fc55002f6c16d",
+        "node_1_0.shard":
+            "7284deaeaff5430e521161a641ab906b6c7745cd70832d203d1dcfaf5f428fea",
+        "node_1_1.shard":
+            "312e8e019452120514106f1e75874c83183cdb79daea975f909cf1913f2ae5da",
+        "node_1_2.shard":
+            "e1d9af97f9caaafbb0676097771e97d7ef72d53168ad7d7c964a8c10aa440d55",
+        "node_2_0.shard":
+            "b54d858433aa38d816acce075a3296fc1f0f43fd100aabd29e33f8f8dfa08729",
+        "node_2_1.shard":
+            "5e286c5bf155f502e8459d95e7a11bb82730afb4fbbc8565ff04a29e24ee3e60",
+        "node_2_2.shard":
+            "b9b91c71c51a86b37d6dbbcbfe4f647d92760c5f2ad35253305091a70aeed49d",
+        "node_3_0.shard":
+            "f7ff96ef7d0b0a38f66ed4f820a0aeff2cf7dd37ca8e20473066c2c06c5841b9",
+        "node_3_1.shard":
+            "d0a3aa30ada683ad6fc2d86ee079cef393aa8d3edfea909ec9e7fe3333a29c67",
+        "node_3_2.shard":
+            "0a846ab76e1cdec6edfb6f6a5c409fe4a2fec8ace83b16be0979402ee97bfa3f",
+        "node_4_0.shard":
+            "8cea0481192ba6f5132e2f96c6634f0f1a7097d4925c3ef2ad2cbf0aae39d19e",
+        "node_4_1.shard":
+            "c6fe04e933d947e12b1190f83dda2a569041ce52a001431a99d89eba7488aa8b",
+        "node_4_2.shard":
+            "a6999847977fb2ad650604acf74e9590c0b3baca32d000ba2060d6883d422e56",
+        "node_5_0.shard":
+            "edce1bb8a6fd7c504a2e8b33f53db719a0a5e5b681876684d6a3fee70c835704",
+        "node_5_1.shard":
+            "582d297333cd7c5096e702b4eaf2f7163cf1a294b97d19b6955ee7ffa53f3498",
+        "node_5_2.shard":
+            "161013c02d66195492b2572a2996f8fa1e217183d7fda7de20d4836201a13e5a",
+        "node_6_0.shard":
+            "d6231dfc18c7c21f4ad23e3839cfe63828581b592e06658fa41e31ef596f1f12",
+        "node_6_1.shard":
+            "be4c56febdcad8afbe96be3b252010c0160ef8659d274d260ac5def1df5b21ee",
+        "node_6_2.shard":
+            "312d47cf1ffc453c6da4026ade202ee472cbd421d2b1e21297a88bf26e50b11a",
+        "node_7_0.shard":
+            "74a8f791ffee487422df177869ad626716719af766571dda2563a36403740f99",
+        "node_7_1.shard":
+            "6e8a0b4078ed8e98faf58eebe5a54b25a54e732ab0403feaff156ddd75bff7a3",
+        "node_7_2.shard":
+            "9a4472cbbae812c3abb6ef6df1039f88cd5180308ff53a4d92969c541d5fe9b0",
+    },
+}
+
+
+@pytest.mark.parametrize("code", list(GOLDEN_FILES))
+def test_encoded_files_are_frozen(tmp_path, code):
+    payload = np.random.default_rng(GOLDEN_PAYLOAD_SEED).integers(
+        0, 256, size=20 << 10, dtype=np.uint8).tobytes()
+    assert hashlib.sha256(payload).hexdigest() == GOLDEN_PAYLOAD_SHA256
+    src = tmp_path / "in.bin"
+    src.write_bytes(payload)
+    out = tmp_path / "shards"
+    encode_file(src, out, CodeParams.from_total_k(*code))
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir()}
+    assert digests == GOLDEN_FILES[code]
