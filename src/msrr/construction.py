@@ -105,6 +105,10 @@ class ParityCheckMatrix:
                     [pow(int(x), t // u, p) for x in extra], dtype=np.int64)
                 self.off_values[t, e] = lam_res[:, None] * mu_pow[None, :] % p
 
+        # Zero-digit count per coordinate: the level order of every solve.
+        digits = np.arange(params.alpha)[:, None] // s_bar ** np.arange(params.m) % s_bar
+        self.level = np.count_nonzero(digits == 0, axis=1)
+
         # Row/column index tables per digit position.
         self.zero_rows = [
             np.array(params.zero_digit_rows(tau), dtype=np.intp)

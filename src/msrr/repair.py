@@ -2,17 +2,19 @@
 
 Each helper rack collapses its u node vectors into one aggregate (a fixed
 locator-weighted sum) and ships only the beta coordinates whose digit owned
-by the host rack is zero.  The replacement node walks those coordinates in
-order of increasing zero-digit count: at every coordinate the selected parity
-blocks yield a power-moment system over distinct evaluation points (the host
-rack point, the extra points, and the rack points of non-helper racks) whose
-unknowns are the host aggregate at the coordinate's digit siblings plus the
-non-helper aggregates at the coordinate itself.  Coordinates with more zero
-digits additionally reference sibling values at strictly lower levels, all of
-which are already known by then; this is why processing levels in ascending
-order closes the recursion.  The engine only ever sees helper messages and
-host-rack survivors, so reading beyond the allowed beta symbols per helper
-node is structurally impossible.
+by the host rack is zero.  The replacement node solves those coordinates
+level by level, in ascending zero-digit count.  At every coordinate the
+selected parity blocks yield a power-moment system over r_bar distinct points
+(the host rack point, the extra points, and the rack points of non-helper
+racks) whose unknowns are the host aggregate at the coordinate's digit
+siblings plus the non-helper aggregates at the coordinate itself.  Its
+right-hand side combines helper aggregates at the coordinate with correction
+terms: aggregates of racks sharing the host's residue at sibling coordinates
+one level down, which the level before has already solved.  So all
+coordinates of a level are solved at once by one product with the points'
+Lagrange matrix.  The engine only ever sees helper messages and host-rack
+survivors, so reading beyond the allowed beta symbols per helper node is
+structurally impossible.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ def helper_message(codec: Codec, rack_vectors: np.ndarray, e: int,
                    job: RepairJob) -> np.ndarray:
     """The beta symbols helper rack e ships for the job.
 
-    Reads exactly the zero-digit coordinates of each node vector (alpha/s_bar
-    symbols per node), never the rest.
+    The message depends only on the zero-digit coordinates of each node
+    vector (alpha/s_bar symbols per node).  The reduction of the input mod p
+    still touches every coordinate of the rack.
     """
     params, p = codec.params, codec.p
     if e not in job.helpers:
@@ -105,7 +108,7 @@ def repair_node(codec: Codec, job: RepairJob, messages: dict[int, np.ndarray],
     e_star, g_star = job.e_star, job.g_star
     tau_star = job.digit_position(params)
     res_star = params.rack_residue(e_star)
-    rows = params.zero_digit_rows(tau_star)
+    rows = codec.pcm.zero_rows[tau_star]
 
     if set(messages) != set(job.helpers):
         absent = sorted(set(job.helpers) - set(messages))
@@ -124,47 +127,54 @@ def repair_node(codec: Codec, job: RepairJob, messages: dict[int, np.ndarray],
             raise ValueError(
                 f"survivor {g} has shape {v.shape}, expected {(alpha,) + tail}")
 
-    # Aggregates known so far, keyed by (rack, coordinate); helper entries come
-    # straight off the wire, non-helper entries are filled in level by level.
-    known: dict[tuple[int, int], np.ndarray] = {}
-    for e in job.helpers:
-        for idx, a in enumerate(rows):
-            known[(e, a)] = msgs[e][idx]
+    # Rack aggregates on the zero-digit rows: helpers' off the wire, the others'
+    # filled in level by level; the host's stays zero and pads the gather.
+    known = np.zeros((params.n_bar, beta) + tail, dtype=np.int64)
+    helpers = np.array(job.helpers)
+    known[helpers] = [msgs[e] for e in job.helpers]
+    others = np.array([e for e in range(params.n_bar)
+                       if e != e_star and e not in job.helpers], dtype=np.intp)
 
-    others = [e for e in range(params.n_bar)
-              if e != e_star and e not in job.helpers]
-    points = ([consts.rack_points[e_star]]
-              + list(consts.extra_points)
+    # Correction terms of each row, (s_bar - 1, beta, racks) indices into
+    # known: for extra point v and rack e of the host's residue, e's aggregate
+    # at the row's sibling with e's digit set to v, if that digit is zero.
+    racks = [e for e in range(params.n_bar)
+             if e != e_star and params.rack_residue(e) == res_star]
+    scales = np.array([s_bar ** params.rack_digit(e) for e in racks], dtype=np.intp)
+    digit = rows[:, None] // scales % s_bar
+    pos = np.zeros(alpha, dtype=np.intp)
+    pos[rows] = np.arange(beta)
+    v = np.arange(1, s_bar)[:, None, None]
+    gather = np.where(digit == 0, np.array(racks, dtype=np.intp) * beta
+                      + pos[rows[:, None] + (v - digit) * scales], e_star * beta)
+
+    # A row's moments are minus its helper aggregates at rack-point powers
+    # minus its summed corrections at extra-point powers; the points' Lagrange
+    # matrix maps them to the host aggregate at the row's s_bar digit siblings
+    # and the non-helper aggregates at the row.  step is both maps in one; its
+    # int64 products stay below (d_bar + s_bar) * (p - 1)^2, so they are exact.
+    points = ([consts.rack_points[e_star]] + list(consts.extra_points)
               + [consts.rack_points[e] for e in others])
+    try:
+        lagrange = linalg.vandermonde_solve(points, np.eye(params.r_bar, dtype=np.int64), p)
+    except SingularMatrixError as exc:  # points are distinct by construction
+        raise InternalError("repair system singular; constants are broken") from exc
+    weighted = [consts.rack_points[e] for e in job.helpers] + list(consts.extra_points)
+    weights = np.array([[pow(x, i, p) for x in weighted] for i in range(params.r_bar)])
+    step = -(lagrange @ weights) % p
 
     host_aggregate = np.zeros((alpha,) + tail, dtype=np.int64)
-    order = sorted(rows, key=lambda a: (params.zero_digit_count(a), a))
-    for a in order:
-        digits = params.digits(a)
-        correction_racks = [
-            e for e in range(params.n_bar)
-            if e != e_star and params.rack_residue(e) == res_star
-            and digits[params.rack_digit(e)] == 0]
-        moments = []
-        for i in range(params.r_bar):
-            acc = np.zeros(tail, dtype=np.int64)
-            for e in job.helpers:
-                acc = (acc + pow(consts.rack_points[e], i, p) * known[(e, a)]) % p
-            for e in correction_racks:
-                tau = params.rack_digit(e)
-                for v in range(1, s_bar):
-                    sibling = params.replace_digit(a, tau, v)
-                    acc = (acc + pow(consts.extra_points[v - 1], i, p)
-                           * known[(e, sibling)]) % p
-            moments.append((-acc) % p)
-        try:
-            solved = linalg.vandermonde_solve(points, np.stack(moments), p)
-        except SingularMatrixError as exc:  # points are distinct by construction
-            raise InternalError("repair system singular; constants are broken") from exc
-        for v in range(s_bar):
-            host_aggregate[params.replace_digit(a, tau_star, v)] = solved[v]
-        for slot, e in enumerate(others):
-            known[(e, a)] = solved[s_bar + slot]
+    host_rows = rows + np.arange(s_bar)[:, None] * s_bar ** tau_star
+    flat = known.reshape((params.n_bar * beta,) + tail)
+    level = codec.pcm.level[rows]
+    for lvl in np.unique(level):
+        sel = np.flatnonzero(level == lvl)
+        terms = np.concatenate([known[helpers[:, None], sel],
+                                flat[gather[:, sel]].sum(axis=2) % p])
+        solved = (step @ terms.reshape(len(terms), -1) % p).reshape(
+            (params.r_bar, sel.size) + tail)
+        host_aggregate[host_rows[:, sel]] = solved[:s_bar]
+        known[others[:, None], sel] = solved[s_bar:]
 
     # Peel the survivors out of the host aggregate.
     acc = host_aggregate
@@ -174,7 +184,7 @@ def repair_node(codec: Codec, job: RepairJob, messages: dict[int, np.ndarray],
     scale = pow(consts.locators[e_star][g_star], res_star, p)
     recovered = acc * pow(scale, p - 2, p) % p
 
-    side = {e: np.stack([known[(e, a)] for a in rows]) for e in others}
+    side = {int(e): known[e] for e in others}
     return RepairTranscript(
         job=job,
         messages=msgs,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -102,6 +103,30 @@ FROZEN_RECORDS = [
 def test_plan_and_report_lines_are_frozen(capsys, command, flags, line):
     assert main([command, *flags]) == 0
     assert capsys.readouterr().out == line + "\n"
+
+
+# sha256 of every verify record, elapsed_s popped, as sorted-key JSON; frozen
+# before verify_mds and repair_node followed the level order.
+FROZEN_VERIFY = [
+    (P1_FLAGS,
+     "1776a7621e0688349d1bb96ac2e0a974b3a508351786365f4f806c671028d09e"),
+    (["--racks", "6", "--nodes-per-rack", "2", "--k", "6", "--helpers", "4",
+      "--mode", "sample", "--samples", "20", "--seed", "1"],
+     "0f6d8bd3ab4a7ea98d7bbe25adb4ccde2afc5e99ea1996a3782d4f368cdf3cf6"),
+    (["--racks", "8", "--nodes-per-rack", "3", "--k", "12", "--helpers", "6",
+      "--mode", "sample", "--samples", "20", "--seed", "1"],
+     "27d27d021f5df5a946620fcde2bf354f779d8de565a410bed16d3631718e3316"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", FROZEN_VERIFY,
+                         ids=["p1-exhaustive", "6264-sample", "83126-sample"])
+def test_verify_records_are_frozen(capsys, flags, digest):
+    code, records = run(capsys, ["verify", *flags])
+    assert code == 0
+    records[-1].pop("elapsed_s")
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_verify_exhaustive_p1(capsys):

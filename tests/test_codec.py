@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from msrr import Codec, CodeParams, ErasurePattern, Stripe, linalg
 from msrr.errors import InternalError, ParameterError
 from msrr.field import FieldCtx
 
-from conftest import P1, P1_DEGENERATE, P2, random_stripe
+from conftest import P1, P1_DEGENERATE, P2, P3, random_stripe
 
 # Encoding the first standard basis vector (node (0,0), coordinate 0) of the
 # p=11 code; validated once by a zero syndrome plus re-decoding from every
@@ -155,6 +156,137 @@ def test_verify_mds_cap_and_mode_validation(p3_codec):
     assert err.value.code == "cap_exceeded"
     with pytest.raises(ValueError):
         p3_codec.verify_mds("shuffle")
+
+
+# -- verify_mds against the dense rank ---------------------------------------------
+
+
+def dense_mds_failures(codec, subsets):
+    """Oracle: (subset, rank) for each subset whose dense column groups, side
+    by side, have rank below r*alpha."""
+    params, p = codec.params, codec.p
+    cols = [codec.pcm.dense_node(e, g) for e, g in params.nodes()]
+    ranks = [(s, linalg.rank(np.hstack([cols[i] for i in s]), p)) for s in subsets]
+    return sorted((s, rk) for s, rk in ranks if rk != params.r * params.alpha)
+
+
+def count_dense_ranks(monkeypatch, codec):
+    """Record every linalg.rank call on an r*alpha-wide matrix."""
+    calls, rank = [], linalg.rank
+    width = codec.params.r * codec.params.alpha
+
+    def counting(a, p):
+        if np.shape(a)[1] == width:
+            calls.append(a)
+        return rank(a, p)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    return calls
+
+
+@pytest.mark.parametrize("params", [P1, P2, P3, P1_DEGENERATE],
+                         ids=["p1", "p2-u0", "p3", "degenerate"])
+def test_verify_mds_exhaustive_matches_dense_rank(monkeypatch, params):
+    codec = Codec(params)
+    subsets = list(itertools.combinations(range(params.n), params.r))
+    calls = count_dense_ranks(monkeypatch, codec)
+    report = codec.verify_mds("exhaustive")
+    if params.alpha > 1:  # at alpha = 1 the diagonal block is the whole matrix
+        assert calls == []  # the certificate holds on every subset
+    assert report.subsets_checked == len(subsets)
+    assert report.failures == dense_mds_failures(codec, subsets) == []
+
+
+def test_verify_mds_sample_matches_dense_rank():
+    codec = Codec(CodeParams.from_total_k(8, 3, 12, 6))
+    params = codec.params
+    rng = random.Random(5)
+    subsets = [tuple(sorted(rng.sample(range(params.n), params.r)))
+               for _ in range(6)]
+    report = codec.verify_mds("sample", samples=6, seed=5)
+    assert report.subsets_checked == 6
+    assert report.failures == dense_mds_failures(codec, subsets) == []
+
+
+def edit_dense_node(monkeypatch, codec, nodes, edit):
+    """Make codec.pcm.dense_node apply edit to the column groups of nodes."""
+    dense_node = codec.pcm.dense_node
+
+    def edited(e, g):
+        block = dense_node(e, g)
+        if (e, g) in nodes:
+            edit(block)
+        return block
+
+    monkeypatch.setattr(codec.pcm, "dense_node", edited)
+
+
+def with_node(params, node):
+    i = params.node_index(*node)
+    return [s for s in itertools.combinations(range(params.n), params.r) if i in s]
+
+
+def test_verify_mds_reports_an_entry_above_the_level_order(monkeypatch):
+    codec = Codec(P1)
+    level = codec.pcm.level
+    assert (level[3], level[0]) == (0, 2)
+    # Row (t=1, a=3) of node (1, 0) gains an entry in column b=0, a coordinate
+    # of higher level than a: the matrix is no longer block lower triangular.
+    edit_dense_node(monkeypatch, codec, [(1, 0)],
+                    lambda block: block.__setitem__((P1.alpha + 3, 0), 5))
+    calls = count_dense_ranks(monkeypatch, codec)
+    report = codec.verify_mds("exhaustive")
+    assert len(calls) == len(with_node(P1, (1, 0)))
+    subsets = list(itertools.combinations(range(P1.n), P1.r))
+    assert report.failures == dense_mds_failures(codec, subsets) != []
+
+
+def test_verify_mds_reports_a_coupling_within_a_level(monkeypatch):
+    codec = Codec(P1)
+    alpha = P1.alpha
+    assert codec.pcm.level[1] == codec.pcm.level[2]
+
+    # In every column group, rows (t, 1) and (t, 2) repeat their diagonal
+    # value in each other's column.  Coordinates 1 and 2 share a level, and
+    # each subset's matrix gains the singular block [[D, D], [D, D]] there.
+    def couple(block):
+        for t in range(P1.r):
+            block[t * alpha + 1, 2] = block[t * alpha + 2, 1] = block[t * alpha + 1, 1]
+
+    edit_dense_node(monkeypatch, codec, P1.nodes(), couple)
+    calls = count_dense_ranks(monkeypatch, codec)
+    report = codec.verify_mds("exhaustive")
+    subsets = list(itertools.combinations(range(P1.n), P1.r))
+    assert len(calls) == len(subsets)
+    assert report.failures == dense_mds_failures(codec, subsets)
+    assert [s for s, _ in report.failures] == subsets
+
+
+def test_verify_mds_reports_a_changed_diagonal_entry(monkeypatch):
+    codec = Codec(P1)
+    # Block t=1 of node (2, 1) carries a different value at coordinate 0 than
+    # at the other coordinates: the diagonal blocks are no longer all equal.
+    edit_dense_node(monkeypatch, codec, [(2, 1)],
+                    lambda block: block.__setitem__((P1.alpha, 0), 0))
+    calls = count_dense_ranks(monkeypatch, codec)
+    report = codec.verify_mds("exhaustive")
+    assert len(calls) == len(with_node(P1, (2, 1)))
+    subsets = list(itertools.combinations(range(P1.n), P1.r))
+    assert report.failures == dense_mds_failures(codec, subsets) != []
+
+
+def test_verify_mds_reports_colliding_locators(monkeypatch):
+    codec = Codec(P1)
+    diag = codec.pcm.diag.copy()
+    diag[:, 3, 1] = diag[:, 0, 0]  # node (3, 1) takes node (0, 0)'s locator
+    monkeypatch.setattr(codec.pcm, "diag", diag)
+    calls = count_dense_ranks(monkeypatch, codec)
+    report = codec.verify_mds("exhaustive")
+    both = [s for s in with_node(P1, (3, 1)) if 0 in s]
+    assert len(calls) == len(both)
+    subsets = list(itertools.combinations(range(P1.n), P1.r))
+    assert report.failures == dense_mds_failures(codec, subsets)
+    assert [s for s, _ in report.failures] == both
 
 
 def test_codec_respects_explicit_min_field():

@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from msrr import RepairJob, helper_message, repair_from_stripe, repair_node
+from msrr import (Codec, CodeParams, RepairJob, Stripe, helper_message,
+                  repair_from_stripe, repair_node)
 
-from conftest import random_stripe
+from conftest import P1_DEGENERATE, P2, random_stripe
 
 
 def reference_aggregate(codec, rack, e, e_star):
@@ -227,3 +228,46 @@ def test_repair_on_deeply_recursive_shape():
         assert np.array_equal(
             transcript.recovered, stripe.node(job.e_star, job.g_star)), job
         assert transcript.cross_rack_symbols == params.d_bar * params.beta
+
+
+# Every admissible code with n_bar <= 6, u <= 3 and alpha <= 256, including
+# u0 > 0 and s_bar = 1; codecs are built once per code.
+REPAIR_CODES = [
+    params for params in (
+        CodeParams(n_bar=n_bar, u=u, u0=u0, k_bar=k_bar, d_bar=d_bar)
+        for u in (2, 3) for n_bar in range(2, 7) for u0 in range(u)
+        for k_bar in range(1, n_bar) for d_bar in range(k_bar, n_bar))
+    if params.alpha <= 256]
+CODECS = {}
+
+
+@st.composite
+def repair_cases(draw):
+    params = draw(st.sampled_from(REPAIR_CODES))
+    e_star = draw(st.integers(0, params.n_bar - 1))
+    racks = [e for e in range(params.n_bar) if e != e_star]
+    helpers = draw(st.permutations(racks))[:params.d_bar]
+    job = RepairJob.create(params, e_star, draw(st.integers(0, params.u - 1)), helpers)
+    return params, job, draw(st.sampled_from([1, 3])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(repair_cases())
+@example((P2, RepairJob.create(P2, 3, 2, [0, 1, 2]), 3, 0))            # u0 > 0
+@example((P1_DEGENERATE, RepairJob.create(P1_DEGENERATE, 1, 0, [2, 3]), 1, 1))  # s_bar = 1
+def test_per_level_repair_on_small_codes(case):
+    params, job, width, seed = case
+    if params not in CODECS:
+        CODECS[params] = Codec(params)
+    codec = CODECS[params]
+    vectors = random_stripe(codec, seed=seed, stripes=width)
+    stripe = Stripe(params, vectors, np.ones(params.n, dtype=bool))
+    transcript = repair_from_stripe(codec, stripe, job)
+    assert np.array_equal(transcript.recovered,
+                          stripe.node(job.e_star, job.g_star))
+    others = set(range(params.n_bar)) - {job.e_star} - set(job.helpers)
+    assert set(transcript.side_aggregates) == others
+    rows = params.zero_digit_rows(job.digit_position(params))
+    for e in others:
+        truth = reference_aggregate(codec, stripe.rack(e), e, job.e_star)[rows]
+        assert np.array_equal(transcript.side_aggregates[e], truth)
