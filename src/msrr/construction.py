@@ -6,8 +6,10 @@ The parity-check matrix has r row blocks of alpha rows each; per column group
 digit is zero additionally carry a short run of off-diagonal entries that tie
 the coordinate to its digit siblings.  A row never holds more than s_bar
 nonzero entries per column group, so blocks are stored as a diagonal value
-plus the off-diagonal run template; row positions are recovered from the
-digit machinery on demand.
+plus the off-diagonal run template.  Row and column positions come from the
+digit table, ParityCheckMatrix.digits: the base-s_bar digits of every
+coordinate, computed once.  The level order, the zero-digit rows and their
+digit siblings are read off it, and no other module expands digits.
 """
 
 from __future__ import annotations
@@ -105,40 +107,22 @@ class ParityCheckMatrix:
                     [pow(int(x), t // u, p) for x in extra], dtype=np.int64)
                 self.off_values[t, e] = lam_res[:, None] * mu_pow[None, :] % p
 
+        # The digit table, (alpha, m), least-significant digit first, with the
+        # place value of each digit position.
+        self.place = s_bar ** np.arange(params.m)
+        self.digits = np.arange(params.alpha)[:, None] // self.place % s_bar
         # Zero-digit count per coordinate: the level order of every solve.
-        digits = np.arange(params.alpha)[:, None] // s_bar ** np.arange(params.m) % s_bar
-        self.level = np.count_nonzero(digits == 0, axis=1)
-
-        # Row/column index tables per digit position.
-        self.zero_rows = [
-            np.array(params.zero_digit_rows(tau), dtype=np.intp)
-            for tau in range(params.m)]
-        self.sibling_cols = [
-            [np.array([params.replace_digit(int(a), tau, v) for a in rows],
-                      dtype=np.intp)
-             for v in range(1, s_bar)]
-            for tau, rows in enumerate(self.zero_rows)]
+        self.level = np.count_nonzero(self.digits == 0, axis=1)
+        # Per digit position tau: the beta rows whose digit tau is zero, and
+        # for v in [1, s_bar) those rows with digit tau raised from 0 to v.
+        self.zero_rows = [np.flatnonzero(self.digits[:, tau] == 0)
+                          for tau in range(params.m)]
+        self.sibling_cols = [[rows + v * self.place[tau] for v in range(1, s_bar)]
+                             for tau, rows in enumerate(self.zero_rows)]
 
     @property
     def p(self) -> int:
         return self.constants.field.p
-
-    def row_entries(self, t: int, e: int, g: int, a: int) -> list[tuple[int, int]]:
-        """Nonzero entries of row a of block (t, (e, g)): diagonal first,
-        then off-diagonals in ascending digit-sibling order."""
-        params = self.params
-        if not 0 <= t < params.r:
-            raise IndexError(f"block {t} out of range")
-        if not 0 <= a < params.alpha:
-            raise IndexError(f"row {a} out of range")
-        params.node_index(e, g)
-        entries = [(a, int(self.diag[t, e, g]))]
-        tau = params.rack_digit(e)
-        if self.off_mask[t, e] and params.digits(a)[tau] == 0:
-            entries.extend(
-                (params.replace_digit(a, tau, v), int(self.off_values[t, e, g, v - 1]))
-                for v in range(1, params.s_bar))
-        return entries
 
     def apply_node(self, e: int, g: int, vec: np.ndarray) -> np.ndarray:
         """Product of column group (e, g) with a node vector.

@@ -37,4 +37,5 @@ class SymbolMappingError(MsrrError):
 
 
 class RepairRefusedError(MsrrError):
-    """Shard repair preconditions not met (target present, or others missing)."""
+    """Shard repair preconditions not met: the target is present, or a
+    helper-rack or host-rack shard is missing."""

@@ -1,9 +1,12 @@
-"""Exact dense linear algebra over GF(p).
+"""Exact linear algebra over GF(p): rank, and power-moment solves.
 
 Matrices are numpy int64 arrays holding canonical representatives in
 [0, p - 1]; all arithmetic is modular, so there are no tolerances anywhere.
-Pivoting during elimination is for zero-avoidance only.  Entries stay below
-2^16, hence products fit comfortably in int64 without intermediate reduction.
+rank is the dense elimination that verify_mds falls back to where its
+level-order certificate fails; vandermonde_solve is the Lagrange-basis solve
+behind the codec and repair.  A general dense solver is kept only as a test
+oracle, in tests/oracle.py.  Entries stay below 2^16, hence products fit
+comfortably in int64 without intermediate reduction.
 """
 
 from __future__ import annotations
@@ -13,16 +16,11 @@ import numpy as np
 from .errors import SingularMatrixError
 
 
-def _as_field_matrix(a, p: int) -> np.ndarray:
-    out = np.array(a, dtype=np.int64) % p
-    if out.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={out.ndim}")
-    return out
-
-
 def rank(a, p: int) -> int:
     """Rank over GF(p) via forward elimination."""
-    a = _as_field_matrix(a, p)
+    a = np.array(a, dtype=np.int64) % p
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     rows, cols = a.shape
     rk = 0
     for col in range(cols):
@@ -43,55 +41,6 @@ def rank(a, p: int) -> int:
                 a[rows_idx, col:] - np.outer(a[rows_idx, col], a[rk, col:])) % p
         rk += 1
     return rk
-
-
-def invertible(a, p: int) -> bool:
-    """True iff the square matrix has full rank over GF(p)."""
-    a = _as_field_matrix(a, p)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    return rank(a, p) == a.shape[0]
-
-
-def solve(a, b, p: int) -> np.ndarray:
-    """Solve A x = b over GF(p) by Gauss-Jordan elimination.
-
-    b may be a vector or a matrix of stacked right-hand-side columns; the
-    result has the same shape.  Raises SingularMatrixError (carrying the rank
-    of A) when A is not invertible.
-    """
-    a = _as_field_matrix(a, p)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    b = np.array(b, dtype=np.int64) % p
-    vector = b.ndim == 1
-    rhs = b[:, None] if vector else b
-    if rhs.shape[0] != n:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
-    aug = np.concatenate([a, rhs], axis=1)
-    for col in range(n):
-        nz = np.nonzero(aug[col:, col])[0]
-        if nz.size == 0:
-            raise SingularMatrixError("singular system", rank(a, p))
-        piv = col + int(nz[0])
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        inv = pow(int(aug[col, col]), p - 2, p)
-        aug[col, col:] = aug[col, col:] * inv % p
-        others = np.nonzero(aug[:, col])[0]
-        others = others[others != col]
-        if others.size:
-            aug[others, col:] = (
-                aug[others, col:] - np.outer(aug[others, col], aug[col, col:])) % p
-    x = aug[:, n:]
-    return x[:, 0] if vector else x
-
-
-def inverse(a, p: int) -> np.ndarray:
-    """Matrix inverse over GF(p)."""
-    a = _as_field_matrix(a, p)
-    return solve(a, np.eye(a.shape[0], dtype=np.int64), p)
 
 
 def vandermonde_solve(points, moments, p: int) -> np.ndarray:

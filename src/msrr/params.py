@@ -1,14 +1,12 @@
-"""Code parameters, derived quantities, and coordinate-index combinatorics.
+"""Code parameters and their derived quantities.
 
 A code stripes data over ``n = n_bar * u`` nodes arranged in ``n_bar`` racks
 of ``u`` nodes; any ``k = k_bar * u + u0`` nodes suffice to read the data and
-``d_bar`` helper racks take part in a node repair.  Each node stores ``alpha``
-symbols, and the coordinates ``[0, alpha)`` are addressed through their
-base-``s_bar`` digit vectors: rack ``e`` owns digit position ``e // (u - u0)``
-and the rows it touches off-diagonally are exactly those whose owned digit is
-zero.  That digit machinery (expansion, single-digit replacement, zero-digit
-counting, row and block selectors) lives here and is shared by the
-construction, codec, and repair modules.
+``d_bar`` helper racks take part in a node repair.  Each node stores
+``alpha = s_bar**m`` symbols whose coordinates are base-``s_bar`` digit
+vectors of length ``m``, and rack ``e`` owns digit position
+``e // (u - u0)``.  The digit table itself, and the rows and siblings read
+off it, live in ``ParityCheckMatrix``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from .errors import ParameterError
 class CodeParams:
     """Validated rack/node/repair parameters of one code.
 
-    Immutable; all digit helpers are pure functions of the five inputs.
+    Immutable; every derived quantity is a pure function of the five inputs.
     """
 
     n_bar: int  # racks
@@ -125,57 +123,3 @@ class CodeParams:
         if not 0 <= e < self.n_bar:
             raise IndexError(f"rack {e} out of range")
         return e // (self.u - self.u0)
-
-    # -- digit vectors -------------------------------------------------------
-
-    def digits(self, a: int) -> tuple[int, ...]:
-        """Base-s_bar expansion of a coordinate, least-significant digit first.
-
-        For s_bar = 1 the single coordinate 0 expands to m zero digits.
-        """
-        if not 0 <= a < self.alpha:
-            raise IndexError(f"coordinate {a} out of range [0, {self.alpha})")
-        if self.s_bar == 1:
-            return (0,) * self.m
-        out = []
-        for _ in range(self.m):
-            a, d = divmod(a, self.s_bar)
-            out.append(d)
-        return tuple(out)
-
-    def replace_digit(self, a: int, tau: int, v: int) -> int:
-        """Coordinate equal to a except digit tau set to v."""
-        if not 0 <= tau < self.m:
-            raise IndexError(f"digit position {tau} out of range")
-        if not 0 <= v < self.s_bar:
-            raise IndexError(f"digit value {v} out of range")
-        if not 0 <= a < self.alpha:
-            raise IndexError(f"coordinate {a} out of range")
-        scale = self.s_bar**tau
-        old = (a // scale) % self.s_bar
-        return a + (v - old) * scale
-
-    def zero_digit_count(self, a: int) -> int:
-        """Number of zero digits; drives the level order of the repair recursion."""
-        return sum(1 for d in self.digits(a) if d == 0)
-
-    # -- row and block selectors ----------------------------------------------
-
-    def zero_digit_rows(self, tau: int) -> list[int]:
-        """All coordinates whose digit tau is zero, ascending; exactly beta of them."""
-        if not 0 <= tau < self.m:
-            raise IndexError(f"digit position {tau} out of range")
-        rows = [a for a in range(self.alpha) if (a // self.s_bar**tau) % self.s_bar == 0]
-        assert len(rows) == self.beta
-        return rows
-
-    def repair_blocks(self, e_star: int) -> list[int]:
-        """Parity-check block indices used to repair nodes of rack e_star.
-
-        These are the r_bar blocks t with t = rack_residue(e_star) (mod u);
-        the same list serves every node in the rack.
-        """
-        res = self.rack_residue(e_star)
-        blocks = [res + i * self.u for i in range(self.r_bar)]
-        assert blocks[-1] <= self.r - 1
-        return blocks

@@ -79,23 +79,23 @@ def helper_message(codec: Codec, rack_vectors: np.ndarray, e: int,
                    job: RepairJob) -> np.ndarray:
     """The beta symbols helper rack e ships for the job.
 
-    The message depends only on the zero-digit coordinates of each node
-    vector (alpha/s_bar symbols per node).  The reduction of the input mod p
-    still touches every coordinate of the rack.
+    The message reads only the zero-digit coordinates of each node vector
+    (alpha/s_bar symbols per node).
     """
     params, p = codec.params, codec.p
     if e not in job.helpers:
         raise ValueError(f"rack {e} is not a helper of this job")
-    rack_vectors = np.asarray(rack_vectors, dtype=np.int64) % p
+    rack_vectors = np.asarray(rack_vectors, dtype=np.int64)
     if rack_vectors.shape[:2] != (params.u, params.alpha):
         raise ValueError(
             f"rack needs shape ({params.u}, {params.alpha}, ...), got {rack_vectors.shape}")
     rows = codec.pcm.zero_rows[job.digit_position(params)]
+    rack_rows = rack_vectors[:, rows] % p
     res = params.rack_residue(job.e_star)
     out = np.zeros((params.beta,) + rack_vectors.shape[2:], dtype=np.int64)
     for g in range(params.u):
         weight = pow(codec.constants.locators[e][g], res, p)
-        out = (out + weight * rack_vectors[g][rows]) % p
+        out = (out + weight * rack_rows[g]) % p
     return out
 
 
@@ -103,12 +103,12 @@ def repair_node(codec: Codec, job: RepairJob, messages: dict[int, np.ndarray],
                 survivors: dict[int, np.ndarray]) -> RepairTranscript:
     """Recover the failed node vector from helper messages and host survivors."""
     params, p = codec.params, codec.p
-    consts = codec.constants
+    consts, pcm = codec.constants, codec.pcm
     alpha, s_bar, beta = params.alpha, params.s_bar, params.beta
     e_star, g_star = job.e_star, job.g_star
     tau_star = job.digit_position(params)
     res_star = params.rack_residue(e_star)
-    rows = codec.pcm.zero_rows[tau_star]
+    rows = pcm.zero_rows[tau_star]
 
     if set(messages) != set(job.helpers):
         absent = sorted(set(job.helpers) - set(messages))
@@ -140,13 +140,13 @@ def repair_node(codec: Codec, job: RepairJob, messages: dict[int, np.ndarray],
     # at the row's sibling with e's digit set to v, if that digit is zero.
     racks = [e for e in range(params.n_bar)
              if e != e_star and params.rack_residue(e) == res_star]
-    scales = np.array([s_bar ** params.rack_digit(e) for e in racks], dtype=np.intp)
-    digit = rows[:, None] // scales % s_bar
+    taus = [params.rack_digit(e) for e in racks]
+    digit = pcm.digits[rows][:, taus]
     pos = np.zeros(alpha, dtype=np.intp)
     pos[rows] = np.arange(beta)
     v = np.arange(1, s_bar)[:, None, None]
     gather = np.where(digit == 0, np.array(racks, dtype=np.intp) * beta
-                      + pos[rows[:, None] + (v - digit) * scales], e_star * beta)
+                      + pos[rows[:, None] + (v - digit) * pcm.place[taus]], e_star * beta)
 
     # A row's moments are minus its helper aggregates at rack-point powers
     # minus its summed corrections at extra-point powers; the points' Lagrange
@@ -164,9 +164,9 @@ def repair_node(codec: Codec, job: RepairJob, messages: dict[int, np.ndarray],
     step = -(lagrange @ weights) % p
 
     host_aggregate = np.zeros((alpha,) + tail, dtype=np.int64)
-    host_rows = rows + np.arange(s_bar)[:, None] * s_bar ** tau_star
+    host_rows = np.vstack([rows, *pcm.sibling_cols[tau_star]])
     flat = known.reshape((params.n_bar * beta,) + tail)
-    level = codec.pcm.level[rows]
+    level = pcm.level[rows]
     for lvl in np.unique(level):
         sel = np.flatnonzero(level == lvl)
         terms = np.concatenate([known[helpers[:, None], sel],
@@ -205,7 +205,7 @@ def repair_from_stripe(codec: Codec, stripe: Stripe, job: RepairJob) -> RepairTr
     for e in job.helpers:
         for g in range(params.u):
             if not stripe.present[params.node_index(e, g)]:
-                raise ValueError(f"helper rack {e} is missing node {g}")
+                raise ValueError(f"helper rack {e} is missing node {(e, g)}")
     messages = {e: helper_message(codec, stripe.rack(e), e, job)
                 for e in job.helpers}
     survivors = {}
@@ -213,6 +213,6 @@ def repair_from_stripe(codec: Codec, stripe: Stripe, job: RepairJob) -> RepairTr
         if g == job.g_star:
             continue
         if not stripe.present[params.node_index(job.e_star, g)]:
-            raise ValueError(f"host-rack survivor {g} is missing")
+            raise ValueError(f"host-rack survivor {(job.e_star, g)} is missing")
         survivors[g] = stripe.node(job.e_star, g)
     return repair_node(codec, job, messages, survivors)

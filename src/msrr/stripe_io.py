@@ -261,8 +261,9 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
                  force: bool = False) -> tuple[Manifest, RepairTranscript, Path]:
     """Regenerate one shard file through the repair protocol.
 
-    Refused unless the target shard is the only missing one (force overrides
-    a still-present target, never other missing shards).
+    Refused when the target shard is present (force overrides that) or when
+    a shard the protocol reads is missing: any node of a helper rack, or a
+    surviving node of the target's rack.  Shards of other racks may be gone.
     """
     manifest, vectors, present = read_shards(in_dir)
     params = manifest.params
@@ -275,12 +276,11 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
     if present[target] and not force:
         raise RepairRefusedError(
             f"shard {shard_name(e, g)} is present; pass force to rewrite it")
-    missing_others = [params.node_pair(i) for i in range(params.n)
-                      if not present[i] and i != target]
-    if missing_others:
+    try:
+        transcript = repair_from_stripe(codec, Stripe(params, vectors, present), job)
+    except ValueError as exc:  # a shard the protocol reads is missing
         raise RepairRefusedError(
-            f"other shards missing {missing_others}; repair serves exactly "
-            f"one failed node, run decode instead")
-    transcript = repair_from_stripe(codec, Stripe(params, vectors, present), job)
+            f"other shards missing: {exc}; choose complete racks with --helpers, "
+            f"or run decode") from None
     path = write_one_shard(in_dir, manifest, e, g, transcript.recovered)
     return manifest, transcript, path

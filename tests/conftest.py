@@ -9,6 +9,13 @@ P2 = CodeParams(n_bar=4, u=3, u0=1, k_bar=2, d_bar=3)   # p=13, alpha=4
 P3 = CodeParams(n_bar=6, u=2, u0=0, k_bar=3, d_bar=4)   # p=13, alpha=8
 P1_DEGENERATE = CodeParams(n_bar=4, u=2, u0=0, k_bar=2, d_bar=2)  # s_bar=1
 
+# Every admissible code with n_bar <= 6 and u <= 3, including u0 > 0 and
+# s_bar = 1; sweeps filter it by size.
+ADMISSIBLE_CODES = [
+    CodeParams(n_bar=n_bar, u=u, u0=u0, k_bar=k_bar, d_bar=d_bar)
+    for u in (2, 3) for n_bar in range(2, 7) for u0 in range(u)
+    for k_bar in range(1, n_bar) for d_bar in range(k_bar, n_bar)]
+
 
 @pytest.fixture(scope="session")
 def p1_codec():

@@ -24,6 +24,7 @@ from msrr.repair import helper_message
 from msrr.stripe_io import shard_name
 
 from conftest import P1, P1_DEGENERATE, P2, P3
+from oracle import zero_digit_rows
 
 STRIPES_PER_JOB = 20
 
@@ -120,7 +121,7 @@ def test_criterion_3_bandwidth_equality(repair_sweeps, codecs):
         stripe = codec.encode_systematic(
             rng.integers(0, codec.p, size=(params.k, params.alpha)))
         job = RepairJob.create(params, 0, 0)
-        rows = set(params.zero_digit_rows(job.digit_position(params)))
+        rows = set(zero_digit_rows(params, job.digit_position(params)))
         hidden = [a for a in range(params.alpha) if a not in rows]
         for e in job.helpers:
             rack = stripe.rack(e).copy()

@@ -257,3 +257,41 @@ def test_repair_bad_helpers_exit_with_usage_error(capsys, encoded_dir, helpers,
 def test_missing_directory_is_a_usage_error(capsys):
     assert main(["decode", "--in", "/nonexistent-dir", "--output", "x.bin"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def wide_dir_missing_two(tmp_path, capsys):
+    """A (6,2,6,4) directory with node_0_0 and node_5_1 deleted; returns the
+    directory and node_0_0's original bytes."""
+    src = tmp_path / "payload.bin"
+    src.write_bytes(os.urandom(4096))
+    out = tmp_path / "shards"
+    flags = ["--racks", "6", "--nodes-per-rack", "2", "--k", "6", "--helpers", "4"]
+    assert main(["encode", *flags, "--input", str(src), "--out", str(out)]) == 0
+    capsys.readouterr()
+    original = (out / shard_name(0, 0)).read_bytes()
+    (out / shard_name(0, 0)).unlink()
+    (out / shard_name(5, 1)).unlink()
+    return out, original
+
+
+def test_repair_ignores_missing_shards_outside_the_helper_racks(capsys,
+                                                                wide_dir_missing_two):
+    out, original = wide_dir_missing_two
+    code, records = run(capsys, ["repair", "--in", str(out), "--rack", "0",
+                                 "--node", "0", "--helpers", "1,2,3,4"])
+    assert code == 0
+    assert records[0]["helpers"] == [1, 2, 3, 4]
+    assert (out / shard_name(0, 0)).read_bytes() == original
+
+
+def test_repair_refuses_a_helper_rack_with_a_missing_shard(capsys,
+                                                           wide_dir_missing_two):
+    out, _ = wide_dir_missing_two
+    assert main(["repair", "--in", str(out), "--rack", "0", "--node", "0",
+                 "--helpers", "1,2,3,5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "(5, 1)" in captured.err
+    assert not (out / shard_name(0, 0)).exists()

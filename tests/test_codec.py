@@ -9,7 +9,8 @@ from msrr import Codec, CodeParams, ErasurePattern, Stripe, linalg
 from msrr.errors import InternalError, ParameterError
 from msrr.field import FieldCtx
 
-from conftest import P1, P1_DEGENERATE, P2, P3, random_stripe
+from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, random_stripe
+from oracle import solve
 
 # Encoding the first standard basis vector (node (0,0), coordinate 0) of the
 # p=11 code; validated once by a zero syndrome plus re-decoding from every
@@ -306,18 +307,14 @@ def dense_solve(codec, vectors, unknowns):
     cols = [codec.pcm.dense_node(e, g) for e, g in params.nodes()]
     rhs = -sum(cols[i] @ vectors[i] for i in range(params.n)
                if i not in unknowns) % p
-    sol = linalg.solve(np.hstack([cols[i] for i in unknowns]), rhs, p)
+    sol = solve(np.hstack([cols[i] for i in unknowns]), rhs, p)
     return sol.reshape((len(unknowns), params.alpha) + vectors.shape[2:])
 
 
 # Every admissible code with n_bar <= 6 and u <= 3 that the dense oracle can
 # afford; about half of them have s_bar = 1.
-SMALL_CODES = [
-    params for params in (
-        CodeParams(n_bar=n_bar, u=u, u0=u0, k_bar=k_bar, d_bar=d_bar)
-        for u in (2, 3) for n_bar in range(2, 7) for u0 in range(u)
-        for k_bar in range(1, n_bar) for d_bar in range(k_bar, n_bar))
-    if params.r * params.alpha <= 600]
+SMALL_CODES = [params for params in ADMISSIBLE_CODES
+               if params.r * params.alpha <= 600]
 
 
 @st.composite

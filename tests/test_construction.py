@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from msrr import CodeParams, Codec, build_constants
+from msrr import CodeParams, Codec, ParityCheckMatrix, build_constants
 from msrr.field import FieldCtx
 
-from conftest import P1, P1_DEGENERATE, P3
+from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P3
+from oracle import digits, replace_digit, row_entries, zero_digit_count, zero_digit_rows
 
 
 def test_p1_constants_frozen_values(p1_codec):
@@ -32,14 +33,30 @@ def test_locators_are_distinct_and_rack_points_are_uth_powers(p3_codec):
 
 def test_row_entries_frozen_examples(p1_codec):
     pcm = p1_codec.pcm
-    assert pcm.row_entries(0, 0, 0, 0) == [(0, 1), (1, 1)]
-    assert pcm.row_entries(2, 0, 0, 0) == [(0, 1), (1, 2)]
-    assert pcm.row_entries(0, 0, 1, 0) == [(0, 1), (1, 1)]
-    assert pcm.row_entries(2, 2, 0, 1) == [(1, 5), (3, 2)]
+    assert row_entries(pcm, 0, 0, 0, 0) == [(0, 1), (1, 1)]
+    assert row_entries(pcm, 2, 0, 0, 0) == [(0, 1), (1, 2)]
+    assert row_entries(pcm, 0, 0, 1, 0) == [(0, 1), (1, 1)]
+    assert row_entries(pcm, 2, 2, 0, 1) == [(1, 5), (3, 2)]
     # No off-diagonals anywhere in block 1 for rack 0 (1 != residue 0 mod u).
     for g in range(2):
         for a in range(4):
-            assert len(pcm.row_entries(1, 0, g, a)) == 1
+            assert len(row_entries(pcm, 1, 0, g, a)) == 1
+
+
+def test_digit_tables_match_scalar_oracle():
+    for params in (params for params in ADMISSIBLE_CODES if params.alpha <= 256):
+        field = FieldCtx.for_code(params)
+        pcm = ParityCheckMatrix(params, build_constants(params, field))
+        coords = range(params.alpha)
+        assert pcm.digits.tolist() == [list(digits(params, a)) for a in coords]
+        assert pcm.level.tolist() == [zero_digit_count(params, a) for a in coords]
+        assert len(pcm.zero_rows) == len(pcm.sibling_cols) == params.m
+        for tau in range(params.m):
+            rows = zero_digit_rows(params, tau)
+            assert pcm.zero_rows[tau].tolist() == rows, (params, tau)
+            assert [cols.tolist() for cols in pcm.sibling_cols[tau]] == [
+                [replace_digit(params, a, tau, v) for a in rows]
+                for v in range(1, params.s_bar)], (params, tau)
 
 
 def test_rows_with_nonzero_owned_digit_are_diagonal_only(p3_codec):
@@ -49,9 +66,9 @@ def test_rows_with_nonzero_owned_digit_are_diagonal_only(p3_codec):
             tau = params.rack_digit(e)
             for g in range(params.u):
                 for a in range(params.alpha):
-                    entries = pcm.row_entries(t, e, g, a)
+                    entries = row_entries(pcm, t, e, g, a)
                     assert entries[0] == (a, int(pcm.diag[t, e, g]))
-                    if params.digits(a)[tau] != 0:
+                    if digits(params, a)[tau] != 0:
                         assert len(entries) == 1
 
 
@@ -62,7 +79,7 @@ def test_off_diagonal_shape_invariants(p2_codec):
             expects_offs = t % params.u == params.rack_residue(e)
             for g in range(params.u):
                 for a in range(params.alpha):
-                    offs = len(pcm.row_entries(t, e, g, a)) - 1
+                    offs = len(row_entries(pcm, t, e, g, a)) - 1
                     assert offs in (0, params.s_bar - 1)
                     if offs and not expects_offs:
                         pytest.fail(f"off-diagonals in foreign block t={t}, e={e}")
@@ -77,12 +94,12 @@ def test_diagonal_subsystem_is_vandermonde_on_weightless_rows(p3_codec):
     nodes = params.nodes()
     lams = [p3_codec.constants.locators[e][g] for e, g in nodes]
     for a in range(params.alpha):
-        if params.zero_digit_count(a) != 0:
+        if zero_digit_count(params, a) != 0:
             continue
         for t in range(params.r):
             row = []
             for e, g in nodes:
-                entries = dict(pcm.row_entries(t, e, g, a))
+                entries = dict(row_entries(pcm, t, e, g, a))
                 assert set(entries) == {a}
                 row.append(entries[a])
             assert row == [pow(lam, t, p) for lam in lams]
@@ -96,7 +113,7 @@ def test_dense_node_matches_row_entries(p2_codec):
         rebuilt = np.zeros_like(dense)
         for t in range(params.r):
             for a in range(alpha):
-                for col, coeff in pcm.row_entries(t, e, g, a):
+                for col, coeff in row_entries(pcm, t, e, g, a):
                     rebuilt[t * alpha + a, col] = coeff
         assert np.array_equal(dense, rebuilt)
 
@@ -118,7 +135,7 @@ def test_degenerate_blocks_are_scaled_identities(degenerate_codec):
     for t in range(params.r):
         for e in range(params.n_bar):
             for g in range(params.u):
-                assert pcm.row_entries(t, e, g, 0) == [(0, int(pcm.diag[t, e, g]))]
+                assert row_entries(pcm, t, e, g, 0) == [(0, int(pcm.diag[t, e, g]))]
 
 
 @pytest.mark.parametrize("params", [P1, P3, P1_DEGENERATE])
@@ -144,8 +161,8 @@ def test_constants_reject_mismatched_field():
 def test_parity_check_row_bounds(p1_codec):
     pcm = p1_codec.pcm
     with pytest.raises(IndexError):
-        pcm.row_entries(4, 0, 0, 0)
+        row_entries(pcm, 4, 0, 0, 0)
     with pytest.raises(IndexError):
-        pcm.row_entries(0, 0, 0, 4)
+        row_entries(pcm, 0, 0, 0, 4)
     with pytest.raises(IndexError):
-        pcm.row_entries(0, 4, 0, 0)
+        row_entries(pcm, 0, 4, 0, 0)

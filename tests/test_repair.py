@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msrr import (Codec, CodeParams, RepairJob, Stripe, helper_message,
-                  repair_from_stripe, repair_node)
+from msrr import (Codec, RepairJob, Stripe, helper_message, repair_from_stripe,
+                  repair_node)
 
-from conftest import P1_DEGENERATE, P2, random_stripe
+from conftest import ADMISSIBLE_CODES, P1_DEGENERATE, P2, random_stripe
+from oracle import repair_blocks, zero_digit_rows
 
 
 def reference_aggregate(codec, rack, e, e_star):
@@ -41,7 +42,7 @@ def test_rack_aggregate_plain_sum_when_residue_zero(p1_codec):
     params = p1_codec.params
     stripe = random_stripe(p1_codec, seed=0)
     job = RepairJob.create(params, 0, 0)
-    rows = params.zero_digit_rows(job.digit_position(params))
+    rows = zero_digit_rows(params, job.digit_position(params))
     msg = helper_message(p1_codec, stripe.rack(1), 1, job)
     assert np.array_equal(msg, stripe.rack(1).sum(axis=0)[rows] % p1_codec.p)
 
@@ -56,7 +57,7 @@ def test_helper_message_is_restricted_aggregate(p1_codec):
     params = p1_codec.params
     stripe = random_stripe(p1_codec, seed=2)
     job = RepairJob.create(params, 0, 0)
-    rows = params.zero_digit_rows(job.digit_position(params))
+    rows = zero_digit_rows(params, job.digit_position(params))
     assert rows == [0, 2]
     for e in job.helpers:
         msg = helper_message(p1_codec, stripe.rack(e), e, job)
@@ -73,7 +74,7 @@ def test_helper_message_uses_locator_weights(p1_codec):
     params = p1_codec.params
     stripe = random_stripe(p1_codec, seed=1)
     job = RepairJob.create(params, 3, 0)
-    rows = params.zero_digit_rows(job.digit_position(params))
+    rows = zero_digit_rows(params, job.digit_position(params))
     msg = helper_message(p1_codec, stripe.rack(1), 1, job)
     manual = (2 * stripe.node(1, 0) + 9 * stripe.node(1, 1)) % p1_codec.p
     assert np.array_equal(msg, manual[rows])
@@ -122,7 +123,7 @@ def test_side_aggregates_match_ground_truth(p3_codec):
     job = RepairJob.create(params, 0, 1, helpers=[1, 2, 3, 4])  # rack 5 left out
     transcript = repair_from_stripe(p3_codec, stripe, job)
     assert set(transcript.side_aggregates) == {5}
-    rows = params.zero_digit_rows(job.digit_position(params))
+    rows = zero_digit_rows(params, job.digit_position(params))
     truth = reference_aggregate(p3_codec, stripe.rack(5), 5, job.e_star)[rows]
     assert np.array_equal(transcript.side_aggregates[5], truth)
 
@@ -162,7 +163,7 @@ def test_transcript_structure_is_shared_within_a_rack(p3_codec):
         positions = {RepairJob.create(params, e_star, g).digit_position(params)
                      for g in range(params.u)}
         assert len(positions) == 1
-        blocks = {tuple(params.repair_blocks(e_star)) for _ in range(params.u)}
+        blocks = {tuple(repair_blocks(params, e_star)) for _ in range(params.u)}
         assert len(blocks) == 1
 
 
@@ -232,12 +233,7 @@ def test_repair_on_deeply_recursive_shape():
 
 # Every admissible code with n_bar <= 6, u <= 3 and alpha <= 256, including
 # u0 > 0 and s_bar = 1; codecs are built once per code.
-REPAIR_CODES = [
-    params for params in (
-        CodeParams(n_bar=n_bar, u=u, u0=u0, k_bar=k_bar, d_bar=d_bar)
-        for u in (2, 3) for n_bar in range(2, 7) for u0 in range(u)
-        for k_bar in range(1, n_bar) for d_bar in range(k_bar, n_bar))
-    if params.alpha <= 256]
+REPAIR_CODES = [params for params in ADMISSIBLE_CODES if params.alpha <= 256]
 CODECS = {}
 
 
@@ -267,7 +263,7 @@ def test_per_level_repair_on_small_codes(case):
                           stripe.node(job.e_star, job.g_star))
     others = set(range(params.n_bar)) - {job.e_star} - set(job.helpers)
     assert set(transcript.side_aggregates) == others
-    rows = params.zero_digit_rows(job.digit_position(params))
+    rows = zero_digit_rows(params, job.digit_position(params))
     for e in others:
         truth = reference_aggregate(codec, stripe.rack(e), e, job.e_star)[rows]
         assert np.array_equal(transcript.side_aggregates[e], truth)
