@@ -5,7 +5,8 @@ Matrices are numpy int64 arrays holding canonical representatives in
 rank is the dense elimination that verify_mds falls back to where its
 level-order certificate fails; vandermonde_solve is the Lagrange-basis solve
 behind the codec and repair.  A general dense solver is kept only as a test
-oracle, in tests/oracle.py.  Entries stay below 2^16, hence products fit
+oracle, in tests/oracle.py.  Pivoting during elimination is for
+zero-avoidance only.  Entries stay below 2^16, hence products fit
 comfortably in int64 without intermediate reduction.
 """
 
