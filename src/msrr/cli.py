@@ -180,6 +180,9 @@ def _repair_jobs(params: CodeParams, mode: str, samples: int,
 
 
 def cmd_verify(args) -> int:
+    if args.mode == "sample" and args.samples < 1:
+        raise ParameterError("bad_samples",
+                             f"--samples must be at least 1, got {args.samples}")
     params = _params(args)
     codec = Codec(params, min_field=args.min_field)
     started = time.monotonic()

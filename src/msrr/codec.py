@@ -156,16 +156,12 @@ class Codec:
         except SingularMatrixError as exc:  # locators are distinct by construction
             raise InternalError("erasure system singular; constants are broken") from exc
         # Off-diagonal entries of the unknown column groups, as flat indices:
-        # right-hand-side row t*alpha + a, solution row slot*alpha + sibling.
-        entries = [(np.empty(0, np.intp),) * 3]  # none at all when s_bar = 1
+        # right-hand-side row tgt reads coef * solution row slot*alpha + sibling.
+        entries = []
         for slot, (e, g) in enumerate(map(params.node_pair, unknowns)):
-            tau = params.rack_digit(e)
-            zero = pcm.zero_rows[tau]
-            for t in np.flatnonzero(pcm.off_mask[:, e]):
-                for v in range(1, params.s_bar):
-                    entries.append((t * alpha + zero,
-                                    slot * alpha + pcm.sibling_cols[tau][v - 1],
-                                    np.full(zero.size, pcm.off_values[t, e, g, v - 1])))
+            rows, cols, values = pcm.off_diagonal[e]
+            entries.append((np.repeat(rows, cols.shape[1]), slot * alpha + cols.ravel(),
+                            values[g].ravel()))
         tgt, src, coef = map(np.concatenate, zip(*entries))
         order = np.argsort(tgt)
         tgt, src, coef = tgt[order], src[order], coef[order, None]

@@ -1,15 +1,15 @@
 """Code constants and the sparse parity-check system.
 
 Each node (e, g) gets a distinct locator: primitive_root^e * unity_root^g.
-The parity-check matrix has r row blocks of alpha rows each; per column group
-(e, g) a block t carries locator^t on its diagonal, and rows whose rack-owned
-digit is zero additionally carry a short run of off-diagonal entries that tie
-the coordinate to its digit siblings.  A row never holds more than s_bar
-nonzero entries per column group, so blocks are stored as a diagonal value
-plus the off-diagonal run template.  Row and column positions come from the
-digit table, ParityCheckMatrix.digits: the base-s_bar digits of every
-coordinate, computed once.  The level order, the zero-digit rows and their
-digit siblings are read off it, and no other module expands digits.
+The parity-check matrix has r row blocks of alpha rows each.  Per column
+group (e, g), block t carries locator^t on its diagonal; if t = residue(e)
+(mod u), each row whose rack-owned digit is zero also reads its s_bar - 1
+digit siblings, with values locator^residue(e) * extra_point^(t // u).  These
+off-diagonal entries are built once, one table per rack
+(ParityCheckMatrix.off_diagonal), and every reader of the matrix uses it.
+Positions come from the digit table, ParityCheckMatrix.digits: the base-s_bar
+digits of every coordinate, computed once.  The level order, the zero-digit
+rows and their digit siblings are read off it; no other module expands digits.
 """
 
 from __future__ import annotations
@@ -87,25 +87,14 @@ class ParityCheckMatrix:
         p = constants.field.p
         r, n_bar, u, s_bar = params.r, params.n_bar, params.u, params.s_bar
 
+        # diag[t, e, g] = locator^t; extra_pow[t, v-1] = extra_points[v-1]^t.
         lam = np.array(constants.locators, dtype=np.int64)  # (n_bar, u)
+        extra = np.array(constants.extra_points, dtype=np.int64)
         self.diag = np.ones((r, n_bar, u), dtype=np.int64)
+        extra_pow = np.ones((r, s_bar - 1), dtype=np.int64)
         for t in range(1, r):
             self.diag[t] = self.diag[t - 1] * lam % p
-
-        # Off-diagonal run for block (t, e, g), present iff t = residue(e) mod u:
-        # value at digit-sibling v is locator^residue(e) * extra_points[v-1]^(t//u).
-        self.off_mask = np.zeros((r, n_bar), dtype=bool)
-        self.off_values = np.zeros((r, n_bar, u, s_bar - 1), dtype=np.int64)
-        extra = np.array(constants.extra_points, dtype=np.int64)
-        for e in range(n_bar):
-            res = params.rack_residue(e)
-            lam_res = np.array(
-                [pow(int(lam[e, g]), res, p) for g in range(u)], dtype=np.int64)
-            for t in range(res, r, u):
-                self.off_mask[t, e] = True
-                mu_pow = np.array(
-                    [pow(int(x), t // u, p) for x in extra], dtype=np.int64)
-                self.off_values[t, e] = lam_res[:, None] * mu_pow[None, :] % p
+            extra_pow[t] = extra_pow[t - 1] * extra % p
 
         # The digit table, (alpha, m), least-significant digit first, with the
         # place value of each digit position.
@@ -113,12 +102,26 @@ class ParityCheckMatrix:
         self.digits = np.arange(params.alpha)[:, None] // self.place % s_bar
         # Zero-digit count per coordinate: the level order of every solve.
         self.level = np.count_nonzero(self.digits == 0, axis=1)
-        # Per digit position tau: the beta rows whose digit tau is zero, and
-        # for v in [1, s_bar) those rows with digit tau raised from 0 to v.
+        # Per digit position tau: the beta rows whose digit tau is zero, and,
+        # shape (s_bar - 1, beta), those rows with digit tau raised from 0 to v.
         self.zero_rows = [np.flatnonzero(self.digits[:, tau] == 0)
                           for tau in range(params.m)]
-        self.sibling_cols = [[rows + v * self.place[tau] for v in range(1, s_bar)]
+        self.sibling_cols = [rows + np.arange(1, s_bar)[:, None] * self.place[tau]
                              for tau, rows in enumerate(self.zero_rows)]
+
+        # off_diagonal[e] = (rows, cols, values): flat rows t*alpha + a of the
+        # blocks t = residue(e) + i*u, a in zero_rows[tau], shape (R,); the
+        # sibling columns each row reads, (R, s_bar - 1); and per node g the
+        # values locator^residue(e) * extra_points^(t // u), (u, R, s_bar - 1).
+        self.off_diagonal = []
+        for e in range(n_bar):
+            res, tau = params.rack_residue(e), params.rack_digit(e)
+            blocks, zero = np.arange(res, r, u), self.zero_rows[tau]
+            rows = (blocks[:, None] * params.alpha + zero).ravel()
+            cols = np.tile(self.sibling_cols[tau].T, (blocks.size, 1))
+            mu = np.repeat(extra_pow[blocks // u], zero.size, axis=0)
+            self.off_diagonal.append(
+                (rows, cols, self.diag[res, e][:, None, None] * mu % p))
 
     @property
     def p(self) -> int:
@@ -136,19 +139,14 @@ class ParityCheckMatrix:
         if vec.shape[0] != params.alpha:
             raise ValueError(
                 f"node vector has {vec.shape[0]} coordinates, expected {params.alpha}")
-        tau = params.rack_digit(e)
-        ones = (1,) * vec.ndim
-        out = self.diag[:, e, g].reshape((-1,) + ones) * vec
-        # All off-diagonal blocks of the column group at once: (blocks, beta, ...).
-        blocks = np.flatnonzero(self.off_mask[:, e])[:, None]
-        rows = self.zero_rows[tau]
-        acc = out[blocks, rows]
-        for v in range(1, params.s_bar):
-            acc += (self.off_values[blocks, e, g, v - 1].reshape((-1,) + ones)
-                    * vec[self.sibling_cols[tau][v - 1]])
-        out[blocks, rows] = acc
+        tail = vec.shape[1:]
+        ones = (1,) * len(tail)
+        out = (self.diag[:, e, g].reshape((-1, 1) + ones) * vec).reshape(
+            (params.r * params.alpha,) + tail)
+        rows, cols, values = self.off_diagonal[e]
+        out[rows] += (values[g].reshape(values.shape[1:] + ones) * vec[cols]).sum(axis=1)
         out %= p
-        return out.reshape((params.r * params.alpha,) + vec.shape[1:])
+        return out
 
     def dense_node(self, e: int, g: int) -> np.ndarray:
         """Materialize column group (e, g) as a dense (r*alpha, alpha) matrix."""
@@ -157,11 +155,7 @@ class ParityCheckMatrix:
         block = np.zeros((params.r, alpha, alpha), dtype=np.int64)
         idx = np.arange(alpha)
         block[:, idx, idx] = self.diag[:, e, g, None]
-        tau = params.rack_digit(e)
-        rows = self.zero_rows[tau]
-        for t in range(params.r):
-            if self.off_mask[t, e]:
-                for v in range(1, params.s_bar):
-                    block[t, rows, self.sibling_cols[tau][v - 1]] = \
-                        self.off_values[t, e, g, v - 1]
-        return block.reshape(params.r * alpha, alpha)
+        block = block.reshape(params.r * alpha, alpha)
+        rows, cols, values = self.off_diagonal[e]
+        block[rows[:, None], cols] = values[g]
+        return block

@@ -164,7 +164,7 @@ def repair_node(codec: Codec, job: RepairJob, messages: dict[int, np.ndarray],
     step = -(lagrange @ weights) % p
 
     host_aggregate = np.zeros((alpha,) + tail, dtype=np.int64)
-    host_rows = np.vstack([rows, *pcm.sibling_cols[tau_star]])
+    host_rows = np.vstack([rows, pcm.sibling_cols[tau_star]])
     flat = known.reshape((params.n_bar * beta,) + tail)
     level = pcm.level[rows]
     for lvl in np.unique(level):

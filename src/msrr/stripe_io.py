@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +73,19 @@ class Manifest:
         except json.JSONDecodeError as exc:
             raise ShardFormatError(f"manifest is not valid JSON: {exc}") from exc
         try:
-            payload["extra_points"] = tuple(payload["extra_points"])
             manifest = cls(**payload)
-        except (KeyError, TypeError) as exc:
+        except TypeError as exc:
             raise ShardFormatError(f"manifest misses required fields: {exc}") from exc
+        for f in fields(cls):
+            value = getattr(manifest, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise ShardFormatError(
+                    f"manifest field {f.name} must be an integer, got {value!r}")
+        extra = manifest.extra_points
+        if not (isinstance(extra, list) and all(map(_is_int, extra))):
+            raise ShardFormatError(
+                f"manifest field extra_points must be a list of integers, got {extra!r}")
+        manifest = replace(manifest, extra_points=tuple(extra))
         manifest.validate()
         return manifest
 
@@ -101,6 +110,10 @@ class Manifest:
                 f"symbol width {self.symbol_width_bytes} wrong for p={self.p}")
         if self.original_file_length_bytes < 0 or self.stripe_count < 0:
             raise ShardFormatError("negative length or stripe count")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _checksum(payload: bytes) -> str:
@@ -245,6 +258,11 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
     """
     manifest, vectors, present = read_shards(in_dir)
     params = manifest.params
+    missing = [params.node_pair(i) for i in range(params.n) if not present[i]]
+    if len(missing) > params.r:
+        raise ShardFormatError(
+            f"{len(missing)} shards missing, more than r={params.r}: "
+            + ", ".join(shard_name(e, g) for e, g in missing))
     codec = codec_for_manifest(manifest)
     restored = codec.decode_batch(vectors, present) if manifest.stripe_count \
         else vectors
@@ -253,7 +271,6 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
     if _checksum(payload) != manifest.checksum_sha256:
         raise ShardFormatError("decoded payload fails the manifest checksum")
     Path(output_path).write_bytes(payload)
-    missing = [params.node_pair(i) for i in range(params.n) if not present[i]]
     return manifest, len(payload), missing
 
 
@@ -261,12 +278,20 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
                  force: bool = False) -> tuple[Manifest, RepairTranscript, Path]:
     """Regenerate one shard file through the repair protocol.
 
-    Refused when the target shard is present (force overrides that) or when
-    a shard the protocol reads is missing: any node of a helper rack, or a
-    surviving node of the target's rack.  Shards of other racks may be gone.
+    Without helpers, the d_bar smallest racks besides the target's whose
+    shards are all present serve; if fewer are complete, the d_bar smallest
+    racks do.  Refused when the target shard is present (force overrides
+    that) or when a shard the protocol reads is missing: any node of a helper
+    rack, or a surviving node of the target's rack.  Shards of other racks
+    may be gone.
     """
     manifest, vectors, present = read_shards(in_dir)
     params = manifest.params
+    if helpers is None:
+        complete = [h for h in range(params.n_bar)
+                    if h != e and present[h * params.u:(h + 1) * params.u].all()]
+        if len(complete) >= params.d_bar:
+            helpers = complete[:params.d_bar]
     try:
         job = RepairJob.create(params, e, g, helpers)
     except (ValueError, IndexError) as exc:  # a bad request for this code

@@ -1,9 +1,10 @@
 """Independent reference implementations the library is checked against.
 
-Dense Gauss-Jordan elimination over GF(p), and the coordinate digit layout
-computed one coordinate at a time with Python integers.  The library solves
-through Vandermonde systems in level order and reads the layout from the
-digit table of ParityCheckMatrix; nothing here is shared with that code.
+Dense Gauss-Jordan elimination over GF(p), the coordinate digit layout
+computed one coordinate at a time with Python integers, and parity-check rows
+computed entry by entry from the code constants.  The library solves through
+Vandermonde systems in level order and reads the layout and the entries from
+the tables of ParityCheckMatrix; nothing here is shared with that code.
 """
 
 from __future__ import annotations
@@ -134,17 +135,26 @@ def repair_blocks(params, e_star: int) -> list[int]:
 
 def row_entries(pcm, t: int, e: int, g: int, a: int) -> list[tuple[int, int]]:
     """Nonzero entries of row a of block (t, (e, g)): diagonal first,
-    then off-diagonals in ascending digit-sibling order."""
-    params = pcm.params
+    then off-diagonals in ascending digit-sibling order.
+
+    Each entry comes from the code constants by the construction's formulas:
+    locator^t on the diagonal and, in blocks t = residue(e) (mod u) on rows
+    whose rack-owned digit is zero, locator^residue(e) * extra_point^(t // u)
+    at each digit sibling.
+    """
+    params, consts = pcm.params, pcm.constants
+    p = consts.field.p
     if not 0 <= t < params.r:
         raise IndexError(f"block {t} out of range")
     if not 0 <= a < params.alpha:
         raise IndexError(f"row {a} out of range")
     params.node_index(e, g)
-    entries = [(a, int(pcm.diag[t, e, g]))]
-    tau = params.rack_digit(e)
-    if pcm.off_mask[t, e] and digits(params, a)[tau] == 0:
+    locator = consts.locators[e][g]
+    entries = [(a, pow(locator, t, p))]
+    res, tau = params.rack_residue(e), params.rack_digit(e)
+    if t % params.u == res and digits(params, a)[tau] == 0:
         entries.extend(
-            (replace_digit(params, a, tau, v), int(pcm.off_values[t, e, g, v - 1]))
+            (replace_digit(params, a, tau, v),
+             pow(locator, res, p) * pow(consts.extra_points[v - 1], t // params.u, p) % p)
             for v in range(1, params.s_bar))
     return entries

@@ -159,6 +159,14 @@ def test_verify_sample_mode_deterministic(capsys):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_sample_mode_refuses_fewer_than_one_sample(capsys, samples):
+    assert main(["verify", *P1_FLAGS, "--mode", "sample", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad_samples: ")
+
+
 def test_pretty_output_is_not_json(capsys):
     assert main(["plan", *P1_FLAGS, "--pretty"]) == 0
     out = capsys.readouterr().out
@@ -199,6 +207,36 @@ def test_decode_after_deleting_shards(tmp_path, capsys, encoded_dir):
     assert code == 0
     assert len(records[0]["missing_shards"]) == 4
     assert dest.read_bytes() == src.read_bytes()
+
+
+def test_decode_with_more_than_r_missing_names_them(tmp_path, capsys, encoded_dir):
+    _, out = encoded_dir
+    for e, g in [(0, 1), (1, 0), (2, 0), (3, 0), (3, 1)]:  # P1 has r = 4
+        (out / shard_name(e, g)).unlink()
+    dest = tmp_path / "restored.bin"
+    assert main(["decode", "--in", str(out), "--output", str(dest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert shard_name(1, 0) in captured.err and "r=4" in captured.err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", "257"), ("original_file_length_bytes", "5"), ("stripe_count", 1.5)])
+def test_decode_refuses_a_mistyped_manifest_field(tmp_path, capsys, encoded_dir,
+                                                  field, value):
+    _, out = encoded_dir
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[field] = value
+    manifest_path.write_text(json.dumps(manifest))
+    dest = tmp_path / "restored.bin"
+    assert main(["decode", "--in", str(out), "--output", str(dest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert field in captured.err
+    assert not dest.exists()
 
 
 def test_repair_rewrites_identical_shard(tmp_path, capsys, encoded_dir):
@@ -260,15 +298,22 @@ def test_missing_directory_is_a_usage_error(capsys):
 
 
 @pytest.fixture()
-def wide_dir_missing_two(tmp_path, capsys):
-    """A (6,2,6,4) directory with node_0_0 and node_5_1 deleted; returns the
-    directory and node_0_0's original bytes."""
+def wide_dir(tmp_path, capsys):
+    """A complete (6,2,6,4) directory."""
     src = tmp_path / "payload.bin"
     src.write_bytes(os.urandom(4096))
     out = tmp_path / "shards"
     flags = ["--racks", "6", "--nodes-per-rack", "2", "--k", "6", "--helpers", "4"]
     assert main(["encode", *flags, "--input", str(src), "--out", str(out)]) == 0
     capsys.readouterr()
+    return out
+
+
+@pytest.fixture()
+def wide_dir_missing_two(wide_dir):
+    """The (6,2,6,4) directory with node_0_0 and node_5_1 deleted; returns the
+    directory and node_0_0's original bytes."""
+    out = wide_dir
     original = (out / shard_name(0, 0)).read_bytes()
     (out / shard_name(0, 0)).unlink()
     (out / shard_name(5, 1)).unlink()
@@ -295,3 +340,15 @@ def test_repair_refuses_a_helper_rack_with_a_missing_shard(capsys,
     assert captured.err.startswith("error:")
     assert "(5, 1)" in captured.err
     assert not (out / shard_name(0, 0)).exists()
+
+
+def test_repair_default_helpers_skip_incomplete_racks(capsys, wide_dir):
+    out = wide_dir
+    original = (out / shard_name(1, 0)).read_bytes()
+    (out / shard_name(1, 0)).unlink()
+    (out / shard_name(2, 0)).unlink()
+    code, records = run(capsys, ["repair", "--in", str(out), "--rack", "1",
+                                 "--node", "0"])
+    assert code == 0
+    assert records[0]["helpers"] == [0, 3, 4, 5]
+    assert (out / shard_name(1, 0)).read_bytes() == original

@@ -7,6 +7,13 @@ from msrr.field import FieldCtx
 from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P3
 from oracle import digits, replace_digit, row_entries, zero_digit_count, zero_digit_rows
 
+# Every small admissible code: u0 > 0, s_bar = 1 and up to four digit siblings.
+SMALL_ALPHA_CODES = [params for params in ADMISSIBLE_CODES if params.alpha <= 64]
+
+
+def _pcm(params):
+    return ParityCheckMatrix(params, build_constants(params, FieldCtx.for_code(params)))
+
 
 def test_p1_constants_frozen_values(p1_codec):
     consts = p1_codec.constants
@@ -45,8 +52,7 @@ def test_row_entries_frozen_examples(p1_codec):
 
 def test_digit_tables_match_scalar_oracle():
     for params in (params for params in ADMISSIBLE_CODES if params.alpha <= 256):
-        field = FieldCtx.for_code(params)
-        pcm = ParityCheckMatrix(params, build_constants(params, field))
+        pcm = _pcm(params)
         coords = range(params.alpha)
         assert pcm.digits.tolist() == [list(digits(params, a)) for a in coords]
         assert pcm.level.tolist() == [zero_digit_count(params, a) for a in coords]
@@ -105,29 +111,30 @@ def test_diagonal_subsystem_is_vandermonde_on_weightless_rows(p3_codec):
             assert row == [pow(lam, t, p) for lam in lams]
 
 
-def test_dense_node_matches_row_entries(p2_codec):
-    params, pcm = p2_codec.params, p2_codec.pcm
-    alpha = params.alpha
-    for e, g in ((0, 0), (1, 2), (3, 1)):
-        dense = pcm.dense_node(e, g)
-        rebuilt = np.zeros_like(dense)
-        for t in range(params.r):
-            for a in range(alpha):
-                for col, coeff in row_entries(pcm, t, e, g, a):
-                    rebuilt[t * alpha + a, col] = coeff
-        assert np.array_equal(dense, rebuilt)
+def test_dense_node_matches_row_entries():
+    for params in SMALL_ALPHA_CODES:
+        pcm = _pcm(params)
+        alpha = params.alpha
+        for e, g in params.nodes():
+            rebuilt = np.zeros((params.r * alpha, alpha), dtype=np.int64)
+            for t in range(params.r):
+                for a in range(alpha):
+                    for col, coeff in row_entries(pcm, t, e, g, a):
+                        rebuilt[t * alpha + a, col] = coeff
+            assert np.array_equal(pcm.dense_node(e, g), rebuilt), (params, e, g)
 
 
-@pytest.mark.parametrize("tail", [(), (3,)])
-def test_apply_node_matches_dense_product(p3_codec, tail):
-    params, pcm = p3_codec.params, p3_codec.pcm
+@pytest.mark.parametrize("tail", [(), (3,), (1,)])
+def test_apply_node_matches_dense_product(tail):
     rng = np.random.default_rng(5)
-    vec = rng.integers(0, p3_codec.p, size=(params.alpha,) + tail)
-    for e, g in ((0, 0), (2, 1), (5, 0)):
-        dense = pcm.dense_node(e, g)
-        expected = dense @ vec.reshape(params.alpha, -1) % p3_codec.p
-        got = pcm.apply_node(e, g, vec).reshape(params.r * params.alpha, -1)
-        assert np.array_equal(got, expected)
+    for params in SMALL_ALPHA_CODES:
+        pcm = _pcm(params)
+        vec = rng.integers(0, pcm.p, size=(params.alpha,) + tail)
+        for e, g in params.nodes():
+            expected = pcm.dense_node(e, g) @ vec.reshape(params.alpha, -1) % pcm.p
+            got = pcm.apply_node(e, g, vec)
+            assert got.shape == (params.r * params.alpha,) + tail
+            assert np.array_equal(got.reshape(expected.shape), expected), (params, e, g)
 
 
 def test_degenerate_blocks_are_scaled_identities(degenerate_codec):
@@ -144,8 +151,10 @@ def test_rebuild_is_bit_identical(params):
     b = Codec(params)
     assert a.constants == b.constants
     assert a.pcm.diag.tobytes() == b.pcm.diag.tobytes()
-    assert a.pcm.off_values.tobytes() == b.pcm.off_values.tobytes()
-    assert a.pcm.off_mask.tobytes() == b.pcm.off_mask.tobytes()
+    def tables(codec):
+        return [[(part.shape, part.tobytes()) for part in table]
+                for table in codec.pcm.off_diagonal]
+    assert tables(a) == tables(b)
 
 
 def test_constants_reject_mismatched_field():

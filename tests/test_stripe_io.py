@@ -117,7 +117,7 @@ def test_decode_refuses_too_many_missing(tmp_path):
     _, out, _ = _encode_tmp(tmp_path, b"x" * 100)
     for e, g in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]:
         (out / shard_name(e, g)).unlink()
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ShardFormatError, match="missing"):
         decode_file(out, "unused.bin")
 
 
