@@ -2,16 +2,20 @@
 
 A stripe is one codeword: n node vectors of alpha symbols.  Data occupies the
 lexicographically first k nodes; encoding is decoding with the r parity nodes
-erased.  Off its diagonal, parity-check row a of a column group refers only to
-digit siblings of a with one fewer zero digit.  So with the known nodes moved
-to the right-hand side and the coordinates taken level by level in ascending
-zero-digit count, each coordinate is an r x r Vandermonde system
+erased.  The known nodes move to the right-hand side as float64 GEMMs
+(construction.NodeProduct): one diagonal product, the rack aggregates, and
+one small product per rack on the aggregate's digit siblings.  Each of those
+products, and each level inverse below, sums at most n terms of at most
+(p - 1)^2, so Codec requires n * (p - 1)^2 < 2^53 to keep them exact.  Off its
+diagonal, parity-check row a of a column group refers only to digit siblings
+of a with one fewer zero digit.  So with the coordinates taken level by level
+in ascending zero-digit count, each coordinate is an r x r Vandermonde system
 V[t, j] = locator_j^t in the r unknown nodes, whose right-hand side needs only
 values solved at the level before.  The locators are distinct, so each system
 is invertible.  verify_mds certifies full rank of each r-subset's dense column
 groups from this same level order, with dense elimination where the
 certificate fails.  Batch variants carry a trailing stripe axis so that file
-striping can encode and decode many stripes in one shot.
+striping can encode and decode a chunk of stripes in one shot.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .construction import CodeConstants, ParityCheckMatrix, build_constants
+from .construction import CodeConstants, NodeProduct, ParityCheckMatrix, build_constants
 from .errors import InternalError, ParameterError, SingularMatrixError
 from .field import FieldCtx
 from .params import CodeParams
@@ -106,19 +110,21 @@ class MdsReport:
         return not self.failures
 
 
-# Stripes per chunk of a level solve are chosen so that no per-level temporary
-# exceeds this many symbols.
+# Stripes per chunk of a solve, and of a file pass, are chosen so that no
+# temporary exceeds about this many symbols.
 _CHUNK_SYMBOLS = 1 << 17
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """Level-ordered solve for r unknown nodes; inverse is V^-1.  Each level is
+    """Level-ordered solve for r unknown nodes.  known is the right-hand-side
+    product of every other node; inverse is V^-1.  Each level is
     (rows, src, coef, starts, tgt): its right-hand-side rows (r, coords), and
     off-diagonal terms coef * solution[src], summed per run from starts and
-    subtracted from right-hand-side row tgt."""
+    added to right-hand-side row tgt."""
 
     unknowns: tuple[int, ...]
+    known: NodeProduct
     inverse: np.ndarray
     levels: tuple[tuple[np.ndarray, ...], ...]
     chunk: int
@@ -131,18 +137,32 @@ class Codec:
                  min_field: int = 0):
         self.params = params
         self.field = field if field is not None else FieldCtx.for_code(params, min_field)
-        # The level solves multiply an r x r inverse by symbols in float64:
-        # exact while every dot product, at most r * (p - 1)^2, is below 2^53.
-        if params.r * (self.p - 1) ** 2 >= 2**53:
+        # float64 holds integers below 2^53 exactly.  Every float64 dot
+        # product here sums terms of at most (p - 1)^2: r of them in a level
+        # inverse, k in the known nodes' diagonal (n in a syndrome), u in a
+        # rack aggregate, s_bar - 1 in a sibling product.  Each count is at
+        # most n, so n * (p - 1)^2 < 2^53 keeps every sum exact.
+        if params.n * (self.p - 1) ** 2 >= 2**53:
             raise InternalError(
-                f"r={params.r}, p={self.p} overflow the exact float64 product")
+                f"n={params.n}, p={self.p} overflow the exact float64 product")
         self.constants: CodeConstants = build_constants(params, self.field)
         self.pcm = ParityCheckMatrix(params, self.constants)
+        # Plans cached: the encode plan, and one decode plan for the last
+        # erasure pattern, so a file decoded chunk by chunk plans once.
         self._encode_plan: _Plan | None = None
+        self._decode_plan: _Plan | None = None
 
     @property
     def p(self) -> int:
         return self.field.p
+
+    def _reduce(self, a) -> np.ndarray:
+        """a as symbols in [0, p); unsigned input already below p is returned
+        as is, anything else as a fresh int64 array."""
+        a = np.asarray(a)
+        if a.dtype.kind == "u" and (a.size == 0 or int(a.max()) < self.p):
+            return a
+        return np.asarray(a, dtype=np.int64) % self.p
 
     def _plan(self, unknowns: list[int]) -> _Plan:
         """Solve tables for r unknown node indices, ascending."""
@@ -171,38 +191,38 @@ class Codec:
             starts = np.flatnonzero(np.diff(tgt[sel], prepend=-1))
             rows = np.arange(r)[:, None] * alpha + np.flatnonzero(pcm.level == lvl)
             levels.append((rows, src[sel], coef[sel], starts, tgt[sel][starts]))
-        widest = max(max(rows.size, s.size) for rows, s, *_ in levels)
-        return _Plan(tuple(unknowns), inverse, tuple(levels),
+        known = pcm.product([i for i in range(params.n) if i not in unknowns])
+        widest = max([params.n * alpha] + [s.size for _, s, *_ in levels])
+        return _Plan(tuple(unknowns), known, inverse, tuple(levels),
                      max(1, _CHUNK_SYMBOLS // widest))
 
-    def _solve(self, plan: _Plan, vectors) -> np.ndarray:
+    def _solve(self, plan: _Plan, vectors: np.ndarray) -> np.ndarray:
         """Values of plan.unknowns, (r, alpha) + tail, from vectors[i] of every
-        other node i."""
+        other node i; vectors holds symbols in [0, p)."""
         params, p = self.params, self.p
         r, alpha = params.r, params.alpha
-        rhs = 0
-        for i in range(params.n):
-            if i not in plan.unknowns:
-                rhs -= self.pcm.apply_node(*params.node_pair(i), vectors[i])
-        rhs %= p
-        tail, rhs = rhs.shape[1:], rhs.reshape(r * alpha, -1)
-        out = np.empty_like(rhs)
-        for lo in range(0, rhs.shape[1], plan.chunk):
-            b, x = rhs[:, lo:lo + plan.chunk], out[:, lo:lo + plan.chunk]
+        tail = vectors.shape[2:]
+        vectors = vectors.reshape(vectors.shape[:2] + (-1,))
+        out = np.empty((r * alpha, vectors.shape[2]), dtype=np.int64)
+        for lo in range(0, vectors.shape[2], plan.chunk):
+            # b is H_known x; the unknowns solve H_unknown y = -b, level by level.
+            b = plan.known(vectors[:, :, lo:lo + plan.chunk]).reshape(r * alpha, -1)
+            x = out[:, lo:lo + plan.chunk]
             for rows, src, coef, starts, tgt in plan.levels:
                 if src.size:
-                    b[tgt] -= np.add.reduceat(coef * x[src], starts, axis=0)
-                level_rhs = (b[rows] % p).reshape(r, -1).astype(np.float64)
-                x[rows] = (plan.inverse @ level_rhs % p).astype(np.int64).reshape(
+                    b[tgt] += np.add.reduceat(coef * x[src], starts, axis=0)
+                level_rhs = (-b[rows] % p).reshape(r, -1).astype(np.float64)
+                x[rows] = ((plan.inverse @ level_rhs).astype(np.int64) % p).reshape(
                     rows.shape + (-1,))
         return out.reshape((r, alpha) + tail)
 
     # -- encoding ------------------------------------------------------------
 
     def encode_batch(self, data: np.ndarray) -> np.ndarray:
-        """Encode data of shape (k, alpha) or (k, alpha, w) into full stripes."""
-        params, p = self.params, self.p
-        data = np.asarray(data, dtype=np.int64) % p
+        """Encode data of shape (k, alpha) or (k, alpha, w) into full int64
+        stripes."""
+        params = self.params
+        data = self._reduce(data)
         if data.shape[:2] != (params.k, params.alpha):
             raise ValueError(
                 f"data shape {data.shape} does not start with {(params.k, params.alpha)}")
@@ -222,10 +242,11 @@ class Codec:
 
     def syndrome_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Parity-check residual of shape (r*alpha,) + tail; zero iff codeword."""
-        params, p = self.params, self.p
-        vectors = np.asarray(vectors, dtype=np.int64)
-        return sum(self.pcm.apply_node(*params.node_pair(i), vectors[i])
-                   for i in range(params.n)) % p
+        params = self.params
+        vectors = self._reduce(vectors)
+        product = self.pcm.product(range(params.n))
+        residual = product(vectors.reshape(vectors.shape[:2] + (-1,))) % self.p
+        return residual.reshape((params.r * params.alpha,) + vectors.shape[2:])
 
     def syndrome(self, stripe: Stripe) -> np.ndarray:
         if not stripe.is_complete:
@@ -235,24 +256,27 @@ class Codec:
     # -- erasure decoding ------------------------------------------------------
 
     def decode_batch(self, vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
-        """Fill in missing node vectors; vectors (n, alpha) + optional stripe axis."""
-        params, p = self.params, self.p
-        vectors = np.asarray(vectors, dtype=np.int64) % p
+        """Fill in missing node vectors; vectors (n, alpha) + optional stripe
+        axis.  Returns a new int64 array."""
+        params = self.params
+        vectors = self._reduce(vectors)
+        restored = vectors.astype(np.int64, copy=False)  # never the caller's array
         present = np.asarray(present, dtype=bool)
         missing = [i for i in range(params.n) if not present[i]]
         if not missing:
-            return vectors.copy()
+            return restored
         if len(missing) > params.r:
             raise ValueError(
                 f"{len(missing)} nodes missing, more than r={params.r}")
         # Pad with the smallest present nodes so the sub-system is square; the
         # unique solution restores their known values alongside the missing ones.
         pad = [i for i in range(params.n) if present[i]][:params.r - len(missing)]
-        unknowns = sorted(missing + pad)
-        sol = self._solve(self._plan(unknowns), vectors)
-        for i in missing:  # vectors is this call's own reduced copy
-            vectors[i] = sol[unknowns.index(i)]
-        return vectors
+        unknowns = tuple(sorted(missing + pad))
+        if self._decode_plan is None or self._decode_plan.unknowns != unknowns:
+            self._decode_plan = self._plan(list(unknowns))
+        sol = self._solve(self._decode_plan, vectors)
+        restored[missing] = sol[[unknowns.index(i) for i in missing]]
+        return restored
 
     def decode_erasures(self, stripe: Stripe, pattern) -> Stripe:
         """Reconstruct the erased nodes of a stripe; all other nodes must be live."""

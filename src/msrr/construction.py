@@ -4,12 +4,18 @@ Each node (e, g) gets a distinct locator: primitive_root^e * unity_root^g.
 The parity-check matrix has r row blocks of alpha rows each.  Per column
 group (e, g), block t carries locator^t on its diagonal; if t = residue(e)
 (mod u), each row whose rack-owned digit is zero also reads its s_bar - 1
-digit siblings, with values locator^residue(e) * extra_point^(t // u).  These
-off-diagonal entries are built once, one table per rack
-(ParityCheckMatrix.off_diagonal), and every reader of the matrix uses it.
+digit siblings, with values locator^residue(e) * extra_point^(t // u).  Those
+blocks, rows, siblings and extra-point powers are built once per rack
+(ParityCheckMatrix.sibling_terms, and flat in off_diagonal), and every reader
+of the matrix uses these tables.
 Positions come from the digit table, ParityCheckMatrix.digits: the base-s_bar
 digits of every coordinate, computed once.  The level order, the zero-digit
 rows and their digit siblings are read off it; no other module expands digits.
+
+Summed over a set of nodes, the column groups act on their vectors through a
+few small products (NodeProduct): one diagonal product, one that forms the
+locator^residue-weighted rack aggregates, and per rack one product of the
+extra-point powers with the aggregate's digit siblings.
 """
 
 from __future__ import annotations
@@ -109,44 +115,48 @@ class ParityCheckMatrix:
         self.sibling_cols = [rows + np.arange(1, s_bar)[:, None] * self.place[tau]
                              for tau, rows in enumerate(self.zero_rows)]
 
-        # off_diagonal[e] = (rows, cols, values): flat rows t*alpha + a of the
-        # blocks t = residue(e) + i*u, a in zero_rows[tau], shape (R,); the
-        # sibling columns each row reads, (R, s_bar - 1); and per node g the
-        # values locator^residue(e) * extra_points^(t // u), (u, R, s_bar - 1).
+        # sibling_terms[e] = (blocks, zero, cols, mu): the blocks
+        # t = residue(e) + i*u, the rows zero_rows[tau] that read siblings in
+        # each, their sibling columns sibling_cols[tau], and
+        # mu[i, v-1] = extra_points[v-1]^(t // u).  Node g's entry is
+        # locator^residue(e) * mu[i, v-1].  off_diagonal[e] = (rows, cols,
+        # values) lists the same entries flat: rows t*alpha + a, shape (R,),
+        # the sibling columns each row reads, (R, s_bar - 1), and per node g
+        # the values, (u, R, s_bar - 1).
+        self.sibling_terms = []
         self.off_diagonal = []
         for e in range(n_bar):
             res, tau = params.rack_residue(e), params.rack_digit(e)
-            blocks, zero = np.arange(res, r, u), self.zero_rows[tau]
-            rows = (blocks[:, None] * params.alpha + zero).ravel()
-            cols = np.tile(self.sibling_cols[tau].T, (blocks.size, 1))
-            mu = np.repeat(extra_pow[blocks // u], zero.size, axis=0)
-            self.off_diagonal.append(
-                (rows, cols, self.diag[res, e][:, None, None] * mu % p))
+            blocks, zero, cols = np.arange(res, r, u), self.zero_rows[tau], self.sibling_cols[tau]
+            mu = extra_pow[blocks // u]
+            self.sibling_terms.append((blocks, zero, cols, mu))
+            self.off_diagonal.append((
+                (blocks[:, None] * params.alpha + zero).ravel(),
+                np.tile(cols.T, (blocks.size, 1)),
+                self.diag[res, e][:, None, None] * np.repeat(mu, zero.size, axis=0) % p))
 
     @property
     def p(self) -> int:
         return self.constants.field.p
 
-    def apply_node(self, e: int, g: int, vec: np.ndarray) -> np.ndarray:
-        """Product of column group (e, g) with a node vector.
-
-        vec has shape (alpha,) or (alpha, w) for w stacked stripes; the result
-        is (r*alpha,) or (r*alpha, w).
-        """
+    def product(self, nodes) -> "NodeProduct":
+        """The column groups of the given node indices, summed (NodeProduct)."""
         params = self.params
-        p = self.p
-        vec = np.asarray(vec, dtype=np.int64) % p
-        if vec.shape[0] != params.alpha:
-            raise ValueError(
-                f"node vector has {vec.shape[0]} coordinates, expected {params.alpha}")
-        tail = vec.shape[1:]
-        ones = (1,) * len(tail)
-        out = (self.diag[:, e, g].reshape((-1, 1) + ones) * vec).reshape(
-            (params.r * params.alpha,) + tail)
-        rows, cols, values = self.off_diagonal[e]
-        out[rows] += (values[g].reshape(values.shape[1:] + ones) * vec[cols]).sum(axis=1)
-        out %= p
-        return out
+        nodes = np.asarray(nodes, dtype=np.int64)
+        racks, slots = np.divmod(nodes, params.u)
+        residues = [params.rack_residue(e) for e in racks]
+        listed = np.unique(racks) if params.s_bar > 1 else racks[:0]
+        weights = np.where(racks == listed[:, None], self.diag[residues, racks, slots], 0)
+        first = int(nodes[0]) if nodes.size else 0
+        contiguous = np.array_equal(nodes, np.arange(first, first + nodes.size))
+        return NodeProduct(
+            p=self.p,
+            index=slice(first, first + nodes.size) if contiguous else nodes,
+            diag=self.diag[:, racks, slots].astype(np.float64),
+            weights=weights.astype(np.float64),
+            siblings=tuple((blocks, zero, cols, mu.astype(np.float64))
+                           for blocks, zero, cols, mu in
+                           (self.sibling_terms[e] for e in listed)))
 
     def dense_node(self, e: int, g: int) -> np.ndarray:
         """Materialize column group (e, g) as a dense (r*alpha, alpha) matrix."""
@@ -159,3 +169,43 @@ class ParityCheckMatrix:
         rows, cols, values = self.off_diagonal[e]
         block[rows[:, None], cols] = values[g]
         return block
+
+
+@dataclass(frozen=True)
+class NodeProduct:
+    """Sum over a fixed node list of each node's column group times its vector.
+
+    diag[t, j] is locator_j^t, shape (r, K).  weights[i, j] is
+    locator_j^residue(e) when node j lies in the i-th listed rack e, else 0,
+    so weights @ x are the rack aggregates that repair helpers send.
+    siblings holds the sibling_terms of each listed rack, mu in float64.
+    With s_bar = 1 no rack is listed.
+    """
+
+    p: int
+    index: slice | np.ndarray   # the node indices, as a slice when contiguous
+    diag: np.ndarray
+    weights: np.ndarray
+    siblings: tuple
+
+    def __call__(self, vectors: np.ndarray) -> np.ndarray:
+        """H[:, nodes] applied to vectors[nodes], (r, alpha, w) int64.
+
+        vectors is (n', alpha, w), indexed by node, with symbols in [0, p).
+        The result is congruent to the product mod p, nonnegative and
+        unreduced.  Each float64 product sums at most K diagonal terms, u
+        aggregate terms or s_bar - 1 sibling terms, each at most (p - 1)^2;
+        Codec checks that n such terms stay below 2^53.
+        """
+        x = np.ascontiguousarray(vectors[self.index], dtype=np.float64)
+        alpha = x.shape[1]
+        x = x.reshape(x.shape[0], -1)
+        out = (self.diag @ x).astype(np.int64).reshape(self.diag.shape[0], alpha, -1)
+        if self.siblings:
+            agg = (self.weights @ x).astype(np.int64) % self.p
+            agg = agg.astype(np.float64).reshape(len(self.siblings), alpha, -1)
+            for aggregate, (blocks, zero, cols, mu) in zip(agg, self.siblings):
+                terms = mu @ aggregate[cols].reshape(cols.shape[0], -1)
+                out[blocks[:, None], zero] += terms.astype(np.int64).reshape(
+                    blocks.size, zero.size, -1)
+        return out

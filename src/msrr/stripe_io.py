@@ -6,18 +6,23 @@ across all stripes, every symbol a fixed-width little-endian unsigned integer
 whose width is derived from the field modulus.  Bytes map to symbols one to
 one (identity embedding), which requires p >= 257; the payload is zero-padded
 to whole stripes and the original length plus a checksum live in the manifest.
+
+encode_file and decode_file stream: they hold one chunk of stripes at a time,
+about _CHUNK_SYMBOLS symbols over all n nodes, and hash the payload as it
+passes.  repair_shard still loads whole shards through read_shards.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .codec import Codec, Stripe
+from .codec import _CHUNK_SYMBOLS, Codec, Stripe
 from .construction import build_constants
 from .errors import ParameterError, RepairRefusedError, ShardFormatError, SymbolMappingError
 from .field import FieldCtx
@@ -116,10 +121,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _checksum(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
 def _symbol_dtype(width: int) -> np.dtype:
     if width == 1:
         return np.dtype("<u1")
@@ -128,21 +129,27 @@ def _symbol_dtype(width: int) -> np.dtype:
     raise ShardFormatError(f"unsupported symbol width {width}")
 
 
-def bytes_to_symbols(payload: bytes, codec: Codec) -> np.ndarray:
+def _require_byte_field(p: int) -> None:
+    if p < 257:
+        raise SymbolMappingError(
+            f"p={p} cannot embed bytes; raise --min-field to 257 or more")
+
+
+def bytes_to_symbols(payload, codec: Codec) -> np.ndarray:
     """Payload bytes as data vectors of shape (k, alpha, stripe_count).
 
     One byte maps to one field element, so p must be at least 257; the
-    payload is zero-padded up to a whole number of stripes.
+    payload is zero-padded up to a whole number of stripes.  The result is
+    uint8, a view of payload when no padding is needed.
     """
     params = codec.params
-    if codec.p < 257:
-        raise SymbolMappingError(
-            f"p={codec.p} cannot embed bytes; raise --min-field to 257 or more")
+    _require_byte_field(codec.p)
     per_stripe = params.k * params.alpha
-    stripes = (len(payload) + per_stripe - 1) // per_stripe
-    data = np.zeros(stripes * per_stripe, dtype=np.int64)
-    data[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-    return data.reshape(stripes, params.k, params.alpha).transpose(1, 2, 0)
+    data = np.frombuffer(payload, dtype=np.uint8)
+    pad = -data.size % per_stripe
+    if pad:
+        data = np.concatenate([data, np.zeros(pad, dtype=np.uint8)])
+    return data.reshape(-1, params.k, params.alpha).transpose(1, 2, 0)
 
 
 def symbols_to_bytes(data: np.ndarray, length: int) -> bytes:
@@ -153,19 +160,32 @@ def symbols_to_bytes(data: np.ndarray, length: int) -> bytes:
             f"{flat.size} symbols cannot cover {length} payload bytes")
     if np.any(flat >= 256):
         raise ShardFormatError("symbol outside byte range; not a byte payload")
-    return flat.astype(np.uint8).tobytes()[:length]
+    return flat[:length].astype(np.uint8).tobytes()
 
 
-def write_shards(directory, manifest: Manifest, vectors: np.ndarray) -> None:
-    """Write manifest.json plus one shard per node; vectors (n, alpha, stripes)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    params = manifest.params
-    dtype = _symbol_dtype(manifest.symbol_width_bytes)
-    for i, (e, g) in enumerate(params.nodes()):
-        per_node = np.ascontiguousarray(vectors[i].T).astype(dtype)
-        (directory / shard_name(e, g)).write_bytes(per_node.tobytes())
-    (directory / MANIFEST_NAME).write_text(manifest.to_json(), encoding="utf-8")
+def _stripes_per_chunk(params: CodeParams) -> int:
+    return max(1, _CHUNK_SYMBOLS // (params.n * params.alpha))
+
+
+def _read_full(stream, buffer) -> int:
+    """Fill buffer from stream as far as the stream goes; bytes read."""
+    view, got = memoryview(buffer).cast("B"), 0
+    while got < len(view):
+        count = stream.readinto(view[got:])
+        if not count:
+            break
+        got += count
+    return got
+
+
+def _check_symbols(values: np.ndarray, name: str, p: int, first: int) -> None:
+    """Refuse a symbol >= p, naming the shard and the symbol's byte offset;
+    values are the shard's symbols from symbol index first on."""
+    if values.size and values.max() >= p:
+        bad = int(np.flatnonzero(values >= p)[0])
+        raise ShardFormatError(
+            f"{name}: symbol {int(values.flat[bad])} >= p={p} "
+            f"at offset {(first + bad) * values.itemsize}")
 
 
 def write_one_shard(directory, manifest: Manifest, e: int, g: int,
@@ -209,12 +229,8 @@ def read_shards(directory) -> tuple[Manifest, np.ndarray, np.ndarray]:
         if len(blob) != expected:
             raise ShardFormatError(
                 f"{path.name}: {len(blob)} bytes, expected {expected}")
-        values = np.frombuffer(blob, dtype=dtype).astype(np.int64)
-        bad = np.nonzero(values >= manifest.p)[0]
-        if bad.size:
-            raise ShardFormatError(
-                f"{path.name}: symbol {int(values[bad[0]])} >= p={manifest.p} "
-                f"at offset {int(bad[0]) * width}")
+        values = np.frombuffer(blob, dtype=dtype)
+        _check_symbols(values, path.name, manifest.p, 0)
         vectors[i] = values.reshape(manifest.stripe_count, params.alpha).T
         present[i] = True
     return manifest, vectors, present
@@ -226,13 +242,30 @@ def codec_for_manifest(manifest: Manifest) -> Codec:
 
 def encode_file(input_path, out_dir, params: CodeParams,
                 min_field: int = 257) -> Manifest:
-    """Stripe a file into a shard directory."""
-    payload = Path(input_path).read_bytes()
+    """Stripe a file into a shard directory, one chunk of stripes at a time."""
     codec = Codec(params, min_field=min_field)
-    data = bytes_to_symbols(payload, codec)
-    stripes = data.shape[2]
-    vectors = (codec.encode_batch(data) if stripes
-               else np.zeros((params.n, params.alpha, 0), dtype=np.int64))
+    _require_byte_field(codec.p)  # before any file is created
+    out_dir = Path(out_dir)
+    dtype = _symbol_dtype(symbol_width_bytes(codec.p))
+    digest, length, stripes = hashlib.sha256(), 0, 0
+    buffer = bytearray(_stripes_per_chunk(params) * params.k * params.alpha)
+    paths = [out_dir / shard_name(e, g) for e, g in params.nodes()]
+    with open(input_path, "rb") as source:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path in paths:
+            path.write_bytes(b"")
+        while got := _read_full(source, buffer):
+            chunk = memoryview(buffer)[:got]
+            digest.update(chunk)
+            length += got
+            vectors = codec.encode_batch(bytes_to_symbols(chunk, codec))
+            stripes += vectors.shape[2]
+            # One shard open at a time: n may exceed the open-file limit.
+            for path, node in zip(paths, vectors):
+                with open(path, "ab") as sink:
+                    sink.write(np.ascontiguousarray(node.T, dtype=dtype))
+            if got < len(buffer):
+                break
     manifest = Manifest(
         format_version=FORMAT_VERSION,
         n_bar=params.n_bar, u=params.u, u0=params.u0,
@@ -242,36 +275,76 @@ def encode_file(input_path, out_dir, params: CodeParams,
         unity_root=codec.field.unity_root,
         extra_points=codec.constants.extra_points,
         symbol_width_bytes=symbol_width_bytes(codec.p),
-        original_file_length_bytes=len(payload),
+        original_file_length_bytes=length,
         stripe_count=stripes,
-        checksum_sha256=_checksum(payload),
+        checksum_sha256=digest.hexdigest(),
     )
-    write_shards(out_dir, manifest, vectors)
+    (out_dir / MANIFEST_NAME).write_text(manifest.to_json(), encoding="utf-8")
     return manifest
 
 
 def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int]]]:
     """Rebuild the original file from a shard directory (up to r shards may
-    be missing); verifies the manifest checksum.
+    be missing), one chunk of stripes at a time.
 
-    Returns (manifest, payload length, nodes whose shards were missing).
+    The payload goes to a temporary file beside output_path, which replaces
+    output_path only once the manifest checksum matches; on any failure no
+    file is left and an existing output_path keeps its bytes.  Returns
+    (manifest, payload length, nodes whose shards were missing).
     """
-    manifest, vectors, present = read_shards(in_dir)
+    directory, output = Path(in_dir), Path(output_path)
+    manifest = read_manifest(directory)
     params = manifest.params
+    paths = [directory / shard_name(e, g) for e, g in params.nodes()]
+    present = np.array([path.exists() for path in paths])
     missing = [params.node_pair(i) for i in range(params.n) if not present[i]]
     if len(missing) > params.r:
         raise ShardFormatError(
             f"{len(missing)} shards missing, more than r={params.r}: "
             + ", ".join(shard_name(e, g) for e, g in missing))
     codec = codec_for_manifest(manifest)
-    restored = codec.decode_batch(vectors, present) if manifest.stripe_count \
-        else vectors
-    payload = symbols_to_bytes(restored[:params.k],
-                               manifest.original_file_length_bytes)
-    if _checksum(payload) != manifest.checksum_sha256:
-        raise ShardFormatError("decoded payload fails the manifest checksum")
-    Path(output_path).write_bytes(payload)
-    return manifest, len(payload), missing
+    dtype = _symbol_dtype(manifest.symbol_width_bytes)
+    alpha, per_stripe = params.alpha, params.k * params.alpha
+    remaining = manifest.original_file_length_bytes
+    if manifest.stripe_count * per_stripe < remaining:
+        raise ShardFormatError(
+            f"{manifest.stripe_count * per_stripe} symbols cannot cover "
+            f"{remaining} payload bytes")
+    expected = manifest.stripe_count * alpha * manifest.symbol_width_bytes
+    chunk = _stripes_per_chunk(params)
+    digest = hashlib.sha256()
+    temporary = output.with_name(f".{output.name}.{os.urandom(8).hex()}.tmp")
+    on_disk = np.flatnonzero(present)
+    for i in on_disk:
+        size = paths[i].stat().st_size
+        if size != expected:
+            raise ShardFormatError(f"{paths[i].name}: {size} bytes, expected {expected}")
+    sink = open(temporary, "xb")
+    try:
+        with sink:
+            for start in range(0, manifest.stripe_count, chunk):
+                width = min(chunk, manifest.stripe_count - start)
+                vectors = np.zeros((params.n, alpha, width), dtype=dtype)
+                for i in on_disk:  # one shard open at a time
+                    values = np.empty((width, alpha), dtype=dtype)
+                    with open(paths[i], "rb") as shard:
+                        shard.seek(start * alpha * values.itemsize)
+                        if _read_full(shard, values) != values.nbytes:
+                            raise ShardFormatError(f"{paths[i].name}: ends early")
+                    _check_symbols(values, paths[i].name, manifest.p, start * alpha)
+                    vectors[i] = values.T
+                data = codec.decode_batch(vectors, present)[:params.k]
+                payload = symbols_to_bytes(data, min(width * per_stripe, remaining))
+                remaining -= len(payload)
+                digest.update(payload)
+                sink.write(payload)
+        if digest.hexdigest() != manifest.checksum_sha256:
+            raise ShardFormatError("decoded payload fails the manifest checksum")
+        os.replace(temporary, output)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+    return manifest, manifest.original_file_length_bytes, missing
 
 
 def repair_shard(in_dir, e: int, g: int, helpers=None,

@@ -1,10 +1,12 @@
 """Independent reference implementations the library is checked against.
 
 Dense Gauss-Jordan elimination over GF(p), the coordinate digit layout
-computed one coordinate at a time with Python integers, and parity-check rows
-computed entry by entry from the code constants.  The library solves through
-Vandermonde systems in level order and reads the layout and the entries from
-the tables of ParityCheckMatrix; nothing here is shared with that code.
+computed one coordinate at a time with Python integers, parity-check rows
+computed entry by entry from the code constants, and the product of one column
+group with a node vector in int64.  The library solves through Vandermonde
+systems in level order and applies column groups together through float64
+products; only apply_node reads ParityCheckMatrix's tables, diag and
+off_diagonal.
 """
 
 from __future__ import annotations
@@ -158,3 +160,23 @@ def row_entries(pcm, t: int, e: int, g: int, a: int) -> list[tuple[int, int]]:
              pow(locator, res, p) * pow(consts.extra_points[v - 1], t // params.u, p) % p)
             for v in range(1, params.s_bar))
     return entries
+
+
+def apply_node(pcm, e: int, g: int, vec) -> np.ndarray:
+    """Column group (e, g) times a node vector, reduced mod p, in int64.
+
+    vec has shape (alpha,) or (alpha, w) for w stacked stripes; the result
+    is (r*alpha,) or (r*alpha, w).  Reads pcm.diag and pcm.off_diagonal.
+    """
+    params, p = pcm.params, pcm.p
+    vec = np.asarray(vec, dtype=np.int64) % p
+    if vec.shape[0] != params.alpha:
+        raise ValueError(
+            f"node vector has {vec.shape[0]} coordinates, expected {params.alpha}")
+    tail = vec.shape[1:]
+    ones = (1,) * len(tail)
+    out = (pcm.diag[:, e, g].reshape((-1, 1) + ones) * vec).reshape(
+        (params.r * params.alpha,) + tail)
+    rows, cols, values = pcm.off_diagonal[e]
+    out[rows] += (values[g].reshape(values.shape[1:] + ones) * vec[cols]).sum(axis=1)
+    return out % p

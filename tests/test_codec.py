@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from msrr import Codec, CodeParams, ErasurePattern, Stripe, linalg
 from msrr.errors import InternalError, ParameterError
-from msrr.field import FieldCtx
+from msrr.field import FieldCtx, find_primitive, find_unity_root, is_prime
 
 from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, random_stripe
-from oracle import solve
+from oracle import apply_node, solve
 
 # Encoding the first standard basis vector (node (0,0), coordinate 0) of the
 # p=11 code; validated once by a zero syndrome plus re-decoding from every
@@ -394,7 +395,57 @@ def test_stripe_chunks_do_not_change_results(monkeypatch, p3_codec):
 
 
 def test_codec_refuses_a_field_beyond_the_exact_float64_product():
-    p = 2**31 - 1   # prime; r * (p - 1)^2 far exceeds 2^53
+    p = 2**31 - 1   # prime; n * (p - 1)^2 far exceeds 2^53
     field = FieldCtx(p=p, primitive_root=7, unity_root=p - 1, u=2)
+    with pytest.raises(InternalError, match="float64"):
+        Codec(P1, field=field)
+
+
+# -- the float64 exactness bound --------------------------------------------------
+
+def _field_at_the_bound(params, above=False):
+    """GF(p) for the largest prime p with u | p - 1 and n * (p - 1)^2 < 2^53,
+    or with above=True the smallest such prime beyond that bound."""
+    p = math.isqrt((2**53 - 1) // params.n) + 1
+    step = 1 if above else -1
+    while not ((params.n * (p - 1) ** 2 < 2**53) != above
+               and (p - 1) % params.u == 0 and is_prime(p)):
+        p += step
+    root = find_primitive(p)
+    return FieldCtx(p=p, primitive_root=root,
+                    unity_root=find_unity_root(p, root, params.u), u=params.u)
+
+
+EXACTNESS_CODES = {
+    "p1": P1, "p2": P2, "p3": P3, "6264": CodeParams.from_total_k(6, 2, 6, 4),
+    "83126": CodeParams.from_total_k(8, 3, 12, 6), "degenerate": P1_DEGENERATE}
+
+
+@pytest.mark.parametrize("at_bound", [False, True], ids=["smallest-p", "largest-p"])
+@pytest.mark.parametrize("params", EXACTNESS_CODES.values(), ids=EXACTNESS_CODES.keys())
+def test_right_hand_side_is_exact_at_the_largest_magnitudes(params, at_bound):
+    field = _field_at_the_bound(params) if at_bound else FieldCtx.for_code(params)
+    codec = Codec(params, field=field)
+    n, k, r, p = params.n, params.k, params.r, codec.p
+    vectors = np.full((n, params.alpha, 2), p - 1, dtype=np.int64)
+    # Every node (the syndrome), encode's known nodes, and decode's known
+    # nodes with the first r erased.
+    for nodes in (range(n), range(k), range(r, n)):
+        got = codec.pcm.product(list(nodes))(vectors) % p
+        expected = sum(apply_node(codec.pcm, *params.node_pair(i), vectors[i])
+                       for i in nodes) % p
+        assert np.array_equal(got.reshape(expected.shape), expected), list(nodes)
+    stripe = codec.encode_batch(vectors[:k])
+    assert not codec.syndrome_batch(stripe).any()
+    present = np.arange(n) >= r
+    zeroed = np.where(present[:, None, None], stripe, 0)
+    assert np.array_equal(codec.decode_batch(zeroed, present), stripe)
+
+
+def test_exactness_bound_counts_every_node():
+    # Past n * (p - 1)^2 >= 2^53 the codec refuses, even where the level
+    # inverse alone, r * (p - 1)^2, would still be exact.
+    field = _field_at_the_bound(P1, above=True)
+    assert P1.r * (field.p - 1) ** 2 < 2**53
     with pytest.raises(InternalError, match="float64"):
         Codec(P1, field=field)

@@ -5,7 +5,8 @@ from msrr import CodeParams, Codec, ParityCheckMatrix, build_constants
 from msrr.field import FieldCtx
 
 from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P3
-from oracle import digits, replace_digit, row_entries, zero_digit_count, zero_digit_rows
+from oracle import (apply_node, digits, replace_digit, row_entries, zero_digit_count,
+                    zero_digit_rows)
 
 # Every small admissible code: u0 > 0, s_bar = 1 and up to four digit siblings.
 SMALL_ALPHA_CODES = [params for params in ADMISSIBLE_CODES if params.alpha <= 64]
@@ -132,7 +133,7 @@ def test_apply_node_matches_dense_product(tail):
         vec = rng.integers(0, pcm.p, size=(params.alpha,) + tail)
         for e, g in params.nodes():
             expected = pcm.dense_node(e, g) @ vec.reshape(params.alpha, -1) % pcm.p
-            got = pcm.apply_node(e, g, vec)
+            got = apply_node(pcm, e, g, vec)
             assert got.shape == (params.r * params.alpha,) + tail
             assert np.array_equal(got.reshape(expected.shape), expected), (params, e, g)
 

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from msrr import Codec, CodeParams
+from msrr.codec import _CHUNK_SYMBOLS
 from msrr.errors import RepairRefusedError, ShardFormatError, SymbolMappingError
 from msrr.stripe_io import (
     Manifest,
@@ -19,7 +22,7 @@ from msrr.stripe_io import (
     shard_name,
     symbol_width_bytes,
     symbols_to_bytes,
-    write_shards,
+    write_one_shard,
 )
 
 PARAMS = CodeParams.from_total_k(4, 2, 4, 3)
@@ -96,8 +99,12 @@ def test_write_read_shards_identity(tmp_path):
     _, out, manifest = _encode_tmp(tmp_path, payload)
     _, vectors, present = read_shards(out)
     assert present.all()
-    write_shards(tmp_path / "copy", manifest, vectors)
-    _, again, _ = read_shards(tmp_path / "copy")
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    (copy / "manifest.json").write_text(manifest.to_json())
+    for i, (e, g) in enumerate(PARAMS.nodes()):
+        write_one_shard(copy, manifest, e, g, vectors[i])
+    _, again, _ = read_shards(copy)
     assert np.array_equal(vectors, again)
 
 
@@ -212,6 +219,132 @@ def test_repair_shard_with_explicit_helpers(tmp_path):
     _, transcript, _ = repair_shard(out, 3, 1, helpers=[0, 1, 2])
     assert transcript.job.helpers == (0, 1, 2)
     assert target.read_bytes() == original
+
+
+def test_small_field_encode_fails_before_any_shard_exists(tmp_path):
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"hello")
+    out = tmp_path / "shards"
+    with pytest.raises(SymbolMappingError, match="min-field"):
+        encode_file(src, out, PARAMS, min_field=0)  # p = 11
+    assert not out.exists()
+
+
+def test_decode_checksum_mismatch_leaves_no_file(tmp_path):
+    _, out, _ = _encode_tmp(tmp_path, os.urandom(3000))
+    manifest_path = out / "manifest.json"
+    payload = json.loads(manifest_path.read_text())
+    payload["checksum_sha256"] = "0" * 64
+    manifest_path.write_text(json.dumps(payload))
+    dest_dir = tmp_path / "restored"
+    dest_dir.mkdir()
+    kept = dest_dir / "kept.bin"
+    kept.write_bytes(b"earlier contents")
+    for dest in (kept, dest_dir / "fresh.bin"):
+        with pytest.raises(ShardFormatError, match="checksum"):
+            decode_file(out, dest)
+        assert [path.name for path in dest_dir.iterdir()] == ["kept.bin"]
+        assert kept.read_bytes() == b"earlier contents"
+
+
+def _chunk_stripes(params):
+    return _CHUNK_SYMBOLS // (params.n * params.alpha)
+
+
+def test_decode_names_a_bad_symbol_past_the_first_chunk(tmp_path):
+    per_chunk = _chunk_stripes(PARAMS) * PARAMS.k * PARAMS.alpha
+    _, out, _ = _encode_tmp(tmp_path, os.urandom(2 * per_chunk + 100))
+    (out / shard_name(0, 0)).unlink()
+    path = out / shard_name(2, 1)
+    offset = (_chunk_stripes(PARAMS) * PARAMS.alpha + 3) * 2  # chunk two, symbol 3
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 2] = (400).to_bytes(2, "little")  # 400 >= p=257
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ShardFormatError) as err:
+        decode_file(out, tmp_path / "restored.bin")
+    assert "node_2_1.shard" in str(err.value)
+    assert f"at offset {offset}" in str(err.value)
+    assert not (tmp_path / "restored.bin").exists()
+
+
+CHUNK_CODES = [PARAMS, CodeParams.from_total_k(6, 2, 6, 4)]
+
+
+def _chunk_lengths(params):
+    per_chunk = _chunk_stripes(params) * params.k * params.alpha
+    return [0, 1, per_chunk - 1, per_chunk, per_chunk + 1, 3 * per_chunk + 17]
+
+
+@pytest.mark.parametrize("params", CHUNK_CODES, ids=["p1", "6264"])
+def test_chunk_boundaries_match_one_shot_encode(tmp_path, params):
+    codec = Codec(params, min_field=257)
+    per_stripe = params.k * params.alpha
+    for case, length in enumerate(_chunk_lengths(params)):
+        payload = np.random.default_rng(case).integers(
+            0, 256, size=length, dtype=np.uint8).tobytes()
+        src, out = tmp_path / f"in{case}.bin", tmp_path / f"shards{case}"
+        src.write_bytes(payload)
+        manifest = encode_file(src, out, params)
+        stripes = -(-length // per_stripe)
+        assert manifest.stripe_count == stripes
+        padded = np.zeros(stripes * per_stripe, dtype=np.int64)
+        padded[:length] = np.frombuffer(payload, dtype=np.uint8)
+        whole = codec.encode_batch(
+            padded.reshape(stripes, params.k, params.alpha).transpose(1, 2, 0))
+        for i, (e, g) in enumerate(params.nodes()):
+            assert (out / shard_name(e, g)).read_bytes() == \
+                whole[i].T.astype("<u2").tobytes(), (length, e, g)
+        # The first r shards include every data shard on both codes.
+        for e, g in params.nodes()[:params.r]:
+            (out / shard_name(e, g)).unlink()
+        dest = tmp_path / f"out{case}.bin"
+        _, restored, _ = decode_file(out, dest)
+        assert restored == length
+        assert dest.read_bytes() == payload, length
+
+
+def test_chunked_decode_plans_once(tmp_path, monkeypatch):
+    per_chunk = _chunk_stripes(PARAMS) * PARAMS.k * PARAMS.alpha
+    _, out, _ = _encode_tmp(tmp_path, os.urandom(3 * per_chunk + 1))
+    for e, g in [(0, 1), (3, 0)]:
+        (out / shard_name(e, g)).unlink()
+    plans, original = [], Codec._plan
+
+    def counted(self, unknowns):
+        plans.append(unknowns)
+        return original(self, unknowns)
+
+    monkeypatch.setattr(Codec, "_plan", counted)
+    decode_file(out, tmp_path / "restored.bin")
+    # Missing nodes 1 and 6, padded with the smallest present nodes 0 and 2.
+    assert plans == [[0, 1, 2, 6]]
+
+
+# Encodes and decodes an 80-shard code, 20 shards deleted, under a 64-file limit.
+OPEN_FILE_LIMIT_SCRIPT = """
+import os, resource, sys
+from msrr import CodeParams
+from msrr.stripe_io import decode_file, encode_file, shard_name
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+work = sys.argv[1]
+params = CodeParams.from_total_k(4, 20, 60, 3)
+encode_file(os.path.join(work, "in.bin"), os.path.join(work, "shards"), params)
+for g in range(params.u):
+    os.unlink(os.path.join(work, "shards", shard_name(0, g)))
+decode_file(os.path.join(work, "shards"), os.path.join(work, "out.bin"))
+"""
+
+
+def test_shard_count_beyond_the_open_file_limit(tmp_path):
+    # The file path holds one shard open at a time, so n is not bounded by
+    # the process's open-file limit.
+    payload = bytes(range(256)) * 40
+    (tmp_path / "in.bin").write_bytes(payload)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", OPEN_FILE_LIMIT_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out.bin").read_bytes() == payload
 
 
 # sha256 of every file encode_file writes for a seeded 20 KiB payload, captured
