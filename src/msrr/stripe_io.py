@@ -7,13 +7,19 @@ whose width is derived from the field modulus.  Bytes map to symbols one to
 one (identity embedding), which requires p >= 257; the payload is zero-padded
 to whole stripes and the original length plus a checksum live in the manifest.
 
-encode_file and decode_file stream: they hold one chunk of stripes at a time,
-about _CHUNK_SYMBOLS symbols over all n nodes, and hash the payload as it
-passes.  repair_shard still loads whole shards through read_shards.
+encode_file, decode_file and repair_shard stream: they hold one chunk of
+stripes at a time, about _CHUNK_SYMBOLS symbols over all n nodes, and open one
+shard file at a time, so neither memory nor open files grow with the file or
+with n.  encode_file and decode_file hash the payload as it passes.
+repair_shard opens only the shards the protocol reads, the helper racks'
+shards and the host rack's survivors, and applies one repair plan to each
+chunk.  decode_file and repair_shard write through a temporary file beside
+their output (_replacing), so the output is either the old file or the new.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -22,12 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import _CHUNK_SYMBOLS, Codec, Stripe
+from .codec import _CHUNK_SYMBOLS, Codec
 from .construction import build_constants
 from .errors import ParameterError, RepairRefusedError, ShardFormatError, SymbolMappingError
 from .field import FieldCtx
 from .params import CodeParams
-from .repair import RepairJob, RepairTranscript, repair_from_stripe
+from .repair import RepairJob, RepairPlan, RepairTranscript, helper_message
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -188,6 +194,43 @@ def _check_symbols(values: np.ndarray, name: str, p: int, first: int) -> None:
             f"at offset {(first + bad) * values.itemsize}")
 
 
+def _check_sizes(paths, expected: int) -> None:
+    """Refuse a shard file whose size is not expected bytes."""
+    for path in paths:
+        size = path.stat().st_size
+        if size != expected:
+            raise ShardFormatError(f"{path.name}: {size} bytes, expected {expected}")
+
+
+def _read_nodes(paths, start: int, width: int, alpha: int, dtype, p: int) -> np.ndarray:
+    """Stripes start to start + width of the given shard files, opened one at
+    a time, as symbols (len(paths), alpha, width) in the shard dtype; a short
+    file or a symbol >= p is refused, naming the shard."""
+    values = np.empty((len(paths), width, alpha), dtype=dtype)
+    for path, node in zip(paths, values):
+        with open(path, "rb") as shard:
+            shard.seek(start * alpha * values.itemsize)
+            if _read_full(shard, node) != node.nbytes:
+                raise ShardFormatError(f"{path.name}: ends early")
+        _check_symbols(node, path.name, p, start * alpha)
+    return values.transpose(0, 2, 1)
+
+
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A new file beside path, open for writing, that replaces path when the
+    block completes; if the block raises, it is removed and path is kept."""
+    temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    sink = open(temporary, "xb")
+    try:
+        with sink:
+            yield sink
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def write_one_shard(directory, manifest: Manifest, e: int, g: int,
                     node_vector: np.ndarray) -> Path:
     """(Re)write a single node's shard; node_vector (alpha, stripes)."""
@@ -203,37 +246,6 @@ def read_manifest(directory) -> Manifest:
     if not path.exists():
         raise ShardFormatError(f"no {MANIFEST_NAME} in {directory}")
     return Manifest.from_json(path.read_text(encoding="utf-8"))
-
-
-def read_shards(directory) -> tuple[Manifest, np.ndarray, np.ndarray]:
-    """Load a stripe directory.
-
-    Returns (manifest, vectors (n, alpha, stripes), present (n,)); missing
-    shard files come back zeroed with their present flag cleared, corrupt
-    ones raise ShardFormatError naming the file and offset.
-    """
-    directory = Path(directory)
-    manifest = read_manifest(directory)
-    params = manifest.params
-    width = manifest.symbol_width_bytes
-    dtype = _symbol_dtype(width)
-    expected = manifest.stripe_count * params.alpha * width
-    vectors = np.zeros((params.n, params.alpha, manifest.stripe_count),
-                       dtype=np.int64)
-    present = np.zeros(params.n, dtype=bool)
-    for i, (e, g) in enumerate(params.nodes()):
-        path = directory / shard_name(e, g)
-        if not path.exists():
-            continue
-        blob = path.read_bytes()
-        if len(blob) != expected:
-            raise ShardFormatError(
-                f"{path.name}: {len(blob)} bytes, expected {expected}")
-        values = np.frombuffer(blob, dtype=dtype)
-        _check_symbols(values, path.name, manifest.p, 0)
-        vectors[i] = values.reshape(manifest.stripe_count, params.alpha).T
-        present[i] = True
-    return manifest, vectors, present
 
 
 def codec_for_manifest(manifest: Manifest) -> Codec:
@@ -313,72 +325,86 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
     expected = manifest.stripe_count * alpha * manifest.symbol_width_bytes
     chunk = _stripes_per_chunk(params)
     digest = hashlib.sha256()
-    temporary = output.with_name(f".{output.name}.{os.urandom(8).hex()}.tmp")
-    on_disk = np.flatnonzero(present)
-    for i in on_disk:
-        size = paths[i].stat().st_size
-        if size != expected:
-            raise ShardFormatError(f"{paths[i].name}: {size} bytes, expected {expected}")
-    sink = open(temporary, "xb")
-    try:
-        with sink:
-            for start in range(0, manifest.stripe_count, chunk):
-                width = min(chunk, manifest.stripe_count - start)
-                vectors = np.zeros((params.n, alpha, width), dtype=dtype)
-                for i in on_disk:  # one shard open at a time
-                    values = np.empty((width, alpha), dtype=dtype)
-                    with open(paths[i], "rb") as shard:
-                        shard.seek(start * alpha * values.itemsize)
-                        if _read_full(shard, values) != values.nbytes:
-                            raise ShardFormatError(f"{paths[i].name}: ends early")
-                    _check_symbols(values, paths[i].name, manifest.p, start * alpha)
-                    vectors[i] = values.T
-                data = codec.decode_batch(vectors, present)[:params.k]
-                payload = symbols_to_bytes(data, min(width * per_stripe, remaining))
-                remaining -= len(payload)
-                digest.update(payload)
-                sink.write(payload)
+    on_disk = [paths[i] for i in np.flatnonzero(present)]
+    _check_sizes(on_disk, expected)
+    with _replacing(output) as sink:
+        for start in range(0, manifest.stripe_count, chunk):
+            width = min(chunk, manifest.stripe_count - start)
+            vectors = np.zeros((params.n, alpha, width), dtype=dtype)
+            vectors[present] = _read_nodes(on_disk, start, width, alpha, dtype, manifest.p)
+            data = codec.decode_batch(vectors, present)[:params.k]
+            payload = symbols_to_bytes(data, min(width * per_stripe, remaining))
+            remaining -= len(payload)
+            digest.update(payload)
+            sink.write(payload)
         if digest.hexdigest() != manifest.checksum_sha256:
             raise ShardFormatError("decoded payload fails the manifest checksum")
-        os.replace(temporary, output)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
     return manifest, manifest.original_file_length_bytes, missing
 
 
 def repair_shard(in_dir, e: int, g: int, helpers=None,
                  force: bool = False) -> tuple[Manifest, RepairTranscript, Path]:
-    """Regenerate one shard file through the repair protocol.
+    """Regenerate one shard file through the repair protocol, one chunk of
+    stripes at a time.
 
     Without helpers, the d_bar smallest racks besides the target's whose
     shards are all present serve; if fewer are complete, the d_bar smallest
     racks do.  Refused when the target shard is present (force overrides
     that) or when a shard the protocol reads is missing: any node of a helper
-    rack, or a surviving node of the target's rack.  Shards of other racks
-    may be gone.
+    rack, or a surviving node of the target's rack.  Only those shards are
+    opened, so shards of other racks may be missing or damaged.  The node goes
+    to a temporary file beside the target, which replaces the target only
+    once every chunk is written; on any failure no file is left and an
+    existing target keeps its bytes.  The transcript carries the job and the
+    symbol accounting (see RepairTranscript).
     """
-    manifest, vectors, present = read_shards(in_dir)
+    directory = Path(in_dir)
+    manifest = read_manifest(directory)
     params = manifest.params
+    u, alpha = params.u, params.alpha
+    paths = [directory / shard_name(*node) for node in params.nodes()]
+    present = [path.exists() for path in paths]
     if helpers is None:
         complete = [h for h in range(params.n_bar)
-                    if h != e and present[h * params.u:(h + 1) * params.u].all()]
+                    if h != e and all(present[h * u:(h + 1) * u])]
         if len(complete) >= params.d_bar:
             helpers = complete[:params.d_bar]
     try:
         job = RepairJob.create(params, e, g, helpers)
     except (ValueError, IndexError) as exc:  # a bad request for this code
         raise ParameterError("bad_repair_job", str(exc)) from None
+    index = params.node_index(e, g)
+    target = paths[index]
+    if present[index] and not force:
+        raise RepairRefusedError(
+            f"shard {target.name} is present; pass force to rewrite it")
+    # What the protocol reads: every node of each helper rack, and the
+    # target's surviving rack mates.
+    racks = [paths[h * u:(h + 1) * u] for h in job.helpers]
+    survivors = [paths[e * u + i] for i in range(u) if i != g]
+    absent = ([f"helper rack {h} is missing node {(h, i)}"
+               for h in job.helpers for i in range(u) if not present[h * u + i]]
+              + [f"host-rack survivor {(e, i)} is missing"
+                 for i in range(u) if i != g and not present[e * u + i]])
+    if absent:
+        raise RepairRefusedError(
+            f"other shards missing: {', '.join(absent)}; choose complete racks "
+            f"with --helpers, or run decode")
+    _check_sizes([path for rack in racks for path in rack] + survivors,
+                 manifest.stripe_count * alpha * manifest.symbol_width_bytes)
+
     codec = codec_for_manifest(manifest)
-    target = params.node_index(e, g)
-    if present[target] and not force:
-        raise RepairRefusedError(
-            f"shard {shard_name(e, g)} is present; pass force to rewrite it")
-    try:
-        transcript = repair_from_stripe(codec, Stripe(params, vectors, present), job)
-    except ValueError as exc:  # a shard the protocol reads is missing
-        raise RepairRefusedError(
-            f"other shards missing: {exc}; choose complete racks with --helpers, "
-            f"or run decode") from None
-    path = write_one_shard(in_dir, manifest, e, g, transcript.recovered)
-    return manifest, transcript, path
+    plan = RepairPlan.create(codec, job)
+    dtype = _symbol_dtype(manifest.symbol_width_bytes)
+    chunk = _stripes_per_chunk(params)
+    with _replacing(target) as sink:
+        for start in range(0, manifest.stripe_count, chunk):
+            width = min(chunk, manifest.stripe_count - start)
+            messages = np.stack([
+                helper_message(codec, _read_nodes(rack, start, width, alpha, dtype,
+                                                  manifest.p), h, job)
+                for h, rack in zip(job.helpers, racks)])
+            node, _ = plan(messages, _read_nodes(
+                survivors, start, width, alpha, dtype, manifest.p))
+            sink.write(np.ascontiguousarray(node.T, dtype=dtype))
+    return manifest, RepairTranscript.of(params, job, manifest.stripe_count), target

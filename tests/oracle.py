@@ -6,15 +6,19 @@ computed entry by entry from the code constants, and the product of one column
 group with a node vector in int64.  The library solves through Vandermonde
 systems in level order and applies column groups together through float64
 products; only apply_node reads ParityCheckMatrix's tables, diag and
-off_diagonal.
+off_diagonal.  read_shards loads a whole shard directory at once, where the
+library streams it chunk by chunk.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from msrr.errors import SingularMatrixError
+from pathlib import Path
+
+from msrr.errors import ShardFormatError, SingularMatrixError
 from msrr.linalg import rank
+from msrr.stripe_io import read_manifest, shard_name
 
 
 # -- dense linear algebra over GF(p) -------------------------------------------
@@ -180,3 +184,34 @@ def apply_node(pcm, e: int, g: int, vec) -> np.ndarray:
     rows, cols, values = pcm.off_diagonal[e]
     out[rows] += (values[g].reshape(values.shape[1:] + ones) * vec[cols]).sum(axis=1)
     return out % p
+
+
+# -- shard directories, whole -----------------------------------------------------
+
+def read_shards(directory):
+    """Load a stripe directory.
+
+    Returns (manifest, vectors (n, alpha, stripes) int64, present (n,));
+    missing shard files come back zeroed with their present flag cleared,
+    corrupt ones raise ShardFormatError naming the file.
+    """
+    directory = Path(directory)
+    manifest = read_manifest(directory)
+    params = manifest.params
+    width = manifest.symbol_width_bytes
+    expected = manifest.stripe_count * params.alpha * width
+    vectors = np.zeros((params.n, params.alpha, manifest.stripe_count), dtype=np.int64)
+    present = np.zeros(params.n, dtype=bool)
+    for i, (e, g) in enumerate(params.nodes()):
+        path = directory / shard_name(e, g)
+        if not path.exists():
+            continue
+        blob = path.read_bytes()
+        if len(blob) != expected:
+            raise ShardFormatError(f"{path.name}: {len(blob)} bytes, expected {expected}")
+        values = np.frombuffer(blob, dtype=f"<u{width}")
+        if values.size and values.max() >= manifest.p:
+            raise ShardFormatError(f"{path.name}: symbol >= p={manifest.p}")
+        vectors[i] = values.reshape(manifest.stripe_count, params.alpha).T
+        present[i] = True
+    return manifest, vectors, present

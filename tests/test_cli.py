@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from msrr import stripe_io
 from msrr.cli import main
 from msrr.stripe_io import shard_name
 
@@ -352,3 +353,61 @@ def test_repair_default_helpers_skip_incomplete_racks(capsys, wide_dir):
     assert code == 0
     assert records[0]["helpers"] == [0, 3, 4, 5]
     assert (out / shard_name(1, 0)).read_bytes() == original
+
+
+# The 4096-byte (6,2,6,4) payload fills 86 stripes; at 16 stripes per chunk,
+# symbol 3 of stripe 20 lies in the second chunk, past what the first wrote.
+BAD_SYMBOL_OFFSET = (20 * 8 + 3) * 2
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _plant_a_bad_symbol(path):
+    blob = bytearray(path.read_bytes())
+    blob[BAD_SYMBOL_OFFSET:BAD_SYMBOL_OFFSET + 2] = (400).to_bytes(2, "little")  # >= p=257
+    path.write_bytes(bytes(blob))
+
+
+@pytest.fixture()
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(stripe_io, "_CHUNK_SYMBOLS", 16 * 12 * 8)
+
+
+def test_repair_never_opens_a_non_helper_rack(capsys, wide_dir, small_chunks):
+    out = wide_dir
+    original = (out / shard_name(0, 0)).read_bytes()
+    (out / shard_name(0, 0)).unlink()
+    _truncate(out / shard_name(5, 1))
+    _plant_a_bad_symbol(out / shard_name(5, 0))
+    code, records = run(capsys, ["repair", "--in", str(out), "--rack", "0",
+                                 "--node", "0", "--helpers", "1,2,3,4"])
+    assert code == 0
+    assert records[0]["stripes"] == 86
+    assert (out / shard_name(0, 0)).read_bytes() == original
+
+
+@pytest.mark.parametrize("damage,message", [
+    (_truncate, "node_4_1.shard: 100 bytes, expected 1376"),
+    (_plant_a_bad_symbol, f"node_4_1.shard: symbol 400 >= p=257 at offset {BAD_SYMBOL_OFFSET}"),
+], ids=["truncated", "bad-symbol"])
+def test_repair_names_a_damaged_helper_shard_and_leaves_no_file(
+        capsys, wide_dir, small_chunks, damage, message):
+    out = wide_dir
+    target = out / shard_name(0, 0)
+    original = target.read_bytes()
+    damage(out / shard_name(4, 1))
+    names = sorted(path.name for path in out.iterdir())
+    argv = ["repair", "--in", str(out), "--rack", "0", "--node", "0",
+            "--helpers", "1,2,3,4"]
+    # With the target present and --force, a failed repair keeps its bytes.
+    assert main(argv + ["--force"]) == 2
+    assert sorted(path.name for path in out.iterdir()) == names
+    assert target.read_bytes() == original
+    target.unlink()
+    assert main(argv) == 2
+    assert sorted(path.name for path in out.iterdir()) == \
+        [name for name in names if name != target.name]
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and all(message in line for line in errors), errors

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msrr import Codec, CodeParams, ErasurePattern, Stripe, linalg
+from msrr import Codec, CodeParams, ErasurePattern, RepairJob, Stripe, linalg, repair_from_stripe
 from msrr.errors import InternalError, ParameterError
 from msrr.field import FieldCtx, find_primitive, find_unity_root, is_prime
 
@@ -440,6 +440,19 @@ def test_right_hand_side_is_exact_at_the_largest_magnitudes(params, at_bound):
     present = np.arange(n) >= r
     zeroed = np.where(present[:, None, None], stripe, 0)
     assert np.array_equal(codec.decode_batch(zeroed, present), stripe)
+
+
+@pytest.mark.parametrize("params", EXACTNESS_CODES.values(), ids=EXACTNESS_CODES.keys())
+def test_repair_is_exact_at_the_largest_prime(params):
+    # Helper messages, level steps and the survivor peel are float64 products
+    # too; at the largest admissible p every node still repairs exactly.
+    codec = Codec(params, field=_field_at_the_bound(params))
+    vectors = codec.encode_batch(
+        np.full((params.k, params.alpha, 2), codec.p - 1, dtype=np.int64))
+    stripe = Stripe(params, vectors, np.ones(params.n, dtype=bool))
+    for i, (e, g) in enumerate(params.nodes()):
+        transcript = repair_from_stripe(codec, stripe, RepairJob.create(params, e, g))
+        assert np.array_equal(transcript.recovered, vectors[i]), (e, g)
 
 
 def test_exactness_bound_counts_every_node():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msrr import Codec, CodeParams
+from msrr import Codec, CodeParams, stripe_io
 from msrr.codec import _CHUNK_SYMBOLS
 from msrr.errors import RepairRefusedError, ShardFormatError, SymbolMappingError
 from msrr.stripe_io import (
@@ -17,13 +17,14 @@ from msrr.stripe_io import (
     decode_file,
     encode_file,
     read_manifest,
-    read_shards,
     repair_shard,
     shard_name,
     symbol_width_bytes,
     symbols_to_bytes,
     write_one_shard,
 )
+
+from oracle import read_shards
 
 PARAMS = CodeParams.from_total_k(4, 2, 4, 3)
 
@@ -137,24 +138,33 @@ def test_empty_file_round_trip(tmp_path):
     assert dest.read_bytes() == b""
 
 
+def _streaming_readers(out, tmp_path):
+    """Both library readers of a shard directory: a repair of node (1, 0),
+    which reads every shard of its helper racks 0, 2 and 3, and a decode."""
+    return [lambda: repair_shard(out, 1, 0, force=True),
+            lambda: decode_file(out, tmp_path / "restored.bin")]
+
+
 def test_shard_value_out_of_range_names_file_and_offset(tmp_path):
     _, out, _ = _encode_tmp(tmp_path, bytes(64))
     path = out / shard_name(2, 1)
     blob = bytearray(path.read_bytes())
     blob[4:6] = (400).to_bytes(2, "little")  # symbol 400 >= p=257 at offset 4
     path.write_bytes(bytes(blob))
-    with pytest.raises(ShardFormatError) as err:
-        read_shards(out)
-    assert "node_2_1.shard" in str(err.value)
-    assert "offset 4" in str(err.value)
+    for read in _streaming_readers(out, tmp_path):
+        with pytest.raises(ShardFormatError) as err:
+            read()
+        assert "node_2_1.shard" in str(err.value)
+        assert "offset 4" in str(err.value)
 
 
 def test_shard_wrong_length_rejected(tmp_path):
     _, out, _ = _encode_tmp(tmp_path, bytes(64))
     path = out / shard_name(0, 1)
     path.write_bytes(path.read_bytes()[:-1])
-    with pytest.raises(ShardFormatError, match="bytes"):
-        read_shards(out)
+    for read in _streaming_readers(out, tmp_path):
+        with pytest.raises(ShardFormatError, match="bytes"):
+            read()
 
 
 def test_manifest_validation_rejects_tampering(tmp_path):
@@ -270,8 +280,8 @@ def test_decode_names_a_bad_symbol_past_the_first_chunk(tmp_path):
 CHUNK_CODES = [PARAMS, CodeParams.from_total_k(6, 2, 6, 4)]
 
 
-def _chunk_lengths(params):
-    per_chunk = _chunk_stripes(params) * params.k * params.alpha
+def _chunk_lengths(params, stripes_per_chunk):
+    per_chunk = stripes_per_chunk * params.k * params.alpha
     return [0, 1, per_chunk - 1, per_chunk, per_chunk + 1, 3 * per_chunk + 17]
 
 
@@ -279,7 +289,7 @@ def _chunk_lengths(params):
 def test_chunk_boundaries_match_one_shot_encode(tmp_path, params):
     codec = Codec(params, min_field=257)
     per_stripe = params.k * params.alpha
-    for case, length in enumerate(_chunk_lengths(params)):
+    for case, length in enumerate(_chunk_lengths(params, _chunk_stripes(params))):
         payload = np.random.default_rng(case).integers(
             0, 256, size=length, dtype=np.uint8).tobytes()
         src, out = tmp_path / f"in{case}.bin", tmp_path / f"shards{case}"
@@ -303,6 +313,27 @@ def test_chunk_boundaries_match_one_shot_encode(tmp_path, params):
         assert dest.read_bytes() == payload, length
 
 
+@pytest.mark.parametrize("params", CHUNK_CODES, ids=["p1", "6264"])
+def test_chunk_boundaries_repair_every_node(tmp_path, monkeypatch, params):
+    # Five stripes per chunk, so that every length below crosses its chunk
+    # boundaries within a few hundred bytes; length 0 is the empty payload.
+    monkeypatch.setattr(stripe_io, "_CHUNK_SYMBOLS", 5 * params.n * params.alpha)
+    for case, length in enumerate(_chunk_lengths(params, 5)):
+        payload = np.random.default_rng(case).integers(
+            0, 256, size=length, dtype=np.uint8).tobytes()
+        src, out = tmp_path / f"in{case}.bin", tmp_path / f"shards{case}"
+        src.write_bytes(payload)
+        manifest = encode_file(src, out, params)
+        for e, g in params.nodes():
+            path = out / shard_name(e, g)
+            original = path.read_bytes()
+            path.unlink()
+            _, transcript, _ = repair_shard(out, e, g)
+            assert path.read_bytes() == original, (length, e, g)
+            assert transcript.stripe_count == manifest.stripe_count
+            assert transcript.cross_rack_symbols == params.d_bar * params.beta
+
+
 def test_chunked_decode_plans_once(tmp_path, monkeypatch):
     per_chunk = _chunk_stripes(PARAMS) * PARAMS.k * PARAMS.alpha
     _, out, _ = _encode_tmp(tmp_path, os.urandom(3 * per_chunk + 1))
@@ -320,31 +351,46 @@ def test_chunked_decode_plans_once(tmp_path, monkeypatch):
     assert plans == [[0, 1, 2, 6]]
 
 
-# Encodes and decodes an 80-shard code, 20 shards deleted, under a 64-file limit.
+# Encodes an 80-shard code under a 64-file limit, then repairs node (0, 0) or
+# decodes with rack 0's 20 shards deleted.
 OPEN_FILE_LIMIT_SCRIPT = """
-import os, resource, sys
+import os, resource, shutil, sys
 from msrr import CodeParams
-from msrr.stripe_io import decode_file, encode_file, shard_name
+from msrr.stripe_io import decode_file, encode_file, repair_shard, shard_name
 resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
-work = sys.argv[1]
+work, op = sys.argv[1:]
+shards = os.path.join(work, "shards")
 params = CodeParams.from_total_k(4, 20, 60, 3)
-encode_file(os.path.join(work, "in.bin"), os.path.join(work, "shards"), params)
-for g in range(params.u):
-    os.unlink(os.path.join(work, "shards", shard_name(0, g)))
-decode_file(os.path.join(work, "shards"), os.path.join(work, "out.bin"))
+encode_file(os.path.join(work, "in.bin"), shards, params)
+if op == "repair":
+    shutil.move(os.path.join(shards, shard_name(0, 0)), os.path.join(work, "original.shard"))
+    repair_shard(shards, 0, 0)
+else:
+    for g in range(params.u):
+        os.unlink(os.path.join(shards, shard_name(0, g)))
+    decode_file(shards, os.path.join(work, "out.bin"))
 """
 
 
-def test_shard_count_beyond_the_open_file_limit(tmp_path):
+def _run_under_the_open_file_limit(work, op):
     # The file path holds one shard open at a time, so n is not bounded by
     # the process's open-file limit.
-    payload = bytes(range(256)) * 40
-    (tmp_path / "in.bin").write_bytes(payload)
+    (work / "in.bin").write_bytes(bytes(range(256)) * 40)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", OPEN_FILE_LIMIT_SCRIPT, str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", OPEN_FILE_LIMIT_SCRIPT, str(work), op],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "out.bin").read_bytes() == payload
+
+
+def test_shard_count_beyond_the_open_file_limit(tmp_path):
+    _run_under_the_open_file_limit(tmp_path, "decode")
+    assert (tmp_path / "out.bin").read_bytes() == (tmp_path / "in.bin").read_bytes()
+
+
+def test_repair_beyond_the_open_file_limit(tmp_path):
+    _run_under_the_open_file_limit(tmp_path, "repair")
+    assert (tmp_path / "shards" / shard_name(0, 0)).read_bytes() == \
+        (tmp_path / "original.shard").read_bytes()
 
 
 # sha256 of every file encode_file writes for a seeded 20 KiB payload, captured
