@@ -8,6 +8,7 @@ failure, 2 usage or parameter error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -236,7 +237,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state in it, and building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="msrr",
         description="Rack-aware MDS array codes with minimal cross-rack repair")

@@ -2,20 +2,35 @@
 
 A stripe is one codeword: n node vectors of alpha symbols.  Data occupies the
 lexicographically first k nodes; encoding is decoding with the r parity nodes
-erased.  The known nodes move to the right-hand side as float64 GEMMs
-(construction.NodeProduct): one diagonal product, the rack aggregates, and
-one small product per rack on the aggregate's digit siblings.  Each of those
-products, and each level inverse below, sums at most n terms of at most
-(p - 1)^2, so Codec requires n * (p - 1)^2 < 2^53 to keep them exact.  Off its
-diagonal, parity-check row a of a column group refers only to digit siblings
-of a with one fewer zero digit.  So with the coordinates taken level by level
-in ascending zero-digit count, each coordinate is an r x r Vandermonde system
-V[t, j] = locator_j^t in the r unknown nodes, whose right-hand side needs only
-values solved at the level before.  The locators are distinct, so each system
-is invertible.  verify_mds certifies full rank of each r-subset's dense column
-groups from this same level order, with dense elimination where the
-certificate fails.  Batch variants carry a trailing stripe axis so that file
-striping can encode and decode a chunk of stripes in one shot.
+erased.  Off its diagonal, parity-check row a of a column group refers only
+to digit siblings of a with one fewer zero digit.  So with the coordinates
+taken level by level in ascending zero-digit count, each coordinate is an
+r x r Vandermonde system V[t, j] = locator_j^t in the r unknown nodes, whose
+right-hand side needs only values solved at the level before.  The locators
+are distinct, so each system is invertible.
+
+The solve is level-major: the coordinates are ordered by level, once per
+plan.  The known nodes move to the right-hand side in one float64 product
+(construction.NodeProduct).  The unknowns' off-diagonal terms follow the
+construction as the known nodes' do: they are the unknown racks' aggregates
+of the level before, read at the digit siblings and weighed by the
+extra-point powers.  So a level is one gather, of the right-hand side at the
+level's coordinates and of those aggregates, and one product with
+[-V^-1 | -V^-1 times the extra-point powers].  Each level's solution is one
+contiguous block; natural coordinate order comes back once per chunk, on
+output.  Every work array belongs to the plan and is reused from chunk to
+chunk and call to call.
+
+Arithmetic is float64 throughout.  Sums are folded into signed residues,
+a - rint(a/p)*p, which for integer |a| < 2^53 have |r| <= p/2 + 2 <= p - 1
+(linalg.Fold), so every product term is at most (p - 1)^2.  Each product
+sums at most n terms, a longer sum being split and folded between its parts
+(linalg.term_groups), so Codec requires n * (p - 1)^2 < 2^53.  Values move
+into [0, p) once, on output.  verify_mds certifies full rank of
+each r-subset's dense column groups from the same level order, with dense
+elimination where the certificate fails.  Batch variants carry a trailing
+stripe axis so that file striping can encode and decode a chunk of stripes
+in one shot.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from . import linalg
 from .construction import CodeConstants, NodeProduct, ParityCheckMatrix, build_constants
 from .errors import InternalError, ParameterError, SingularMatrixError
 from .field import FieldCtx
+from .linalg import Fold, accumulate, exact_product, multiply, pieces, term_groups, work_arrays
 from .params import CodeParams
 
 
@@ -111,37 +127,109 @@ class MdsReport:
 
 
 # Stripes per chunk of a solve, and of a file pass, are chosen so that no
-# temporary exceeds about this many symbols.
+# work array exceeds about this many symbols.
 _CHUNK_SYMBOLS = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Plan:
-    """Level-ordered solve for r unknown nodes.  known is the right-hand-side
-    product of every other node; inverse is V^-1.  Each level is
-    (rows, src, coef, starts, tgt): its right-hand-side rows (r, coords), and
-    off-diagonal terms coef * solution[src], summed per run from starts and
-    added to right-hand-side row tgt."""
+    """Level-major solve for r unknown nodes.
+
+    known is the right-hand-side product of every other node.  A chunk's
+    source rows hold a zero row, then known's rows (t, a) in natural order
+    at 1 + t*alpha + a, then unknown rack i's aggregate at level-major
+    position j at 1 + r*alpha + i*alpha + j.  Each level, in ascending
+    zero-digit count, is (lo, hi, index, coef, groups): its coordinates are
+    positions lo to hi of the level-major order; index gathers from the
+    source rows the known rows at those coordinates and the aggregates of
+    the level before at their digit siblings; coef = [-V^-1 | -V^-1 times
+    the sibling coefficients] mod p maps them to the level's solution, one
+    product per column range of groups.  weights form the unknown racks'
+    aggregates of a solved level.  The solution is kept level-major, each
+    level an (r, hi - lo, w) block; natural[t, a] is the solution row that
+    holds (t, a).
+
+    Work arrays are allocated on first use, for chunk stripes or fewer, and
+    kept from chunk to chunk and call to call.
+    """
 
     unknowns: tuple[int, ...]
     known: NodeProduct
-    inverse: np.ndarray
-    levels: tuple[tuple[np.ndarray, ...], ...]
+    levels: tuple[tuple, ...]
+    weights: np.ndarray
+    natural: np.ndarray
     chunk: int
+    fold: Fold
+    _store: dict = dc_field(default_factory=dict)
+    _views: tuple = (None, None)
+
+    def _work(self, alpha: int, width: int) -> tuple:
+        """Work-array views and product pieces for chunks of width stripes."""
+        if self._views[0] == width:
+            return self._views[1]
+        r, racks = self.natural.shape[0], self.weights.shape[0]
+        widest = max(hi - lo for lo, hi, *_ in self.levels)
+        work = work_arrays(self._store, {
+            "source": (1 + (r + racks) * alpha,),
+            "operand": (max(index.size for _, _, index, *_ in self.levels),),
+            "solution": (r * alpha,), "output": (r, alpha),
+            "scratch": (max(r, racks) * widest,)}, width)
+        source, solution, scratch = work["source"], work["solution"], work["scratch"]
+        source[0] = 0  # the row that gathers read as a zero term
+        aggregates = source[1 + r * alpha:].reshape(racks, alpha * width)
+        levels = []
+        for depth, (lo, hi, index, coef, groups) in enumerate(self.levels):
+            count = (hi - lo) * width
+            operand = work["operand"][:index.size].reshape(index.shape + (width,))
+            block = solution[r * lo:r * hi].reshape(r, count)
+            block_scratch = scratch[:r * (hi - lo)].reshape(block.shape)
+            own = aggregates[:, lo * width:hi * width]
+            # The next level reads this one's aggregates; the last has none.
+            aggregate = (pieces(self.weights, block, own)
+                         if racks and depth + 1 < len(self.levels) else [])
+            levels.append((index, operand, block, block_scratch,
+                           exact_product(coef, groups, operand.reshape(index.shape[0], count),
+                                         block, block_scratch),
+                           aggregate, own, scratch[:racks * (hi - lo)].reshape(own.shape)))
+        views = (source, source[1:1 + r * alpha].reshape(r, alpha, width), levels, solution,
+                 work["output"])
+        self._views = (width, views)
+        return views
+
+    def solve(self, vectors: np.ndarray) -> np.ndarray:
+        """Values of the unknowns, (r, alpha, w) in [0, p), from vectors[i],
+        (n', alpha, w) with symbols in [0, p), of every other node i; w is at
+        most chunk.  The result is a work array, overwritten by the next
+        call."""
+        source, known, levels, solution, output = self._work(*vectors.shape[1:])
+        self.known(vectors, out=known)
+        for index, operand, block, block_scratch, products, aggregate, own, own_scratch in levels:
+            np.take(source, index, axis=0, mode="clip", out=operand)
+            accumulate(products, block, block_scratch, self.fold)
+            if aggregate:
+                multiply(aggregate)
+                self.fold(own, own_scratch)
+        np.take(solution, self.natural, axis=0, mode="clip", out=output)
+        return self.fold.nonnegative(output, solution.reshape(output.shape))
 
 
 class Codec:
-    """Encoder/decoder for one concrete code over one field."""
+    """Encoder/decoder for one concrete code over one field.
+
+    A Codec keeps its plans' work arrays from call to call, so it is not for
+    concurrent use; give each thread its own.
+    """
 
     def __init__(self, params: CodeParams, field: FieldCtx | None = None,
                  min_field: int = 0):
         self.params = params
         self.field = field if field is not None else FieldCtx.for_code(params, min_field)
-        # float64 holds integers below 2^53 exactly.  Every float64 dot
-        # product here sums terms of at most (p - 1)^2: r of them in a level
-        # inverse, k in the known nodes' diagonal (n in a syndrome), u in a
-        # rack aggregate, s_bar - 1 in a sibling product.  Each count is at
-        # most n, so n * (p - 1)^2 < 2^53 keeps every sum exact.
+        # float64 holds integers below 2^53 exactly.  Every float64 product
+        # here sums at most n terms, each of magnitude at most (p - 1)^2: u in
+        # a rack aggregate, and at most n per column range of a right-hand
+        # side or level product (linalg.term_groups), where a folded
+        # sum counts as one term.  Folded values are signed residues with
+        # |r| <= p/2 + 2 <= p - 1.  So n * (p - 1)^2 < 2^53 keeps every sum exact.
         if params.n * (self.p - 1) ** 2 >= 2**53:
             raise InternalError(
                 f"n={params.n}, p={self.p} overflow the exact float64 product")
@@ -167,60 +255,57 @@ class Codec:
     def _plan(self, unknowns: list[int]) -> _Plan:
         """Solve tables for r unknown node indices, ascending."""
         params, pcm, p = self.params, self.pcm, self.p
-        r, alpha = params.r, params.alpha
-        locators = [self.constants.locators[e][g]
-                    for e, g in map(params.node_pair, unknowns)]
+        r, alpha, s1 = params.r, params.alpha, params.s_bar - 1
+        pairs = [params.node_pair(i) for i in unknowns]
         try:
             inverse = linalg.vandermonde_solve(
-                locators, np.eye(r, dtype=np.int64), p).astype(np.float64)
+                [self.constants.locators[e][g] for e, g in pairs], np.eye(r, dtype=np.int64), p)
         except SingularMatrixError as exc:  # locators are distinct by construction
             raise InternalError("erasure system singular; constants are broken") from exc
-        # Off-diagonal entries of the unknown column groups, as flat indices:
-        # right-hand-side row tgt reads coef * solution row slot*alpha + sibling.
-        entries = []
-        for slot, (e, g) in enumerate(map(params.node_pair, unknowns)):
-            rows, cols, values = pcm.off_diagonal[e]
-            entries.append((np.repeat(rows, cols.shape[1]), slot * alpha + cols.ravel(),
-                            values[g].ravel()))
-        tgt, src, coef = map(np.concatenate, zip(*entries))
-        order = np.argsort(tgt)
-        tgt, src, coef = tgt[order], src[order], coef[order, None]
-        levels = []
-        for lvl in np.unique(pcm.level):
-            sel = pcm.level[tgt % alpha] == lvl
-            starts = np.flatnonzero(np.diff(tgt[sel], prepend=-1))
-            rows = np.arange(r)[:, None] * alpha + np.flatnonzero(pcm.level == lvl)
-            levels.append((rows, src[sel], coef[sel], starts, tgt[sel][starts]))
+        negated = -inverse % p
+        racks = sorted({e for e, _ in pairs}) if s1 else []
+        weights = np.zeros((len(racks), r))
+        for slot, (e, g) in enumerate(pairs):
+            if e in racks:
+                weights[racks.index(e), slot] = pcm.diag[params.rack_residue(e), e, g]
+        order = np.argsort(pcm.level, kind="stable")
+        # One table of the unknown racks' sibling terms over the level-major
+        # order, cut by level; rows of racks with no term in a level drop out.
+        gather, sibling_coef = pcm.sibling_table(racks, order, order)
+        gather = np.where(gather > 0, gather + r * alpha, 0)
+        sibling_coef = negated @ sibling_coef.astype(np.int64) % p
+        bounds = np.flatnonzero(np.diff(pcm.level[order], prepend=-1, append=-1))
+        levels, natural = [], np.empty((r, alpha), dtype=np.intp)
+        for lo, hi in zip(bounds, bounds[1:]):
+            coords = order[lo:hi]
+            natural[:, coords] = r * lo + np.arange(r)[:, None] * (hi - lo) + np.arange(hi - lo)
+            used = gather[:, lo:hi].any(axis=1)
+            index = np.vstack([1 + np.arange(r)[:, None] * alpha + coords, gather[used, lo:hi]])
+            coef = np.hstack([negated, sibling_coef[:, used]]).astype(np.float64)
+            levels.append((lo, hi, index, coef,
+                           term_groups(params.n, r, r, int(used.sum()) // max(s1, 1), s1)))
         known = pcm.product([i for i in range(params.n) if i not in unknowns])
-        widest = max([params.n * alpha] + [s.size for _, s, *_ in levels])
-        return _Plan(tuple(unknowns), known, inverse, tuple(levels),
-                     max(1, _CHUNK_SYMBOLS // widest))
+        widest = max(params.n * alpha, known.coef.shape[1] * alpha,
+                     max(index.size for _, _, index, *_ in levels))
+        return _Plan(tuple(unknowns), known, tuple(levels), weights, natural,
+                     max(1, _CHUNK_SYMBOLS // widest), Fold(p))
 
-    def _solve(self, plan: _Plan, vectors: np.ndarray) -> np.ndarray:
-        """Values of plan.unknowns, (r, alpha) + tail, from vectors[i] of every
-        other node i; vectors holds symbols in [0, p)."""
-        params, p = self.params, self.p
-        r, alpha = params.r, params.alpha
-        tail = vectors.shape[2:]
-        vectors = vectors.reshape(vectors.shape[:2] + (-1,))
-        out = np.empty((r * alpha, vectors.shape[2]), dtype=np.int64)
+    def _solve(self, plan: _Plan, vectors: np.ndarray):
+        """Per chunk of at most plan.chunk stripes, (lo, hi, values): the
+        values of plan.unknowns at stripes lo to hi, (r, alpha, hi - lo) in
+        [0, p), from vectors[i], (n', alpha, w), of every other node i.
+        vectors holds symbols in [0, p); the values are a work array of the
+        plan, valid until the next chunk."""
         for lo in range(0, vectors.shape[2], plan.chunk):
-            # b is H_known x; the unknowns solve H_unknown y = -b, level by level.
-            b = plan.known(vectors[:, :, lo:lo + plan.chunk]).reshape(r * alpha, -1)
-            x = out[:, lo:lo + plan.chunk]
-            for rows, src, coef, starts, tgt in plan.levels:
-                if src.size:
-                    b[tgt] += np.add.reduceat(coef * x[src], starts, axis=0)
-                level_rhs = (-b[rows] % p).reshape(r, -1).astype(np.float64)
-                x[rows] = ((plan.inverse @ level_rhs).astype(np.int64) % p).reshape(
-                    rows.shape + (-1,))
-        return out.reshape((r, alpha) + tail)
+            hi = min(lo + plan.chunk, vectors.shape[2])
+            yield lo, hi, plan.solve(vectors[:, :, lo:hi])
 
     # -- encoding ------------------------------------------------------------
 
-    def encode_batch(self, data: np.ndarray) -> np.ndarray:
-        """Encode data of shape (k, alpha) or (k, alpha, w) into full int64
-        stripes."""
+    def encode_batch(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Encode data of shape (k, alpha) or (k, alpha, w) into full stripes,
+        (n, alpha) or (n, alpha, w): a new int64 array, or out, an array of
+        that shape whose dtype holds p - 1."""
         params = self.params
         data = self._reduce(data)
         if data.shape[:2] != (params.k, params.alpha):
@@ -228,7 +313,14 @@ class Codec:
                 f"data shape {data.shape} does not start with {(params.k, params.alpha)}")
         if self._encode_plan is None:
             self._encode_plan = self._plan(list(range(params.k, params.n)))
-        return np.concatenate([data, self._solve(self._encode_plan, data)], axis=0)
+        if out is None:
+            out = np.empty((params.n,) + data.shape[1:], dtype=np.int64)
+        stripes = out[..., None] if out.ndim == 2 else out.reshape(params.n, params.alpha, -1)
+        data = data.reshape(stripes[:params.k].shape)
+        stripes[:params.k] = data
+        for lo, hi, values in self._solve(self._encode_plan, data):
+            stripes[params.k:, :, lo:hi] = values
+        return out
 
     def encode_systematic(self, data: np.ndarray) -> Stripe:
         """Encode k data vectors of length alpha into a complete stripe."""
@@ -245,7 +337,7 @@ class Codec:
         params = self.params
         vectors = self._reduce(vectors)
         product = self.pcm.product(range(params.n))
-        residual = product(vectors.reshape(vectors.shape[:2] + (-1,))) % self.p
+        residual = product(vectors.reshape(vectors.shape[:2] + (-1,))).astype(np.int64) % self.p
         return residual.reshape((params.r * params.alpha,) + vectors.shape[2:])
 
     def syndrome(self, stripe: Stripe) -> np.ndarray:
@@ -258,13 +350,18 @@ class Codec:
     def decode_batch(self, vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
         """Fill in missing node vectors; vectors (n, alpha) + optional stripe
         axis.  Returns a new int64 array."""
+        restored = np.array(self._reduce(vectors), dtype=np.int64)  # never the caller's
+        return self.decode_into(restored, present)
+
+    def decode_into(self, vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
+        """Write the missing nodes of vectors, (n, alpha[, w]) symbols in
+        [0, p) of a dtype that holds p - 1, in place; returns vectors.  Rows
+        of missing nodes are neither read nor kept."""
         params = self.params
-        vectors = self._reduce(vectors)
-        restored = vectors.astype(np.int64, copy=False)  # never the caller's array
         present = np.asarray(present, dtype=bool)
         missing = [i for i in range(params.n) if not present[i]]
         if not missing:
-            return restored
+            return vectors
         if len(missing) > params.r:
             raise ValueError(
                 f"{len(missing)} nodes missing, more than r={params.r}")
@@ -274,9 +371,13 @@ class Codec:
         unknowns = tuple(sorted(missing + pad))
         if self._decode_plan is None or self._decode_plan.unknowns != unknowns:
             self._decode_plan = self._plan(list(unknowns))
-        sol = self._solve(self._decode_plan, vectors)
-        restored[missing] = sol[[unknowns.index(i) for i in missing]]
-        return restored
+        stripes = (vectors[..., None] if vectors.ndim == 2
+                   else vectors.reshape(params.n, params.alpha, -1))
+        slots = [(i, unknowns.index(i)) for i in missing]
+        for lo, hi, values in self._solve(self._decode_plan, stripes):
+            for i, slot in slots:
+                stripes[i, :, lo:hi] = values[slot]
+        return vectors
 
     def decode_erasures(self, stripe: Stripe, pattern) -> Stripe:
         """Reconstruct the erased nodes of a stripe; all other nodes must be live."""

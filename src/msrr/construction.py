@@ -4,28 +4,31 @@ Each node (e, g) gets a distinct locator: primitive_root^e * unity_root^g.
 The parity-check matrix has r row blocks of alpha rows each.  Per column
 group (e, g), block t carries locator^t on its diagonal; if t = residue(e)
 (mod u), each row whose rack-owned digit is zero also reads its s_bar - 1
-digit siblings, with values locator^residue(e) * extra_point^(t // u).  Those
-blocks, rows, siblings and extra-point powers are built once per rack
-(ParityCheckMatrix.sibling_terms, and flat in off_diagonal), and every reader
-of the matrix uses these tables.
+digit siblings, with values locator^residue(e) * extra_point^(t // u).  The
+factor extra_point^(t // u) is one power table for every rack, of which a
+rack's blocks read a prefix.  The same entries are listed flat per rack in
+off_diagonal, and ParityCheckMatrix.sibling_table lays them out for the
+products below.
 Positions come from the digit table, ParityCheckMatrix.digits: the base-s_bar
 digits of every coordinate, computed once.  The level order, the zero-digit
 rows and their digit siblings are read off it; no other module expands digits.
 
 Summed over a set of nodes, the column groups act on their vectors through a
-few small products (NodeProduct): one diagonal product, one that forms the
-locator^residue-weighted rack aggregates, and per rack one product of the
-extra-point powers with the aggregate's digit siblings.
+few small float64 products (NodeProduct): one that forms the
+locator^residue-weighted rack aggregates, one gather of each aggregate at the
+rows' digit siblings, and one product of the diagonals and the extra-point
+powers with the vectors and the gathered siblings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import InternalError
 from .field import FieldCtx
+from .linalg import Fold, accumulate, exact_product, multiply, pieces, term_groups, work_arrays
 from .params import CodeParams
 
 
@@ -115,48 +118,79 @@ class ParityCheckMatrix:
         self.sibling_cols = [rows + np.arange(1, s_bar)[:, None] * self.place[tau]
                              for tau, rows in enumerate(self.zero_rows)]
 
-        # sibling_terms[e] = (blocks, zero, cols, mu): the blocks
-        # t = residue(e) + i*u, the rows zero_rows[tau] that read siblings in
-        # each, their sibling columns sibling_cols[tau], and
-        # mu[i, v-1] = extra_points[v-1]^(t // u).  Node g's entry is
-        # locator^residue(e) * mu[i, v-1].  off_diagonal[e] = (rows, cols,
-        # values) lists the same entries flat: rows t*alpha + a, shape (R,),
-        # the sibling columns each row reads, (R, s_bar - 1), and per node g
-        # the values, (u, R, s_bar - 1).
-        self.sibling_terms = []
+        # off_diagonal[e] = (rows, cols, values) lists rack e's entries flat:
+        # the blocks t = residue(e) + i*u, rows t*alpha + a for a in
+        # zero_rows[tau], shape (R,); the sibling columns each row reads,
+        # sibling_cols[tau], (R, s_bar - 1); and per node g the values
+        # locator^residue(e) * extra_pow[i, v-1], (u, R, s_bar - 1).
+        self.extra_pow = extra_pow
         self.off_diagonal = []
         for e in range(n_bar):
             res, tau = params.rack_residue(e), params.rack_digit(e)
             blocks, zero, cols = np.arange(res, r, u), self.zero_rows[tau], self.sibling_cols[tau]
-            mu = extra_pow[blocks // u]
-            self.sibling_terms.append((blocks, zero, cols, mu))
             self.off_diagonal.append((
                 (blocks[:, None] * params.alpha + zero).ravel(),
                 np.tile(cols.T, (blocks.size, 1)),
-                self.diag[res, e][:, None, None] * np.repeat(mu, zero.size, axis=0) % p))
+                self.diag[res, e][:, None, None]
+                * np.repeat(extra_pow[blocks // u], zero.size, axis=0) % p))
 
     @property
     def p(self) -> int:
         return self.constants.field.p
 
+    def sibling_table(self, racks, targets, sources) -> tuple[np.ndarray, np.ndarray]:
+        """The listed racks' off-diagonal terms at the target coordinates, as
+        one gather and one product.
+
+        Row (i, v) of index, for rack racks[i] and sibling value v = 1 ..
+        s_bar - 1, holds per target coordinate a the row 1 + i*len(sources) +
+        j, where sources[j] is a with rack i's digit raised from 0 to v, or 0
+        where that digit of a is not zero.  Gathered from rows whose row 0 is
+        zero and whose rows 1 + i*len(sources) + j are rack i's aggregate at
+        sources[j], it yields every sibling term.  coef[t, (i, v)] is
+        extra_point_v^(t // u) where t = residue(racks[i]) (mod u), else 0:
+        one prefix table for every rack, so racks that share a residue add
+        into the same rows inside the product.
+        """
+        params = self.params
+        racks, targets, sources = (np.asarray(x, dtype=np.intp) for x in (racks, targets, sources))
+        slot = np.full(params.alpha, -1)
+        slot[sources] = np.arange(sources.size)
+        width = params.u - params.u0
+        tau, residue = racks // width, racks % width
+        zero = (self.digits[targets][:, tau] == 0).T[:, None, :]              # (R, 1, T)
+        siblings = targets + np.arange(1, params.s_bar)[:, None] * self.place[tau][:, None, None]
+        position = slot[np.where(zero, siblings, sources[0] if sources.size else 0)]
+        if (zero & (position < 0)).any():
+            raise InternalError("a digit sibling is missing from the sources")
+        index = np.where(zero, 1 + np.arange(racks.size)[:, None, None] * sources.size
+                         + position, 0)
+        blocks = np.arange(params.r)[:, None]
+        coef = np.where((blocks % params.u == residue)[:, :, None],
+                        self.extra_pow[blocks[:, 0] // params.u][:, None, :], 0)
+        return index.reshape(-1, targets.size), coef.reshape(params.r, -1)
+
     def product(self, nodes) -> "NodeProduct":
         """The column groups of the given node indices, summed (NodeProduct)."""
         params = self.params
         nodes = np.asarray(nodes, dtype=np.int64)
-        racks, slots = np.divmod(nodes, params.u)
+        span = np.arange(nodes.min(), nodes.max() + 1)
+        listed = np.isin(span, nodes)
+        racks, slots = np.divmod(span, params.u)
         residues = [params.rack_residue(e) for e in racks]
-        listed = np.unique(racks) if params.s_bar > 1 else racks[:0]
-        weights = np.where(racks == listed[:, None], self.diag[residues, racks, slots], 0)
-        first = int(nodes[0]) if nodes.size else 0
-        contiguous = np.array_equal(nodes, np.arange(first, first + nodes.size))
+        known = np.unique(nodes // params.u) if params.s_bar > 1 else racks[:0]
+        weights = np.where((racks == known[:, None]) & listed,
+                           self.diag[residues, racks, slots], 0)
+        coords = np.arange(params.alpha)
+        gather, coef = self.sibling_table(known, coords, coords)
         return NodeProduct(
-            p=self.p,
-            index=slice(first, first + nodes.size) if contiguous else nodes,
-            diag=self.diag[:, racks, slots].astype(np.float64),
+            fold=Fold(self.p),
+            index=slice(int(span[0]), int(span[-1]) + 1),
+            coef=np.hstack([np.where(listed, self.diag[:, racks, slots], 0), coef]).astype(
+                np.float64),
+            groups=term_groups(params.n, span.size, nodes.size, known.size, params.s_bar - 1),
             weights=weights.astype(np.float64),
-            siblings=tuple((blocks, zero, cols, mu.astype(np.float64))
-                           for blocks, zero, cols, mu in
-                           (self.sibling_terms[e] for e in listed)))
+            gather=gather)
 
     def dense_node(self, e: int, g: int) -> np.ndarray:
         """Materialize column group (e, g) as a dense (r*alpha, alpha) matrix."""
@@ -171,41 +205,72 @@ class ParityCheckMatrix:
         return block
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class NodeProduct:
     """Sum over a fixed node list of each node's column group times its vector.
 
-    diag[t, j] is locator_j^t, shape (r, K).  weights[i, j] is
-    locator_j^residue(e) when node j lies in the i-th listed rack e, else 0,
-    so weights @ x are the rack aggregates that repair helpers send.
-    siblings holds the sibling_terms of each listed rack, mu in float64.
-    With s_bar = 1 no rack is listed.
+    The nodes lie in the node range index; nodes of the range that are not
+    listed get zero columns.  weights[i, j] is locator_j^residue(e) when node
+    j lies in the i-th listed rack e, else 0, so weights @ x are the rack
+    aggregates that repair helpers send.  gather reads the aggregates at the
+    rows' digit siblings (ParityCheckMatrix.sibling_table), and coef =
+    [locator_j^t | the sibling coefficients] weighs the vectors and the
+    gathered siblings into the r*alpha parity-check rows, one product per
+    column range of groups.  With s_bar = 1 no rack is listed.
+
+    Work arrays are kept from call to call, so a NodeProduct is not for
+    concurrent use.
     """
 
-    p: int
-    index: slice | np.ndarray   # the node indices, as a slice when contiguous
-    diag: np.ndarray
+    fold: Fold
+    index: slice
+    coef: np.ndarray
+    groups: tuple[tuple[int, int], ...]
     weights: np.ndarray
-    siblings: tuple
+    gather: np.ndarray
+    _store: dict = dc_field(default_factory=dict)
+    _bound: tuple = (None, None)
 
-    def __call__(self, vectors: np.ndarray) -> np.ndarray:
-        """H[:, nodes] applied to vectors[nodes], (r, alpha, w) int64.
+    def _bind(self, alpha: int, out: np.ndarray) -> tuple:
+        """Work-array views and product pieces that write into out, an
+        (r, alpha, w) array."""
+        (racks, span), (r, width) = self.weights.shape, (out.shape[0], out.shape[2])
+        rows = span + self.gather.shape[0]
+        work = work_arrays(self._store, {
+            "operand": (rows, alpha), "aggregates": (1 + racks * alpha,),
+            "scratch": (max(r, racks) * alpha,)}, width)
+        operand, aggregates, scratch = work["operand"], work["aggregates"], work["scratch"]
+        aggregates[0] = 0  # the row that gathers read as a zero term
+        terms, flat = operand.reshape(rows, -1), out.reshape(r, -1)
+        own = aggregates[1:].reshape(racks, alpha * width)
+        return (operand[:span], operand[span:], aggregates,
+                pieces(self.weights, terms[:span], own),
+                own, scratch[:racks * alpha].reshape(own.shape),
+                exact_product(self.coef, self.groups, terms, flat,
+                              scratch[:r * alpha].reshape(flat.shape)),
+                flat, scratch[:r * alpha].reshape(flat.shape))
+
+    def __call__(self, vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """H[:, nodes] applied to vectors[nodes], (r, alpha, w) float64.
 
         vectors is (n', alpha, w), indexed by node, with symbols in [0, p).
-        The result is congruent to the product mod p, nonnegative and
-        unreduced.  Each float64 product sums at most K diagonal terms, u
-        aggregate terms or s_bar - 1 sibling terms, each at most (p - 1)^2;
-        Codec checks that n such terms stay below 2^53.
+        The result, written to out when given, holds signed residues:
+        congruent to the product mod p, of magnitude at most p - 1.  Each
+        float64 product sums at most n terms of at most (p - 1)^2: u in an
+        aggregate, at most n per column range of groups.  Codec checks that
+        n such terms stay below 2^53.
         """
-        x = np.ascontiguousarray(vectors[self.index], dtype=np.float64)
-        alpha = x.shape[1]
-        x = x.reshape(x.shape[0], -1)
-        out = (self.diag @ x).astype(np.int64).reshape(self.diag.shape[0], alpha, -1)
-        if self.siblings:
-            agg = (self.weights @ x).astype(np.int64) % self.p
-            agg = agg.astype(np.float64).reshape(len(self.siblings), alpha, -1)
-            for aggregate, (blocks, zero, cols, mu) in zip(agg, self.siblings):
-                terms = mu @ aggregate[cols].reshape(cols.shape[0], -1)
-                out[blocks[:, None], zero] += terms.astype(np.int64).reshape(
-                    blocks.size, zero.size, -1)
+        alpha, width = vectors.shape[1:]
+        if out is None:
+            out = np.empty((self.coef.shape[0], alpha, width))
+        if self._bound[0] is not out:
+            self._bound = (out, self._bind(alpha, out))
+        (known, siblings, aggregates, aggregate_products, own, own_scratch, products,
+         flat, scratch) = self._bound[1]
+        np.copyto(known, vectors[self.index])
+        if self.gather.size:
+            multiply(aggregate_products)
+            self.fold(own, own_scratch)
+            np.take(aggregates, self.gather, axis=0, mode="clip", out=siblings)
+        accumulate(products, flat, scratch, self.fold)
         return out

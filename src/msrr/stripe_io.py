@@ -10,7 +10,9 @@ to whole stripes and the original length plus a checksum live in the manifest.
 encode_file, decode_file and repair_shard stream: they hold one chunk of
 stripes at a time, about _CHUNK_SYMBOLS symbols over all n nodes, and open one
 shard file at a time, so neither memory nor open files grow with the file or
-with n.  encode_file and decode_file hash the payload as it passes.
+with n.  encode_file and decode_file hash the payload as it passes, and keep
+one chunk array of every node's stripes, laid out as the shards store them,
+for the whole file.
 repair_shard opens only the shards the protocol reads, the helper racks'
 shards and the host rack's survivors, and applies one repair plan to each
 chunk.  decode_file and repair_shard write through a temporary file beside
@@ -202,17 +204,24 @@ def _check_sizes(paths, expected: int) -> None:
             raise ShardFormatError(f"{path.name}: {size} bytes, expected {expected}")
 
 
+def _read_node(path, start: int, node: np.ndarray, p: int) -> None:
+    """Fill node, (width, alpha) in the shard dtype, with stripes start to
+    start + width of the shard file path; a short file or a symbol >= p is
+    refused, naming the shard."""
+    first = start * node.shape[1]
+    with open(path, "rb") as shard:
+        shard.seek(first * node.itemsize)
+        if _read_full(shard, node) != node.nbytes:
+            raise ShardFormatError(f"{path.name}: ends early")
+    _check_symbols(node, path.name, p, first)
+
+
 def _read_nodes(paths, start: int, width: int, alpha: int, dtype, p: int) -> np.ndarray:
     """Stripes start to start + width of the given shard files, opened one at
-    a time, as symbols (len(paths), alpha, width) in the shard dtype; a short
-    file or a symbol >= p is refused, naming the shard."""
+    a time, as symbols (len(paths), alpha, width) in the shard dtype."""
     values = np.empty((len(paths), width, alpha), dtype=dtype)
     for path, node in zip(paths, values):
-        with open(path, "rb") as shard:
-            shard.seek(start * alpha * values.itemsize)
-            if _read_full(shard, node) != node.nbytes:
-                raise ShardFormatError(f"{path.name}: ends early")
-        _check_symbols(node, path.name, p, start * alpha)
+        _read_node(path, start, node, p)
     return values.transpose(0, 2, 1)
 
 
@@ -260,22 +269,28 @@ def encode_file(input_path, out_dir, params: CodeParams,
     out_dir = Path(out_dir)
     dtype = _symbol_dtype(symbol_width_bytes(codec.p))
     digest, length, stripes = hashlib.sha256(), 0, 0
-    buffer = bytearray(_stripes_per_chunk(params) * params.k * params.alpha)
+    chunk = _stripes_per_chunk(params)
+    buffer = bytearray(chunk * params.k * params.alpha)
+    # Each node's stripes as its shard stores them, (chunk, alpha), for the
+    # whole file: encode_batch writes into the transposed view.
+    nodes = np.empty((params.n, chunk, params.alpha), dtype=dtype)
     paths = [out_dir / shard_name(e, g) for e, g in params.nodes()]
     with open(input_path, "rb") as source:
         out_dir.mkdir(parents=True, exist_ok=True)
         for path in paths:
             path.write_bytes(b"")
         while got := _read_full(source, buffer):
-            chunk = memoryview(buffer)[:got]
-            digest.update(chunk)
+            view = memoryview(buffer)[:got]
+            digest.update(view)
             length += got
-            vectors = codec.encode_batch(bytes_to_symbols(chunk, codec))
-            stripes += vectors.shape[2]
+            data = bytes_to_symbols(view, codec)
+            width = data.shape[2]
+            codec.encode_batch(data, out=nodes[:, :width].transpose(0, 2, 1))
+            stripes += width
             # One shard open at a time: n may exceed the open-file limit.
-            for path, node in zip(paths, vectors):
+            for path, node in zip(paths, nodes[:, :width]):
                 with open(path, "ab") as sink:
-                    sink.write(np.ascontiguousarray(node.T, dtype=dtype))
+                    sink.write(node)
             if got < len(buffer):
                 break
     manifest = Manifest(
@@ -325,15 +340,18 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
     expected = manifest.stripe_count * alpha * manifest.symbol_width_bytes
     chunk = _stripes_per_chunk(params)
     digest = hashlib.sha256()
-    on_disk = [paths[i] for i in np.flatnonzero(present)]
-    _check_sizes(on_disk, expected)
+    known = np.flatnonzero(present)
+    _check_sizes([paths[i] for i in known], expected)
+    # Each node's stripes as its shard stores them, (chunk, alpha), for the
+    # whole file; missing nodes' rows are written by the decode.
+    nodes = np.empty((params.n, chunk, alpha), dtype=dtype)
     with _replacing(output) as sink:
         for start in range(0, manifest.stripe_count, chunk):
             width = min(chunk, manifest.stripe_count - start)
-            vectors = np.zeros((params.n, alpha, width), dtype=dtype)
-            vectors[present] = _read_nodes(on_disk, start, width, alpha, dtype, manifest.p)
-            data = codec.decode_batch(vectors, present)[:params.k]
-            payload = symbols_to_bytes(data, min(width * per_stripe, remaining))
+            for i in known:
+                _read_node(paths[i], start, nodes[i, :width], manifest.p)
+            vectors = codec.decode_into(nodes[:, :width].transpose(0, 2, 1), present)
+            payload = symbols_to_bytes(vectors[:params.k], min(width * per_stripe, remaining))
             remaining -= len(payload)
             digest.update(payload)
             sink.write(payload)

@@ -293,6 +293,21 @@ def test_repair_bad_helpers_exit_with_usage_error(capsys, encoded_dir, helpers,
     assert shard.read_bytes() == original
 
 
+def test_consecutive_calls_share_no_state(capsys, encoded_dir):
+    # The parser is built once per process; no flag of one call may stick to
+    # the next.
+    _, out = encoded_dir
+    argv = ["repair", "--in", str(out), "--rack", "0", "--node", "0"]
+    assert main(argv + ["--force"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "present" in capsys.readouterr().err
+    assert main(["plan", *P1_FLAGS, "--pretty"]) == 0
+    assert capsys.readouterr().out.startswith("[plan]")
+    code, records = run(capsys, ["plan", *P1_FLAGS])
+    assert code == 0 and records[0]["record"] == "plan"
+
+
 def test_missing_directory_is_a_usage_error(capsys):
     assert main(["decode", "--in", "/nonexistent-dir", "--output", "x.bin"]) == 2
     assert "error" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from msrr import Codec, CodeParams, ErasurePattern, RepairJob, Stripe, linalg, repair_from_stripe
 from msrr.errors import InternalError, ParameterError
 from msrr.field import FieldCtx, find_primitive, find_unity_root, is_prime
+from msrr.linalg import Fold
 
 from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, random_stripe
 from oracle import apply_node, solve
@@ -462,3 +463,68 @@ def test_exactness_bound_counts_every_node():
     assert P1.r * (field.p - 1) ** 2 < 2**53
     with pytest.raises(InternalError, match="float64"):
         Codec(P1, field=field)
+
+
+def test_spread_erasures_are_exact_at_the_largest_prime():
+    # With an erasure in every rack, a level's sibling terms outnumber the n
+    # that one exact float64 sum may hold, so the level product is split into
+    # column ranges that are folded one after another.
+    params = EXACTNESS_CODES["83126"]
+    codec = Codec(params, field=_field_at_the_bound(params))
+    stripe = codec.encode_batch(
+        np.full((params.k, params.alpha, 2), codec.p - 1, dtype=np.int64))
+    present = np.ones(params.n, dtype=bool)
+    present[[0, 3, 6, 9, 12, 15, 18, 21, 1, 4, 7, 10]] = False
+    zeroed = np.where(present[:, None, None], stripe, 0)
+    assert np.array_equal(codec.decode_batch(zeroed, present), stripe)
+    assert any(len(groups) > 1 for *_, groups in codec._decode_plan.levels)
+
+
+# -- signed residues and work arrays ----------------------------------------------
+
+def _fold_cases():
+    cases = [(5, 12), (257, 24)]
+    for name in ("6264", "83126"):
+        params = EXACTNESS_CODES[name]
+        cases.append((_field_at_the_bound(params).p, params.n))
+    return cases
+
+
+@pytest.mark.parametrize("p,n", _fold_cases())
+def test_signed_residues_at_their_edges(p, n):
+    top = n * (p - 1) ** 2
+    multiple = top // p * p
+    values = [0, (p - 1) // 2, 2**53 - 1]
+    values += [multiple + d for d in (-p, -1, 0, 1, p) if multiple + d < 2**53]
+    values += [top, top - 1]
+    values += [-v for v in values]
+    a = np.array(values, dtype=np.float64)
+    assert all(int(x) == v for x, v in zip(a, values))  # every input is exact
+    Fold(p)(a, np.empty_like(a))
+    for got, value in zip(a, values):
+        assert got == int(got) and (int(got) - value) % p == 0, (value, got)
+        assert abs(got) <= p // 2 + 2 <= p - 1, (value, got)
+    Fold(p).nonnegative(a, np.empty_like(a))
+    assert [int(x) for x in a] == [v % p for v in values]
+
+
+def test_results_never_alias_the_work_arrays():
+    params = P3
+    codec, rng = Codec(params), np.random.default_rng(22)
+    chunk = codec._plan(list(range(params.k, params.n))).chunk
+    widths = (2, chunk - 1, chunk + 5)
+    batches = [rng.integers(0, codec.p, size=(params.k, params.alpha, w))
+               for w in widths for _ in range(2)]
+    encoded = [codec.encode_batch(data) for data in batches]
+    for data, stripes in zip(batches, encoded):
+        assert np.array_equal(stripes, Codec(params).encode_batch(data))
+    patterns = [[1, 4, 5, 10], [0, 6, 7, 9, 10, 11]]
+    cases = []
+    for i, stripes in enumerate(encoded):
+        present = np.ones(params.n, dtype=bool)
+        present[patterns[i % 2]] = False
+        zeroed = np.where(present[:, None, None], stripes, 0)
+        cases.append((zeroed, present, codec.decode_batch(zeroed, present)))
+    for (zeroed, present, restored), stripes in zip(cases, encoded):
+        assert np.array_equal(restored, stripes)
+        assert np.array_equal(restored, Codec(params).decode_batch(zeroed, present))
