@@ -236,9 +236,11 @@ class Codec:
         self.constants: CodeConstants = build_constants(params, self.field)
         self.pcm = ParityCheckMatrix(params, self.constants)
         # Plans cached: the encode plan, and one decode plan for the last
-        # erasure pattern, so a file decoded chunk by chunk plans once.
+        # erasure pattern, so a file decoded chunk by chunk plans once; and
+        # the tables of repair plans that depend on the host rack alone.
         self._encode_plan: _Plan | None = None
         self._decode_plan: _Plan | None = None
+        self._repair_layouts: dict[int, tuple] = {}
 
     @property
     def p(self) -> int:

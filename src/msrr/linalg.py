@@ -81,7 +81,7 @@ def vandermonde_solve(points, moments, p: int) -> np.ndarray:
     # Row j holds the coefficients of the j-th Lagrange basis polynomial:
     # master / (y - points[j]) by synthetic division, scaled by its value at
     # points[j].  Then x = L @ moments.
-    lagrange = np.zeros((n, n), dtype=np.int64)
+    lagrange = []
     for j, x in enumerate(pts):
         quot = [0] * n
         quot[n - 1] = master[n]
@@ -90,8 +90,9 @@ def vandermonde_solve(points, moments, p: int) -> np.ndarray:
         denom = 0
         for c in reversed(quot):
             denom = (denom * x + c) % p
-        lagrange[j] = np.array(quot, dtype=np.int64) * pow(denom, p - 2, p) % p
-    return lagrange @ moments % p
+        inverse = pow(denom, p - 2, p)
+        lagrange.append([c * inverse % p for c in quot])
+    return np.array(lagrange, dtype=np.int64) @ moments % p
 
 
 class Fold:
@@ -160,6 +161,8 @@ _PRODUCT_WORK = 1 << 19
 def pieces(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
     """a @ b into out, cut along the columns: (a, b block, out block) each."""
     step = max(1, _PRODUCT_WORK // max(1, a.size))
+    if out.shape[1] <= step:
+        return [(a, b, out)]
     return [(a, b[:, j:j + step], out[:, j:j + step]) for j in range(0, out.shape[1], step)]
 
 

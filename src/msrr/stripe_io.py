@@ -10,13 +10,16 @@ to whole stripes and the original length plus a checksum live in the manifest.
 encode_file, decode_file and repair_shard stream: they hold one chunk of
 stripes at a time, about _CHUNK_SYMBOLS symbols over all n nodes, and open one
 shard file at a time, so neither memory nor open files grow with the file or
-with n.  encode_file and decode_file hash the payload as it passes, and keep
-one chunk array of every node's stripes, laid out as the shards store them,
-for the whole file.
-repair_shard opens only the shards the protocol reads, the helper racks'
-shards and the host rack's survivors, and applies one repair plan to each
-chunk.  decode_file and repair_shard write through a temporary file beside
-their output (_replacing), so the output is either the old file or the new.
+with n.  Shards are read and appended through raw descriptors (os.open,
+os.preadv, os.write), one descriptor open at a time, with no buffered file
+object per chunk.  encode_file and decode_file hash the payload as it passes,
+and keep one chunk array of every node's stripes, laid out as the shards
+store them, for the whole file.  repair_shard opens only the shards the
+protocol reads, the helper racks' shards and the host rack's survivors, and
+keeps one rack's chunk array; each helper rack's message goes straight into
+one repair plan, which it applies to each chunk.  decode_file and
+repair_shard write through a temporary file beside their output
+(_replacing), so the output is either the old file or the new.
 """
 
 from __future__ import annotations
@@ -206,23 +209,20 @@ def _check_sizes(paths, expected: int) -> None:
 
 def _read_node(path, start: int, node: np.ndarray, p: int) -> None:
     """Fill node, (width, alpha) in the shard dtype, with stripes start to
-    start + width of the shard file path; a short file or a symbol >= p is
-    refused, naming the shard."""
+    start + width of the shard file path, through a raw descriptor; a short
+    file or a symbol >= p is refused, naming the shard and the byte offset."""
     first = start * node.shape[1]
-    with open(path, "rb") as shard:
-        shard.seek(first * node.itemsize)
-        if _read_full(shard, node) != node.nbytes:
-            raise ShardFormatError(f"{path.name}: ends early")
+    offset, view = first * node.itemsize, memoryview(node).cast("B")
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        while view:
+            count = os.preadv(descriptor, [view], offset)
+            if not count:
+                raise ShardFormatError(f"{path.name}: ends early at offset {offset}")
+            offset, view = offset + count, view[count:]
+    finally:
+        os.close(descriptor)
     _check_symbols(node, path.name, p, first)
-
-
-def _read_nodes(paths, start: int, width: int, alpha: int, dtype, p: int) -> np.ndarray:
-    """Stripes start to start + width of the given shard files, opened one at
-    a time, as symbols (len(paths), alpha, width) in the shard dtype."""
-    values = np.empty((len(paths), width, alpha), dtype=dtype)
-    for path, node in zip(paths, values):
-        _read_node(path, start, node, p)
-    return values.transpose(0, 2, 1)
 
 
 @contextlib.contextmanager
@@ -289,8 +289,13 @@ def encode_file(input_path, out_dir, params: CodeParams,
             stripes += width
             # One shard open at a time: n may exceed the open-file limit.
             for path, node in zip(paths, nodes[:, :width]):
-                with open(path, "ab") as sink:
-                    sink.write(node)
+                descriptor = os.open(path, os.O_WRONLY | os.O_APPEND)
+                view = memoryview(node).cast("B")
+                try:
+                    while view:
+                        view = view[os.write(descriptor, view):]
+                finally:
+                    os.close(descriptor)
             if got < len(buffer):
                 break
     manifest = Manifest(
@@ -415,14 +420,18 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
     plan = RepairPlan.create(codec, job)
     dtype = _symbol_dtype(manifest.symbol_width_bytes)
     chunk = _stripes_per_chunk(params)
+    # One rack's stripes, then the survivors', and the node's, as the shards
+    # store them: (u, chunk, alpha) and (chunk, alpha).
+    nodes, node = np.empty((u, chunk, alpha), dtype=dtype), np.empty((chunk, alpha), dtype=dtype)
     with _replacing(target) as sink:
         for start in range(0, manifest.stripe_count, chunk):
             width = min(chunk, manifest.stripe_count - start)
-            messages = np.stack([
-                helper_message(codec, _read_nodes(rack, start, width, alpha, dtype,
-                                                  manifest.p), h, job)
-                for h, rack in zip(job.helpers, racks)])
-            node, _ = plan(messages, _read_nodes(
-                survivors, start, width, alpha, dtype, manifest.p))
-            sink.write(np.ascontiguousarray(node.T, dtype=dtype))
+            for h, rack in zip(job.helpers, racks):
+                for path, vector in zip(rack, nodes[:, :width]):
+                    _read_node(path, start, vector, manifest.p)
+                helper_message(codec, nodes[:, :width].transpose(0, 2, 1), h, job, plan)
+            for path, vector in zip(survivors, nodes[:, :width]):
+                _read_node(path, start, vector, manifest.p)
+            plan(nodes[:u - 1, :width].transpose(0, 2, 1), out=node[:width].T)
+            sink.write(node[:width])
     return manifest, RepairTranscript.of(params, job, manifest.stripe_count), target

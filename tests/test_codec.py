@@ -10,6 +10,7 @@ from msrr import Codec, CodeParams, ErasurePattern, RepairJob, Stripe, linalg, r
 from msrr.errors import InternalError, ParameterError
 from msrr.field import FieldCtx, find_primitive, find_unity_root, is_prime
 from msrr.linalg import Fold
+from msrr.repair import RepairPlan
 
 from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, random_stripe
 from oracle import apply_node, solve
@@ -453,6 +454,29 @@ def test_repair_is_exact_at_the_largest_prime(params):
     stripe = Stripe(params, vectors, np.ones(params.n, dtype=bool))
     for i, (e, g) in enumerate(params.nodes()):
         transcript = repair_from_stripe(codec, stripe, RepairJob.create(params, e, g))
+        assert np.array_equal(transcript.recovered, vectors[i]), (e, g)
+
+
+def test_repair_level_split_is_exact_at_the_largest_prime():
+    # n = 8, alpha = 81, and every rack shares residue 0: a level's product
+    # has 3 helper, 3 survivor and 2 correction columns for each of the 3
+    # other racks, more than n, so term_groups splits it into column ranges
+    # that are folded in turn.
+    params = CodeParams.from_total_k(4, 2, 3, 3)
+    assert (params.n, params.alpha) == (8, 81)
+    codec = Codec(params, field=_field_at_the_bound(params))
+    vectors = codec.encode_batch(
+        np.full((params.k, params.alpha, 2), codec.p - 1, dtype=np.int64))
+    stripe = Stripe(params, vectors, np.ones(params.n, dtype=bool))
+    for i, (e, g) in enumerate(params.nodes()):
+        job = RepairJob.create(params, e, g)
+        plan = RepairPlan.create(codec, job)
+        assert len(plan.groups) > 1
+        # No row of a range sums more than n terms; a later range is added
+        # to a folded sum, one more term.
+        for later, (lo, hi) in enumerate(plan.groups):
+            assert np.count_nonzero(plan.coef[:, lo:hi], axis=1).max() <= params.n - bool(later)
+        transcript = repair_from_stripe(codec, stripe, job)
         assert np.array_equal(transcript.recovered, vectors[i]), (e, g)
 
 

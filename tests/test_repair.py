@@ -1,13 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msrr import (Codec, RepairJob, Stripe, helper_message, repair_from_stripe,
-                  repair_node)
+from msrr import (Codec, CodeParams, RepairJob, Stripe, helper_message, repair_from_stripe,
+                  repair_node, stripe_io)
+from msrr.repair import RepairPlan
 
-from conftest import ADMISSIBLE_CODES, P1_DEGENERATE, P2, random_stripe
+from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, random_stripe
 from oracle import repair_blocks, zero_digit_rows
 
 
@@ -267,3 +269,79 @@ def test_per_level_repair_on_small_codes(case):
     for e in others:
         truth = reference_aggregate(codec, stripe.rack(e), e, job.e_star)[rows]
         assert np.array_equal(transcript.side_aggregates[e], truth)
+
+
+# The codes the benchmark grid names, and (4,2,3,3), whose racks all share
+# residue 0.
+GRID_CODES = [P1, P2, P3, P1_DEGENERATE, CodeParams.from_total_k(8, 3, 12, 6),
+              CodeParams.from_total_k(10, 2, 10, 7), CodeParams.from_total_k(4, 2, 3, 3)]
+
+
+@pytest.mark.parametrize("params", GRID_CODES,
+                         ids=["p1", "p2", "p3", "degenerate", "83126", "102107", "4233"])
+def test_helper_messages_read_the_zero_digit_rows_on_every_grid_code(params):
+    # helper_message selects the zero rows of digit tau as a view, with alpha
+    # split as (s_bar^(m-1-tau), s_bar, s_bar^tau); that view must be
+    # pcm.zero_rows[tau], in order, for every digit position.
+    codec, u = Codec(params), params.u
+    vectors = random_stripe(codec, seed=25, stripes=2)
+    for e_star in range(params.n_bar):
+        job = RepairJob.create(params, e_star, 0)
+        rows = codec.pcm.zero_rows[job.digit_position(params)]
+        for e in job.helpers:
+            rack = vectors[e * u:(e + 1) * u]
+            assert np.array_equal(helper_message(codec, rack, e, job),
+                                  reference_aggregate(codec, rack, e, e_star)[rows]), (e_star, e)
+
+
+def _plan_inputs(params, job, vectors):
+    """The helper racks' node vectors and the host rack's survivors, (u - 1,
+    alpha, w), of encoded vectors (n, alpha, w)."""
+    u = params.u
+    racks = [vectors[e * u:(e + 1) * u] for e in job.helpers]
+    return racks, np.stack([vectors[job.e_star * u + g] for g in range(u) if g != job.g_star])
+
+
+def _apply(codec, plan, job, racks, survivors, out=None):
+    """One apply of plan as repair_shard runs it: each helper rack's message
+    into the plan, then the survivors."""
+    for e, rack in zip(job.helpers, racks):
+        helper_message(codec, rack, e, job, plan)
+    return plan(survivors, out=out)
+
+
+@pytest.mark.parametrize("params", [P3, CodeParams.from_total_k(8, 3, 12, 6)],
+                         ids=["p3", "83126"])
+def test_repair_results_never_alias_the_work_arrays(params):
+    codec, rng = Codec(params), np.random.default_rng(23)
+    job = RepairJob.create(params, 1, 1)
+    chunk = stripe_io._stripes_per_chunk(params)
+    batches = [codec.encode_batch(rng.integers(0, codec.p, size=(params.k, params.alpha, w)))
+               for w in (2, chunk - 1, chunk + 5) for _ in range(2)]
+    plan = RepairPlan.create(codec, job)
+    results = [_apply(codec, plan, job, *_plan_inputs(params, job, vectors))
+               for vectors in batches]
+    target = params.node_index(job.e_star, job.g_star)
+    for vectors, result in zip(batches, results):
+        assert np.array_equal(result, vectors[target])
+        fresh = _apply(codec, RepairPlan.create(codec, job), job,
+                       *_plan_inputs(params, job, vectors))
+        assert np.array_equal(result, fresh)
+
+
+def test_a_plan_apply_at_a_width_already_seen_allocates_no_work_arrays():
+    params = CodeParams.from_total_k(6, 2, 6, 4)
+    codec, job = Codec(params), RepairJob.create(params, 2, 1)
+    width = stripe_io._stripes_per_chunk(params)
+    racks, survivors = _plan_inputs(params, job, random_stripe(codec, seed=24, stripes=width))
+    plan, out = RepairPlan.create(codec, job), np.empty((params.alpha, width), dtype=np.uint16)
+    _apply(codec, plan, job, racks, survivors, out)
+    tracemalloc.start()
+    try:
+        _apply(codec, plan, job, racks, survivors, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.alpha * width * 8
+    assert np.array_equal(out, random_stripe(codec, seed=24, stripes=width)[
+        params.node_index(job.e_star, job.g_star)])

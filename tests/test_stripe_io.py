@@ -277,6 +277,27 @@ def test_decode_names_a_bad_symbol_past_the_first_chunk(tmp_path):
     assert not (tmp_path / "restored.bin").exists()
 
 
+def test_a_shard_that_shrinks_mid_read_is_named_with_its_offset(tmp_path, monkeypatch):
+    # Shard sizes are checked before the first chunk; a shard that is cut
+    # short after that check is refused where its bytes end.
+    monkeypatch.setattr(stripe_io, "_check_sizes", lambda paths, expected: None)
+    per_chunk = _chunk_stripes(PARAMS) * PARAMS.k * PARAMS.alpha
+    _, out, _ = _encode_tmp(tmp_path, os.urandom(2 * per_chunk + 100))
+    end = _chunk_stripes(PARAMS) * PARAMS.alpha * 2 + 6  # six bytes into chunk two
+    (out / shard_name(1, 0)).unlink()
+    restored = tmp_path / "restored.bin"
+    # Repair of node (1, 0) reads helper rack 2; decode reads data shard (0, 0).
+    for shrunk, read in [(shard_name(2, 1), lambda: repair_shard(out, 1, 0)),
+                         (shard_name(0, 0), lambda: decode_file(out, restored))]:
+        names = sorted(path.name for path in tmp_path.rglob("*"))
+        original = (out / shrunk).read_bytes()
+        (out / shrunk).write_bytes(original[:end])
+        with pytest.raises(ShardFormatError, match=f"^{shrunk}: ends early at offset {end}$"):
+            read()
+        (out / shrunk).write_bytes(original)
+        assert sorted(path.name for path in tmp_path.rglob("*")) == names
+
+
 CHUNK_CODES = [PARAMS, CodeParams.from_total_k(6, 2, 6, 4)]
 
 
