@@ -201,11 +201,11 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     jobs_checked = 0
     repair_failures = []
-    w = STRIPES_PER_VERIFY_JOB
+    w, p = STRIPES_PER_VERIFY_JOB, codec.p
     present = np.ones(params.n, dtype=bool)
     for job in _repair_jobs(params, args.mode, args.samples, rng):
         data = np.array(
-            [[[rng.randrange(codec.p) for _ in range(w)]
+            [[[rng.randrange(p) for _ in range(w)]
               for _ in range(params.alpha)] for _ in range(params.k)],
             dtype=np.int64)
         vectors = codec.encode_batch(data)

@@ -24,7 +24,8 @@ one exact product and one fold.  The level products peel the survivors out
 of the host aggregate as they solve it, so they yield the failed node, which
 moves into natural coordinate order once, on output.  repair_node validates
 its inputs and applies a fresh plan to the whole batch;
-stripe_io.repair_shard applies one plan to a shard directory chunk by chunk.
+stripe_io.repair_shard applies one plan to a shard directory in chunks whose
+widest array, RepairPlan.rows symbols per stripe, holds about _CHUNK_SYMBOLS.
 
 Arithmetic is float64, as in the codec: every term is a coefficient in
 [0, p) times a symbol or a signed residue (linalg.Fold), so at most
@@ -162,8 +163,9 @@ class RepairPlan:
     failed-node rows of step are scaled by the peel's inverse.  host[a] and
     side are the source rows of the failed node at coordinate a and of the
     non-helper aggregates per zero-digit row; weights[i] weigh helper i's
-    nodes into its message.  Work arrays are kept from call to call, so a
-    plan is not for concurrent use.
+    nodes into its message.  rows, the widest per-stripe array of a repair
+    (the source, a level's gather or a rack's u nodes), sizes chunks.  Work
+    arrays are kept from call to call, so a plan is not for concurrent use.
     """
 
     weights: np.ndarray
@@ -173,6 +175,7 @@ class RepairPlan:
     host: np.ndarray
     side: np.ndarray
     fold: Fold
+    rows: int
     _store: dict = dc_field(default_factory=dict)
     _views: tuple = (None, None)
 
@@ -226,7 +229,9 @@ class RepairPlan:
                    coef=coef.astype(np.float64),
                    groups=term_groups(params.n, d_bar + (u - 1) * s_bar, d_bar + u - 1,
                                       len(racks), s_bar - 1),
-                   host=host, side=side, fold=Fold(p))
+                   host=host, side=side, fold=Fold(p),
+                   rows=max(1 + d_bar * beta + (u - 1) * params.alpha + r_bar * beta,
+                            len(index) * int(np.diff(bounds).max()), u * params.alpha))
 
     def _work(self, width: int) -> dict:
         """Work-array views and product pieces for chunks of width stripes."""

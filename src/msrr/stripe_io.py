@@ -7,19 +7,21 @@ whose width is derived from the field modulus.  Bytes map to symbols one to
 one (identity embedding), which requires p >= 257; the payload is zero-padded
 to whole stripes and the original length plus a checksum live in the manifest.
 
-encode_file, decode_file and repair_shard stream: they hold one chunk of
-stripes at a time, about _CHUNK_SYMBOLS symbols over all n nodes, and open one
-shard file at a time, so neither memory nor open files grow with the file or
-with n.  Shards are read and appended through raw descriptors (os.open,
-os.preadv, os.write), one descriptor open at a time, with no buffered file
-object per chunk.  encode_file and decode_file hash the payload as it passes,
-and keep one chunk array of every node's stripes, laid out as the shards
-store them, for the whole file.  repair_shard opens only the shards the
-protocol reads, the helper racks' shards and the host rack's survivors, and
-keeps one rack's chunk array; each helper rack's message goes straight into
-one repair plan, which it applies to each chunk.  decode_file and
-repair_shard write through a temporary file beside their output
-(_replacing), so the output is either the old file or the new.
+encode_file, decode_file and repair_shard stream chunks of stripes whose
+widest per-stripe array holds about _CHUNK_SYMBOLS symbols: a codeword's
+n*alpha for encode_file and decode_file, the repair plan's rows for
+repair_shard, which never holds a codeword.  A job opens each shard once, as
+a raw descriptor (os.preadv, os.write), and keeps it to the end; past half
+the soft open-file limit the oldest is closed first (_Descriptors).  So
+neither memory nor open files grow with the file or with n.  encode_file and
+decode_file hash the payload as it passes, and keep one chunk array of every
+node's stripes, laid out as the shards store them.  repair_shard opens only
+the shards the protocol reads, the helper racks' and the host rack's
+survivors, and keeps one rack's chunk array; each helper rack's message goes
+straight into one repair plan, applied to each chunk.  Each block read, a
+helper rack, the survivors or a decode chunk, is checked for symbols >= p
+once.  decode_file and repair_shard write through a temporary file beside
+their output (_replacing), so the output is either the old file or the new.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import contextlib
 import hashlib
 import json
 import os
+import resource
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -174,8 +177,9 @@ def symbols_to_bytes(data: np.ndarray, length: int) -> bytes:
     return flat[:length].astype(np.uint8).tobytes()
 
 
-def _stripes_per_chunk(params: CodeParams) -> int:
-    return max(1, _CHUNK_SYMBOLS // (params.n * params.alpha))
+def _stripes_per_chunk(params: CodeParams, rows: int | None = None) -> int:
+    """Stripes per chunk of rows symbols each, by default a codeword's."""
+    return max(1, _CHUNK_SYMBOLS // (rows or params.n * params.alpha))
 
 
 def _read_full(stream, buffer) -> int:
@@ -207,22 +211,50 @@ def _check_sizes(paths, expected: int) -> None:
             raise ShardFormatError(f"{path.name}: {size} bytes, expected {expected}")
 
 
-def _read_node(path, start: int, node: np.ndarray, p: int) -> None:
-    """Fill node, (width, alpha) in the shard dtype, with stripes start to
-    start + width of the shard file path, through a raw descriptor; a short
-    file or a symbol >= p is refused, naming the shard and the byte offset."""
-    first = start * node.shape[1]
-    offset, view = first * node.itemsize, memoryview(node).cast("B")
-    descriptor = os.open(path, os.O_RDONLY)
-    try:
+class _Descriptors(dict):
+    """One job's shard descriptors by path, opened with flags on first use
+    and kept until the block ends, which closes them all.  Past half the
+    soft open-file limit the oldest is closed first."""
+
+    def __init__(self, flags: int):
+        super().__init__()
+        soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+        self.flags = flags
+        self.cap = max(1, soft // 2) if soft != resource.RLIM_INFINITY else float("inf")
+
+    def __missing__(self, path: Path) -> int:
+        if len(self) >= self.cap:
+            os.close(self.pop(next(iter(self))))
+        self[path] = descriptor = os.open(path, self.flags)
+        return descriptor
+
+    def __enter__(self) -> "_Descriptors":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        while self:
+            os.close(self.popitem()[1])
+
+
+def _read_block(shards: _Descriptors, paths, block: np.ndarray, start: int, p: int,
+                which=None) -> None:
+    """Fill block[i], (width, alpha) in the shard dtype, with stripes start
+    to start + width of shard file paths[i], for each i of which (by default
+    every path); a short file is refused, naming the shard and the byte
+    offset.  block's other rows hold symbols in [0, p), so the block is
+    checked at once, and only on a symbol >= p are its nodes scanned to name
+    the shard and the offset."""
+    which = range(len(paths)) if which is None else which
+    for i in which:
+        offset, view = start * block[i, 0].nbytes, memoryview(block[i]).cast("B")
         while view:
-            count = os.preadv(descriptor, [view], offset)
+            count = os.preadv(shards[paths[i]], [view], offset)
             if not count:
-                raise ShardFormatError(f"{path.name}: ends early at offset {offset}")
+                raise ShardFormatError(f"{paths[i].name}: ends early at offset {offset}")
             offset, view = offset + count, view[count:]
-    finally:
-        os.close(descriptor)
-    _check_symbols(node, path.name, p, first)
+    if block.size and block.max() >= p:
+        for i in which:
+            _check_symbols(block[i], paths[i].name, p, start * block.shape[2])
 
 
 @contextlib.contextmanager
@@ -275,7 +307,7 @@ def encode_file(input_path, out_dir, params: CodeParams,
     # whole file: encode_batch writes into the transposed view.
     nodes = np.empty((params.n, chunk, params.alpha), dtype=dtype)
     paths = [out_dir / shard_name(e, g) for e, g in params.nodes()]
-    with open(input_path, "rb") as source:
+    with open(input_path, "rb") as source, _Descriptors(os.O_WRONLY | os.O_APPEND) as shards:
         out_dir.mkdir(parents=True, exist_ok=True)
         for path in paths:
             path.write_bytes(b"")
@@ -287,15 +319,10 @@ def encode_file(input_path, out_dir, params: CodeParams,
             width = data.shape[2]
             codec.encode_batch(data, out=nodes[:, :width].transpose(0, 2, 1))
             stripes += width
-            # One shard open at a time: n may exceed the open-file limit.
             for path, node in zip(paths, nodes[:, :width]):
-                descriptor = os.open(path, os.O_WRONLY | os.O_APPEND)
                 view = memoryview(node).cast("B")
-                try:
-                    while view:
-                        view = view[os.write(descriptor, view):]
-                finally:
-                    os.close(descriptor)
+                while view:
+                    view = view[os.write(shards[path], view):]
             if got < len(buffer):
                 break
     manifest = Manifest(
@@ -348,13 +375,13 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
     known = np.flatnonzero(present)
     _check_sizes([paths[i] for i in known], expected)
     # Each node's stripes as its shard stores them, (chunk, alpha), for the
-    # whole file; missing nodes' rows are written by the decode.
-    nodes = np.empty((params.n, chunk, alpha), dtype=dtype)
-    with _replacing(output) as sink:
+    # whole file; missing nodes' rows, zero until the first decode, are
+    # written by the decode.
+    nodes = np.zeros((params.n, chunk, alpha), dtype=dtype)
+    with _replacing(output) as sink, _Descriptors(os.O_RDONLY) as shards:
         for start in range(0, manifest.stripe_count, chunk):
             width = min(chunk, manifest.stripe_count - start)
-            for i in known:
-                _read_node(paths[i], start, nodes[i, :width], manifest.p)
+            _read_block(shards, paths, nodes[:, :width], start, manifest.p, known)
             vectors = codec.decode_into(nodes[:, :width].transpose(0, 2, 1), present)
             payload = symbols_to_bytes(vectors[:params.k], min(width * per_stripe, remaining))
             remaining -= len(payload)
@@ -419,19 +446,17 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
     codec = codec_for_manifest(manifest)
     plan = RepairPlan.create(codec, job)
     dtype = _symbol_dtype(manifest.symbol_width_bytes)
-    chunk = _stripes_per_chunk(params)
+    chunk = _stripes_per_chunk(params, plan.rows)
     # One rack's stripes, then the survivors', and the node's, as the shards
     # store them: (u, chunk, alpha) and (chunk, alpha).
     nodes, node = np.empty((u, chunk, alpha), dtype=dtype), np.empty((chunk, alpha), dtype=dtype)
-    with _replacing(target) as sink:
+    with _replacing(target) as sink, _Descriptors(os.O_RDONLY) as shards:
         for start in range(0, manifest.stripe_count, chunk):
             width = min(chunk, manifest.stripe_count - start)
             for h, rack in zip(job.helpers, racks):
-                for path, vector in zip(rack, nodes[:, :width]):
-                    _read_node(path, start, vector, manifest.p)
+                _read_block(shards, rack, nodes[:, :width], start, manifest.p)
                 helper_message(codec, nodes[:, :width].transpose(0, 2, 1), h, job, plan)
-            for path, vector in zip(survivors, nodes[:, :width]):
-                _read_node(path, start, vector, manifest.p)
+            _read_block(shards, survivors, nodes[:u - 1, :width], start, manifest.p)
             plan(nodes[:u - 1, :width].transpose(0, 2, 1), out=node[:width].T)
             sink.write(node[:width])
     return manifest, RepairTranscript.of(params, job, manifest.stripe_count), target

@@ -1,8 +1,10 @@
+import collections
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from msrr import Codec, CodeParams, stripe_io
 from msrr.codec import _CHUNK_SYMBOLS
 from msrr.errors import RepairRefusedError, ShardFormatError, SymbolMappingError
+from msrr.repair import RepairJob, RepairPlan
 from msrr.stripe_io import (
     Manifest,
     bytes_to_symbols,
@@ -355,6 +358,118 @@ def test_chunk_boundaries_repair_every_node(tmp_path, monkeypatch, params):
             assert transcript.cross_rack_symbols == params.d_bar * params.beta
 
 
+def _plan_rows(params, e=0, g=0):
+    """RepairPlan.rows of node (e, g) with the default helpers."""
+    return RepairPlan.create(Codec(params, min_field=257), RepairJob.create(params, e, g)).rows
+
+
+@pytest.mark.parametrize("params", CHUNK_CODES, ids=["p1", "6264"])
+def test_repair_chunks_are_sized_by_the_plan(tmp_path, monkeypatch, params):
+    # Five stripes per repair chunk, against one or two per codeword chunk.
+    rows = {node: _plan_rows(params, *node) for node in params.nodes()}
+    monkeypatch.setattr(stripe_io, "_CHUNK_SYMBOLS", 5 * rows[0, 0])
+    chunk = stripe_io._stripes_per_chunk(params, rows[0, 0])
+    assert chunk == 5 and stripe_io._stripes_per_chunk(params) < 3
+    calls, message = [], stripe_io.helper_message
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return message(*args, **kwargs)
+
+    monkeypatch.setattr(stripe_io, "helper_message", counted)
+    per_stripe = params.k * params.alpha
+    lengths = [s * per_stripe for s in (chunk - 1, chunk, chunk + 1)] + [3 * chunk * per_stripe + 17]
+    for case, length in enumerate(lengths):
+        payload = np.random.default_rng(case).integers(
+            0, 256, size=length, dtype=np.uint8).tobytes()
+        src, out = tmp_path / f"in{case}.bin", tmp_path / f"shards{case}"
+        src.write_bytes(payload)
+        manifest = encode_file(src, out, params)
+        for e, g in params.nodes():
+            path = out / shard_name(e, g)
+            original = path.read_bytes()
+            path.unlink()
+            calls.clear()
+            repair_shard(out, e, g)
+            assert path.read_bytes() == original, (length, e, g)
+            chunks = -(-manifest.stripe_count // stripe_io._stripes_per_chunk(params, rows[e, g]))
+            assert len(calls) == params.d_bar * chunks, (length, e, g)
+
+
+def _counting_shard_opens(monkeypatch):
+    """A Counter of os.open calls per shard file name, while monkeypatch holds."""
+    opens, original = collections.Counter(), os.open
+
+    def counted(path, *args, **kwargs):
+        if Path(path).suffix == ".shard":
+            opens[Path(path).name] += 1
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(stripe_io.os, "open", counted)
+    return opens
+
+
+def test_each_shard_is_opened_once_per_job(tmp_path, monkeypatch):
+    # 15 stripes: three repair chunks of 5 stripes, eight decode chunks of 2.
+    monkeypatch.setattr(stripe_io, "_CHUNK_SYMBOLS", 5 * _plan_rows(PARAMS, 1, 0))
+    assert stripe_io._stripes_per_chunk(PARAMS) == 2
+    opens = _counting_shard_opens(monkeypatch)
+    names = [shard_name(e, g) for e, g in PARAMS.nodes()]
+    _, out, _ = _encode_tmp(tmp_path, os.urandom(15 * PARAMS.k * PARAMS.alpha))
+    assert opens == collections.Counter(names)
+    # Repair of (1, 0) reads helper racks 0, 2 and 3 and survivor (1, 1).
+    read = collections.Counter(name for name in names if name != shard_name(1, 0))
+    original = (out / shard_name(1, 0)).read_bytes()
+    (out / shard_name(1, 0)).unlink()
+    opens.clear()
+    repair_shard(out, 1, 0)
+    assert opens == read
+    assert (out / shard_name(1, 0)).read_bytes() == original
+    (out / shard_name(1, 0)).unlink()
+    opens.clear()
+    decode_file(out, tmp_path / "restored.bin")
+    assert opens == read
+    assert (tmp_path / "restored.bin").read_bytes() == (tmp_path / "in.bin").read_bytes()
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_no_descriptor_leaks_on_success_or_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(stripe_io, "_CHUNK_SYMBOLS", 5 * _plan_rows(PARAMS, 1, 0))  # repair 5, decode 2
+    monkeypatch.setattr(stripe_io, "_check_sizes", lambda paths, expected: None)
+    before = _open_descriptors()
+    _, out, _ = _encode_tmp(tmp_path, os.urandom(15 * PARAMS.k * PARAMS.alpha))
+    assert _open_descriptors() == before
+    (out / shard_name(1, 0)).unlink()
+    repair_shard(out, 1, 0)
+    assert _open_descriptors() == before
+    (out / shard_name(1, 0)).unlink()
+    decode_file(out, tmp_path / "restored.bin")
+    assert _open_descriptors() == before
+    names = sorted(path.name for path in tmp_path.rglob("*"))
+    # Symbol 400 (>= p=257) in helper rack 2, stripe 6: the second repair chunk.
+    path = out / shard_name(2, 1)
+    offset = (6 * PARAMS.alpha + 3) * 2
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 2] = (400).to_bytes(2, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ShardFormatError, match=f"node_2_1.shard: symbol 400 >= p=257 at offset {offset}"):
+        repair_shard(out, 1, 0)
+    assert _open_descriptors() == before
+    assert sorted(path.name for path in tmp_path.rglob("*")) == names
+    # Data shard (0, 0) cut six bytes into stripe 3: the second decode chunk.
+    path = out / shard_name(0, 0)
+    end = 3 * PARAMS.alpha * 2 + 6
+    path.write_bytes(path.read_bytes()[:end])
+    with pytest.raises(ShardFormatError, match=f"node_0_0.shard: ends early at offset {end}"):
+        decode_file(out, tmp_path / "restored.bin")
+    assert _open_descriptors() == before
+    assert sorted(path.name for path in tmp_path.rglob("*")) == names
+
+
 def test_chunked_decode_plans_once(tmp_path, monkeypatch):
     per_chunk = _chunk_stripes(PARAMS) * PARAMS.k * PARAMS.alpha
     _, out, _ = _encode_tmp(tmp_path, os.urandom(3 * per_chunk + 1))
@@ -394,8 +509,8 @@ else:
 
 
 def _run_under_the_open_file_limit(work, op):
-    # The file path holds one shard open at a time, so n is not bounded by
-    # the process's open-file limit.
+    # The file path keeps at most half the soft open-file limit of shards
+    # open, so n is not bounded by the process's open-file limit.
     (work / "in.bin").write_bytes(bytes(range(256)) * 40)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", OPEN_FILE_LIMIT_SCRIPT, str(work), op],
