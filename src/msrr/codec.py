@@ -11,22 +11,23 @@ are distinct, so each system is invertible.
 
 The solve is level-major: the coordinates are ordered by level, once per
 plan.  The known nodes move to the right-hand side in one float64 product
-(construction.NodeProduct).  The unknowns' off-diagonal terms follow the
+(ParityCheckMatrix.product).  The unknowns' off-diagonal terms follow the
 construction as the known nodes' do: they are the unknown racks' aggregates
 of the level before, read at the digit siblings and weighed by the
 extra-point powers.  So a level is one gather, of the right-hand side at the
 level's coordinates and of those aggregates, and one product with
-[-V^-1 | -V^-1 times the extra-point powers].  Each level's solution is one
-contiguous block; natural coordinate order comes back once per chunk, on
-output.  Every work array belongs to the plan and is reused from chunk to
-chunk and call to call.
+[-V^-1 | -V^-1 times the extra-point powers].  The whole solve is one
+linalg.Program of such gather-product-fold steps over one source array that
+the plan owns and reuses from chunk to chunk and call to call; natural
+coordinate order comes back once per chunk, on output.
 
 Arithmetic is float64 throughout.  Sums are folded into signed residues,
 a - rint(a/p)*p, which for integer |a| < 2^53 have |r| <= p/2 + 2 <= p - 1
-(linalg.Fold), so every product term is at most (p - 1)^2.  Each product
-sums at most n terms, a longer sum being split and folded between its parts
-(linalg.term_groups), so Codec requires n * (p - 1)^2 < 2^53.  Values move
-into [0, p) once, on output.  verify_mds certifies full rank of
+(linalg.Fold), so every product term is at most (p - 1)^2.  linalg.split
+cuts each product, by its coefficients, into column ranges folded one after
+another, so that no row sums more than n nonzero terms, a folded sum
+counting as one; so Codec requires n * (p - 1)^2 < 2^53.  Values move into
+[0, p) once, on output.  verify_mds certifies full rank of
 each r-subset's dense column groups from the same level order, with dense
 elimination where the certificate fails.  Batch variants carry a trailing
 stripe axis so that file striping can encode and decode a chunk of stripes
@@ -43,10 +44,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .construction import CodeConstants, NodeProduct, ParityCheckMatrix, build_constants
+from .construction import CodeConstants, ParityCheckMatrix, build_constants
 from .errors import InternalError, ParameterError, SingularMatrixError
 from .field import FieldCtx
-from .linalg import Fold, accumulate, exact_product, multiply, pieces, term_groups, work_arrays
 from .params import CodeParams
 
 
@@ -133,84 +133,12 @@ _CHUNK_SYMBOLS = 1 << 17
 
 @dataclass(eq=False)
 class _Plan:
-    """Level-major solve for r unknown nodes.
-
-    known is the right-hand-side product of every other node.  A chunk's
-    source rows hold a zero row, then known's rows (t, a) in natural order
-    at 1 + t*alpha + a, then unknown rack i's aggregate at level-major
-    position j at 1 + r*alpha + i*alpha + j.  Each level, in ascending
-    zero-digit count, is (lo, hi, index, coef, groups): its coordinates are
-    positions lo to hi of the level-major order; index gathers from the
-    source rows the known rows at those coordinates and the aggregates of
-    the level before at their digit siblings; coef = [-V^-1 | -V^-1 times
-    the sibling coefficients] mod p maps them to the level's solution, one
-    product per column range of groups.  weights form the unknown racks'
-    aggregates of a solved level.  The solution is kept level-major, each
-    level an (r, hi - lo, w) block; natural[t, a] is the solution row that
-    holds (t, a).
-
-    Work arrays are allocated on first use, for chunk stripes or fewer, and
-    kept from chunk to chunk and call to call.
-    """
+    """The level-major solve for r unknown nodes, ascending, as one Program
+    (see Codec._plan); chunk stripes or fewer per call."""
 
     unknowns: tuple[int, ...]
-    known: NodeProduct
-    levels: tuple[tuple, ...]
-    weights: np.ndarray
-    natural: np.ndarray
+    program: linalg.Program
     chunk: int
-    fold: Fold
-    _store: dict = dc_field(default_factory=dict)
-    _views: tuple = (None, None)
-
-    def _work(self, alpha: int, width: int) -> tuple:
-        """Work-array views and product pieces for chunks of width stripes."""
-        if self._views[0] == width:
-            return self._views[1]
-        r, racks = self.natural.shape[0], self.weights.shape[0]
-        widest = max(hi - lo for lo, hi, *_ in self.levels)
-        work = work_arrays(self._store, {
-            "source": (1 + (r + racks) * alpha,),
-            "operand": (max(index.size for _, _, index, *_ in self.levels),),
-            "solution": (r * alpha,), "output": (r, alpha),
-            "scratch": (max(r, racks) * widest,)}, width)
-        source, solution, scratch = work["source"], work["solution"], work["scratch"]
-        source[0] = 0  # the row that gathers read as a zero term
-        aggregates = source[1 + r * alpha:].reshape(racks, alpha * width)
-        levels = []
-        for depth, (lo, hi, index, coef, groups) in enumerate(self.levels):
-            count = (hi - lo) * width
-            operand = work["operand"][:index.size].reshape(index.shape + (width,))
-            block = solution[r * lo:r * hi].reshape(r, count)
-            block_scratch = scratch[:r * (hi - lo)].reshape(block.shape)
-            own = aggregates[:, lo * width:hi * width]
-            # The next level reads this one's aggregates; the last has none.
-            aggregate = (pieces(self.weights, block, own)
-                         if racks and depth + 1 < len(self.levels) else [])
-            levels.append((index, operand, block, block_scratch,
-                           exact_product(coef, groups, operand.reshape(index.shape[0], count),
-                                         block, block_scratch),
-                           aggregate, own, scratch[:racks * (hi - lo)].reshape(own.shape)))
-        views = (source, source[1:1 + r * alpha].reshape(r, alpha, width), levels, solution,
-                 work["output"])
-        self._views = (width, views)
-        return views
-
-    def solve(self, vectors: np.ndarray) -> np.ndarray:
-        """Values of the unknowns, (r, alpha, w) in [0, p), from vectors[i],
-        (n', alpha, w) with symbols in [0, p), of every other node i; w is at
-        most chunk.  The result is a work array, overwritten by the next
-        call."""
-        source, known, levels, solution, output = self._work(*vectors.shape[1:])
-        self.known(vectors, out=known)
-        for index, operand, block, block_scratch, products, aggregate, own, own_scratch in levels:
-            np.take(source, index, axis=0, mode="clip", out=operand)
-            accumulate(products, block, block_scratch, self.fold)
-            if aggregate:
-                multiply(aggregate)
-                self.fold(own, own_scratch)
-        np.take(solution, self.natural, axis=0, mode="clip", out=output)
-        return self.fold.nonnegative(output, solution.reshape(output.shape))
 
 
 class Codec:
@@ -225,11 +153,11 @@ class Codec:
         self.params = params
         self.field = field if field is not None else FieldCtx.for_code(params, min_field)
         # float64 holds integers below 2^53 exactly.  Every float64 product
-        # here sums at most n terms, each of magnitude at most (p - 1)^2: u in
-        # a rack aggregate, and at most n per column range of a right-hand
-        # side or level product (linalg.term_groups), where a folded
-        # sum counts as one term.  Folded values are signed residues with
-        # |r| <= p/2 + 2 <= p - 1.  So n * (p - 1)^2 < 2^53 keeps every sum exact.
+        # here is a linalg.Program step: each term is a coefficient in [0, p)
+        # times a symbol or a signed residue, |r| <= p/2 + 2 <= p - 1, so at
+        # most (p - 1)^2, and linalg.split keeps each row of a column range
+        # within n nonzero terms, a folded sum counting as one.  So
+        # n * (p - 1)^2 < 2^53 keeps every sum exact.
         if params.n * (self.p - 1) ** 2 >= 2**53:
             raise InternalError(
                 f"n={params.n}, p={self.p} overflow the exact float64 product")
@@ -255,8 +183,20 @@ class Codec:
         return np.asarray(a, dtype=np.int64) % self.p
 
     def _plan(self, unknowns: list[int]) -> _Plan:
-        """Solve tables for r unknown node indices, ascending."""
-        params, pcm, p = self.params, self.pcm, self.p
+        """The solve for r unknown node indices, ascending.
+
+        Its program is the known nodes' product (ParityCheckMatrix.product),
+        whose call takes every node's vectors and uses the known ones, then
+        two steps per level in ascending zero-digit count, whose coordinates
+        are positions lo to hi of the level-major order.  The first gathers
+        the right-hand side at those coordinates and the unknown racks'
+        aggregates of the level before at their digit siblings, and maps them
+        by [-V^-1 | -V^-1 times the sibling coefficients] to the level's
+        solution, an (r, hi - lo) block.  The second weighs that block into
+        the unknown racks' aggregates, a (racks, hi - lo) block after it; the
+        last level has none.  The output reads the solution in natural order.
+        """
+        params, pcm, p, n = self.params, self.pcm, self.p, self.params.n
         r, alpha, s1 = params.r, params.alpha, params.s_bar - 1
         pairs = [params.node_pair(i) for i in unknowns]
         try:
@@ -266,31 +206,38 @@ class Codec:
             raise InternalError("erasure system singular; constants are broken") from exc
         negated = -inverse % p
         racks = sorted({e for e, _ in pairs}) if s1 else []
-        weights = np.zeros((len(racks), r))
+        weights = np.zeros((len(racks), r), dtype=np.int64)
         for slot, (e, g) in enumerate(pairs):
             if e in racks:
                 weights[racks.index(e), slot] = pcm.diag[params.rack_residue(e), e, g]
         order = np.argsort(pcm.level, kind="stable")
+        bounds = np.flatnonzero(np.diff(pcm.level[order], prepend=-1, append=-1))
+        sizes = bounds[1:] - bounds[:-1]
+        starts, sizes = np.repeat(bounds[:-1], sizes), np.repeat(sizes, sizes)
+        known = pcm.product([i for i in range(n) if i not in unknowns])
+        # held[q, j], past the known product's rows: unknown q's solution at
+        # level-major position j for q < r, else rack racks[q - r]'s aggregate.
+        held = (known.rows + (r + len(racks)) * starts + np.arange(alpha) - starts
+                + np.arange(r + len(racks))[:, None] * sizes)
         # One table of the unknown racks' sibling terms over the level-major
         # order, cut by level; rows of racks with no term in a level drop out.
         gather, sibling_coef = pcm.sibling_table(racks, order, order)
-        gather = np.where(gather > 0, gather + r * alpha, 0)
-        sibling_coef = negated @ sibling_coef.astype(np.int64) % p
-        bounds = np.flatnonzero(np.diff(pcm.level[order], prepend=-1, append=-1))
-        levels, natural = [], np.empty((r, alpha), dtype=np.intp)
+        gather = np.concatenate([[0], held[r:].ravel()])[gather]
+        sibling_coef = negated @ sibling_coef % p
+        steps, aggregate = list(known.steps), linalg.split(weights, n)
         for lo, hi in zip(bounds, bounds[1:]):
-            coords = order[lo:hi]
-            natural[:, coords] = r * lo + np.arange(r)[:, None] * (hi - lo) + np.arange(hi - lo)
             used = gather[:, lo:hi].any(axis=1)
-            index = np.vstack([1 + np.arange(r)[:, None] * alpha + coords, gather[used, lo:hi]])
-            coef = np.hstack([negated, sibling_coef[:, used]]).astype(np.float64)
-            levels.append((lo, hi, index, coef,
-                           term_groups(params.n, r, r, int(used.sum()) // max(s1, 1), s1)))
-        known = pcm.product([i for i in range(params.n) if i not in unknowns])
-        widest = max(params.n * alpha, known.coef.shape[1] * alpha,
-                     max(index.size for _, _, index, *_ in levels))
-        return _Plan(tuple(unknowns), known, tuple(levels), weights, natural,
-                     max(1, _CHUNK_SYMBOLS // widest), Fold(p))
+            steps.append(linalg.step(
+                np.vstack([known.output[:, order[lo:hi]], gather[used, lo:hi]]),
+                linalg.split(np.hstack([negated, sibling_coef[:, used]]), n), held[0, lo]))
+            if racks and hi < alpha:
+                steps.append(linalg.step(held[:r, lo:hi], aggregate, held[r, lo]))
+        natural = np.empty((r, alpha), dtype=np.intp)
+        natural[:, order] = held[:r]
+        program = linalg.Program(p, known.rows + (r + len(racks)) * alpha, steps, known.first,
+                                 natural, known.inputs)
+        return _Plan(tuple(unknowns), program,
+                     max(1, _CHUNK_SYMBOLS // max(n * alpha, program.widest)))
 
     def _solve(self, plan: _Plan, vectors: np.ndarray):
         """Per chunk of at most plan.chunk stripes, (lo, hi, values): the
@@ -300,7 +247,7 @@ class Codec:
         plan, valid until the next chunk."""
         for lo in range(0, vectors.shape[2], plan.chunk):
             hi = min(lo + plan.chunk, vectors.shape[2])
-            yield lo, hi, plan.solve(vectors[:, :, lo:hi])
+            yield lo, hi, plan.program(vectors[:, :, lo:hi])
 
     # -- encoding ------------------------------------------------------------
 
@@ -339,7 +286,7 @@ class Codec:
         params = self.params
         vectors = self._reduce(vectors)
         product = self.pcm.product(range(params.n))
-        residual = product(vectors.reshape(vectors.shape[:2] + (-1,))).astype(np.int64) % self.p
+        residual = product(vectors.reshape(vectors.shape[:2] + (-1,))).astype(np.int64)
         return residual.reshape((params.r * params.alpha,) + vectors.shape[2:])
 
     def syndrome(self, stripe: Stripe) -> np.ndarray:

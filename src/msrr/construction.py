@@ -13,22 +13,22 @@ Positions come from the digit table, ParityCheckMatrix.digits: the base-s_bar
 digits of every coordinate, computed once.  The level order, the zero-digit
 rows and their digit siblings are read off it; no other module expands digits.
 
-Summed over a set of nodes, the column groups act on their vectors through a
-few small float64 products (NodeProduct): one that forms the
-locator^residue-weighted rack aggregates, one gather of each aggregate at the
-rows' digit siblings, and one product of the diagonals and the extra-point
-powers with the vectors and the gathered siblings.
+Summed over a set of nodes, the column groups act on their vectors as a
+linalg.Program of two float64 steps (ParityCheckMatrix.product): one forms
+the locator^residue-weighted rack aggregates, and one gathers the vectors and
+each aggregate at the rows' digit siblings and weighs them by the diagonals
+and the extra-point powers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalError
 from .field import FieldCtx
-from .linalg import Fold, accumulate, exact_product, multiply, pieces, term_groups, work_arrays
+from .linalg import Program, split, step
 from .params import CodeParams
 
 
@@ -170,27 +170,41 @@ class ParityCheckMatrix:
                         self.extra_pow[blocks[:, 0] // params.u][:, None, :], 0)
         return index.reshape(-1, targets.size), coef.reshape(params.r, -1)
 
-    def product(self, nodes) -> "NodeProduct":
-        """The column groups of the given node indices, summed (NodeProduct)."""
-        params = self.params
+    def product(self, nodes) -> Program:
+        """The column groups of the given node indices, summed, as a Program.
+
+        Called on vectors (n', alpha, w) indexed by node, symbols in [0, p),
+        it returns H[:, nodes] @ vectors[nodes], (r, alpha, w) in [0, p), a
+        work array.  Its source holds the zero row, the vectors of the node
+        range inputs, the listed racks' aggregates, and the product (rows
+        output).  Nodes of the range that are not listed get zero columns.
+        The first step weighs each listed rack's vectors by locator^residue(e)
+        into its aggregate, as repair helpers do; the second maps the vectors
+        and the aggregates at the rows' digit siblings (sibling_table) by
+        [locator_j^t | the sibling coefficients] to the r*alpha parity-check
+        rows.  With s_bar = 1 no rack is listed.
+        """
+        params, alpha = self.params, self.params.alpha
         nodes = np.asarray(nodes, dtype=np.int64)
         span = np.arange(nodes.min(), nodes.max() + 1)
-        listed = np.isin(span, nodes)
+        listed = np.zeros(span.size, dtype=bool)
+        listed[nodes - span[0]] = True
         racks, slots = np.divmod(span, params.u)
         residues = [params.rack_residue(e) for e in racks]
         known = np.unique(nodes // params.u) if params.s_bar > 1 else racks[:0]
         weights = np.where((racks == known[:, None]) & listed,
                            self.diag[residues, racks, slots], 0)
-        coords = np.arange(params.alpha)
+        coords = np.arange(alpha)
         gather, coef = self.sibling_table(known, coords, coords)
-        return NodeProduct(
-            fold=Fold(self.p),
-            index=slice(int(span[0]), int(span[-1]) + 1),
-            coef=np.hstack([np.where(listed, self.diag[:, racks, slots], 0), coef]).astype(
-                np.float64),
-            groups=term_groups(params.n, span.size, nodes.size, known.size, params.s_bar - 1),
-            weights=weights.astype(np.float64),
-            gather=gather)
+        vectors = 1 + np.arange(span.size * alpha).reshape(span.size, alpha)
+        out = 1 + vectors.size + known.size * alpha
+        steps = [step(vectors, split(weights, params.n), 1 + vectors.size)] if known.size else []
+        steps.append(step(np.vstack([vectors, np.where(gather > 0, gather + vectors.size, 0)]),
+                          split(np.hstack([np.where(listed, self.diag[:, racks, slots], 0), coef]),
+                                params.n), out))
+        rows = params.r * alpha
+        return Program(self.p, out + rows, steps, 1, out + np.arange(rows).reshape(params.r, alpha),
+                       slice(int(span[0]), int(span[-1]) + 1))
 
     def dense_node(self, e: int, g: int) -> np.ndarray:
         """Materialize column group (e, g) as a dense (r*alpha, alpha) matrix."""
@@ -203,74 +217,3 @@ class ParityCheckMatrix:
         rows, cols, values = self.off_diagonal[e]
         block[rows[:, None], cols] = values[g]
         return block
-
-
-@dataclass(eq=False)
-class NodeProduct:
-    """Sum over a fixed node list of each node's column group times its vector.
-
-    The nodes lie in the node range index; nodes of the range that are not
-    listed get zero columns.  weights[i, j] is locator_j^residue(e) when node
-    j lies in the i-th listed rack e, else 0, so weights @ x are the rack
-    aggregates that repair helpers send.  gather reads the aggregates at the
-    rows' digit siblings (ParityCheckMatrix.sibling_table), and coef =
-    [locator_j^t | the sibling coefficients] weighs the vectors and the
-    gathered siblings into the r*alpha parity-check rows, one product per
-    column range of groups.  With s_bar = 1 no rack is listed.
-
-    Work arrays are kept from call to call, so a NodeProduct is not for
-    concurrent use.
-    """
-
-    fold: Fold
-    index: slice
-    coef: np.ndarray
-    groups: tuple[tuple[int, int], ...]
-    weights: np.ndarray
-    gather: np.ndarray
-    _store: dict = dc_field(default_factory=dict)
-    _bound: tuple = (None, None)
-
-    def _bind(self, alpha: int, out: np.ndarray) -> tuple:
-        """Work-array views and product pieces that write into out, an
-        (r, alpha, w) array."""
-        (racks, span), (r, width) = self.weights.shape, (out.shape[0], out.shape[2])
-        rows = span + self.gather.shape[0]
-        work = work_arrays(self._store, {
-            "operand": (rows, alpha), "aggregates": (1 + racks * alpha,),
-            "scratch": (max(r, racks) * alpha,)}, width)
-        operand, aggregates, scratch = work["operand"], work["aggregates"], work["scratch"]
-        aggregates[0] = 0  # the row that gathers read as a zero term
-        terms, flat = operand.reshape(rows, -1), out.reshape(r, -1)
-        own = aggregates[1:].reshape(racks, alpha * width)
-        return (operand[:span], operand[span:], aggregates,
-                pieces(self.weights, terms[:span], own),
-                own, scratch[:racks * alpha].reshape(own.shape),
-                exact_product(self.coef, self.groups, terms, flat,
-                              scratch[:r * alpha].reshape(flat.shape)),
-                flat, scratch[:r * alpha].reshape(flat.shape))
-
-    def __call__(self, vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """H[:, nodes] applied to vectors[nodes], (r, alpha, w) float64.
-
-        vectors is (n', alpha, w), indexed by node, with symbols in [0, p).
-        The result, written to out when given, holds signed residues:
-        congruent to the product mod p, of magnitude at most p - 1.  Each
-        float64 product sums at most n terms of at most (p - 1)^2: u in an
-        aggregate, at most n per column range of groups.  Codec checks that
-        n such terms stay below 2^53.
-        """
-        alpha, width = vectors.shape[1:]
-        if out is None:
-            out = np.empty((self.coef.shape[0], alpha, width))
-        if self._bound[0] is not out:
-            self._bound = (out, self._bind(alpha, out))
-        (known, siblings, aggregates, aggregate_products, own, own_scratch, products,
-         flat, scratch) = self._bound[1]
-        np.copyto(known, vectors[self.index])
-        if self.gather.size:
-            multiply(aggregate_products)
-            self.fold(own, own_scratch)
-            np.take(aggregates, self.gather, axis=0, mode="clip", out=siblings)
-        accumulate(products, flat, scratch, self.fold)
-        return out

@@ -1,5 +1,5 @@
-"""Exact linear algebra over GF(p): rank, power-moment solves, and exact
-float64 products.
+"""Exact linear algebra over GF(p): rank, power-moment solves, and the exact
+float64 programs that encode, decode and repair run.
 
 Matrices are numpy int64 arrays holding canonical representatives in
 [0, p - 1]; all arithmetic is modular, so there are no tolerances anywhere.
@@ -7,18 +7,22 @@ rank is the dense elimination that verify_mds falls back to where its
 level-order certificate fails; vandermonde_solve is the Lagrange-basis solve
 behind the codec and repair.  A general dense solver is kept only as a test
 oracle, in tests/oracle.py.  Pivoting during elimination is for
-zero-avoidance only.  Entries stay below 2^16, hence products fit
-comfortably in int64 without intermediate reduction.
+zero-avoidance only.  Primes up to about 2^25 pass Codec's bound; rank's
+int64 products stay below p^2, and vandermonde_solve's sums of n of them
+stay far inside int64.
 
-The codec's products run in float64, which holds integers below 2^53
-exactly: Fold reduces sums to signed residues, term_groups splits a product
-whose sums could pass n terms, and exact_product and accumulate run it in
-pieces into work arrays that callers keep (work_arrays).
+Encode, decode and repair are each a Program: a sequence of Steps over one
+plan-owned float64 source array.  A step gathers rows of the source, takes
+one exact product and folds it into signed residues (Fold), written back
+into the source for later steps to gather.  float64 holds integers below
+2^53 exactly, and split cuts each product into column ranges that keep
+every sum within n terms.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,22 +136,50 @@ class Fold:
         return a
 
 
-def term_groups(n: int, base: int, base_terms: int, racks: int,
-                width: int) -> tuple[tuple[int, int], ...]:
-    """Column ranges that split a product into sums of at most n terms.
+def split(coef, n: int) -> tuple:
+    """coef's column ranges, (lo, hi, coef[:, lo:hi] as float64), cut greedily:
+    no row holds more than n nonzero coefficients in the first range, or
+    more than n - 1 in a later one, which is added to the folded sum of the
+    ranges before it, a term of its own."""
+    nonzero = np.asarray(coef) != 0
+    if nonzero.sum(axis=1).max(initial=0) <= n:  # the common case, cheaply
+        return ((0, nonzero.shape[1], np.ascontiguousarray(coef, dtype=np.float64)),)
+    counts = np.cumsum(nonzero, axis=1)
+    edges = [0]
+    while edges[-1] < counts.shape[1]:
+        lo = edges[-1]
+        over = (counts - (counts[:, lo - 1:lo] if lo else 0) > n - bool(lo)).any(axis=0)
+        edges.append(int(over.argmax()) if over.any() else counts.shape[1])
+    return tuple((lo, hi, np.ascontiguousarray(coef[:, lo:hi], dtype=np.float64))
+                 for lo, hi in zip(edges, edges[1:]))
 
-    The columns are base columns, carrying base_terms nonzero terms per row,
-    then one block of width columns per rack.  The first range holds the
-    base columns and as many blocks as fit beside them; every later range is
-    added to a folded sum, a term of its own, so it holds at most n - 1.
-    """
-    end = base + racks * width
-    if not width:
-        return ((0, end),)
-    edges = [0, base + min(racks, (n - base_terms) // width) * width]
-    while edges[-1] < end:
-        edges.append(min(end, edges[-1] + (n - 1) // width * width))
-    return tuple(zip(edges, edges[1:]))
+
+def _rows(index) -> slice | np.ndarray:
+    """Source rows index as a slice when they are one contiguous run, read as
+    a view; else flat, for np.take."""
+    flat = np.ravel(index).astype(np.intp, copy=False)
+    if flat.size:
+        first, last = int(flat[0]), int(flat[-1])
+        if last - first == flat.size - 1 and (flat[1:] > flat[:-1]).all():
+            return slice(first, last + 1)
+    return flat
+
+
+class Step(NamedTuple):
+    """Source rows out to out + R*M, as (R, M), set to the signed residues of
+    coef @ source[index] for index, shape (K, M), of source rows: gathered as
+    a view when the rows are one contiguous run, else by np.take.  ranges are
+    split's column ranges of coef, (R, K)."""
+
+    index: slice | np.ndarray
+    shape: tuple[int, int]
+    ranges: tuple
+    out: int
+
+
+def step(index, ranges, out: int) -> Step:
+    index = np.asarray(index)
+    return Step(_rows(index), index.shape, ranges, int(out))
 
 
 # The OpenBLAS that numpy bundles runs a product of about 2^20 multiply-adds
@@ -158,47 +190,103 @@ def term_groups(n: int, base: int, base_terms: int, racks: int,
 _PRODUCT_WORK = 1 << 19
 
 
-def pieces(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
+def _pieces(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
     """a @ b into out, cut along the columns: (a, b block, out block) each."""
-    step = max(1, _PRODUCT_WORK // max(1, a.size))
-    if out.shape[1] <= step:
+    cut = max(1, _PRODUCT_WORK // max(1, a.size))
+    if out.shape[1] <= cut:
         return [(a, b, out)]
-    return [(a, b[:, j:j + step], out[:, j:j + step]) for j in range(0, out.shape[1], step)]
+    return [(a, b[:, j:j + cut], out[:, j:j + cut]) for j in range(0, out.shape[1], cut)]
 
 
-def multiply(products: list) -> None:
-    for a, b, out in products:
-        np.matmul(a, b, out=out)
+class Program:
+    """Steps over one float64 source array of rows rows, one column per
+    stripe, whose row 0 stays zero: the row a gather reads for an absent term.
 
+    run stages vectors[inputs], symbols in [0, p), in the rows from first on
+    and runs steps[start:stop]; a call runs from start to the end and
+    returns the output rows, shape output.shape + (w,), moved into [0, p).
+    Every operand is a symbol or a signed residue and every coefficient is
+    in [0, p), so each term is at most (p - 1)^2, and split keeps each sum
+    within n of them.  Work arrays are bound per width w and kept from call
+    to call, so results are overwritten by the next call and a Program is
+    not for concurrent use.
+    """
 
-def exact_product(coef: np.ndarray, groups, operand: np.ndarray, out: np.ndarray,
-                  scratch: np.ndarray) -> list:
-    """The pieces of out = coef @ operand, one list per column range of groups:
-    the first range goes to out, every later one to scratch, to be added
-    after out is folded (accumulate)."""
-    return [pieces(np.ascontiguousarray(coef[:, lo:hi]), operand[lo:hi],
-                   scratch if i else out) for i, (lo, hi) in enumerate(groups)]
+    def __init__(self, p: int, rows: int, steps, first: int, output: np.ndarray,
+                 inputs: slice = slice(None)):
+        self.fold, self.rows, self.steps = Fold(p), rows, tuple(steps)
+        self.first, self.output, self.inputs = first, np.asarray(output), inputs
+        # The widest gather: besides the source, the largest work array.
+        self.widest = max(s.shape[0] * s.shape[1] for s in self.steps)
+        self._scratch = max([self.output.size]
+                            + [len(s.ranges[0][2]) * s.shape[1] for s in self.steps])
+        self._output = _rows(self.output)
+        self._store, self._width = {}, None
 
+    def _array(self, name: str, size: int) -> np.ndarray:
+        """A flat work array of size, replaced only when size outgrows it, so
+        a narrower width shares the memory of a wider one."""
+        if name not in self._store or self._store[name].size < size:
+            self._store[name] = np.empty(size)
+        return self._store[name][:size]
 
-def accumulate(products: list, out: np.ndarray, scratch: np.ndarray, fold: Fold) -> None:
-    """Run exact_product's pieces, folding out after each column range and
-    adding the next range's sum to it."""
-    for i, ranged in enumerate(products):
-        multiply(ranged)
-        if i:
-            np.add(out, scratch, out=out)
-        fold(out, scratch)
+    def bind(self, width: int) -> np.ndarray:
+        """The source, (rows, width), and the output's views on it.  A step's
+        views are bound on its first run at this width, so a plan that runs
+        some steps only (repair_node never runs the message steps) binds
+        only those."""
+        if self._width == width:
+            return self.source
+        self.source = source = self._array("source", self.rows * width).reshape(self.rows, width)
+        source[0] = 0
+        shape = self.output.shape + (width,)
+        if isinstance(self._output, slice):
+            output = source[self._output]
+        else:
+            output = self._array("output", self.output.size * width)
+        self._results = (output.reshape(shape),
+                         self._array("scratch", self._scratch * width)[:output.size].reshape(shape))
+        self._bound, self._width = [None] * len(self.steps), width
+        return source
 
+    def _bind(self, i: int) -> tuple:
+        """Step i's views: its index, the array np.take fills (None for a
+        view), its output block and scratch, and per range the product's
+        pieces."""
+        s, source, width = self.steps[i], self.source, self._width
+        (terms, span), rows = s.shape, len(s.ranges[0][2])
+        if isinstance(s.index, slice):
+            gathered, take = source[s.index].reshape(terms, span * width), None
+        else:
+            gathered = self._array("operand", self.widest * width)[:s.index.size * width]
+            gathered, take = gathered.reshape(terms, span * width), gathered.reshape(-1, width)
+        out = source[s.out:s.out + rows * span].reshape(rows, span * width)
+        spill = self._array("scratch", self._scratch * width)[:out.size].reshape(out.shape)
+        self._bound[i] = (s.index, take, out, spill, [
+            _pieces(coef, gathered[lo:hi], spill if lo else out) for lo, hi, coef in s.ranges])
+        return self._bound[i]
 
-def work_arrays(store: dict, shapes: dict, width: int) -> dict:
-    """Views shape + (width,) of flat float64 arrays kept in store under the
-    same names.  An array is replaced only when width outgrows it, so the
-    views of a narrower call share the memory of a wider one; what a view
-    held at another width is left over."""
-    views = {}
-    for name, shape in shapes.items():
-        size = math.prod(shape) * width
-        if name not in store or store[name].size < size:
-            store[name] = np.empty(size)
-        views[name] = store[name][:size].reshape(tuple(shape) + (width,))
-    return views
+    def run(self, vectors: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Stage vectors[inputs], (..., w), and run steps[start:stop]; returns
+        the source."""
+        source, staged = self.bind(vectors.shape[-1]), vectors[self.inputs]
+        count = math.prod(staged.shape[:-1])
+        np.copyto(source[self.first:self.first + count].reshape(staged.shape), staged)
+        for i in range(start, len(self.steps) if stop is None else stop):
+            index, take, out, spill, ranges = self._bound[i] or self._bind(i)
+            if take is not None:
+                np.take(source, index, axis=0, mode="clip", out=take)
+            for j, products in enumerate(ranges):
+                for a, b, c in products:
+                    np.matmul(a, b, out=c)
+                if j:
+                    np.add(out, spill, out=out)
+                self.fold(out, spill)
+        return source
+
+    def __call__(self, vectors: np.ndarray, start: int = 0) -> np.ndarray:
+        source = self.run(vectors, start)
+        output, scratch = self._results
+        if not isinstance(self._output, slice):
+            np.take(source, self._output, axis=0, mode="clip", out=output.reshape(-1, self._width))
+        return self.fold.nonnegative(output, scratch)

@@ -17,21 +17,22 @@ survivors, so reading beyond the allowed beta symbols per helper node is
 structurally impossible.
 
 The engine is a plan and an apply.  RepairPlan.create builds, once per codec
-and job, everything that depends on the job alone, and the plan keeps its
-work arrays from chunk to chunk.  helper_message writes each helper rack's
-message into the plan's rows; an apply then runs each level as one gather,
-one exact product and one fold.  The level products peel the survivors out
-of the host aggregate as they solve it, so they yield the failed node, which
-moves into natural coordinate order once, on output.  repair_node validates
+and job, everything that depends on the job alone, as one linalg.Program
+whose work arrays the plan keeps from chunk to chunk.  helper_message runs
+the step that writes a helper rack's message into the plan's rows; an apply
+then runs each level as one step: a gather, one exact product and a fold.
+The level products peel the survivors out of the host aggregate as they
+solve it, so they yield the failed node, which moves into natural coordinate
+order once, on output.  repair_node validates
 its inputs and applies a fresh plan to the whole batch;
 stripe_io.repair_shard applies one plan to a shard directory in chunks whose
 widest array, RepairPlan.rows symbols per stripe, holds about _CHUNK_SYMBOLS.
 
 Arithmetic is float64, as in the codec: every term is a coefficient in
 [0, p) times a symbol or a signed residue (linalg.Fold), so at most
-(p - 1)^2, and no sum has more than n terms (a level's is split by
-linalg.term_groups), so Codec's bound n * (p - 1)^2 < 2^53 keeps all exact.
-Values move into [0, p) once, on output.
+(p - 1)^2, and linalg.split keeps every sum within n nonzero terms, so
+Codec's bound n * (p - 1)^2 < 2^53 keeps all exact.  Values move into
+[0, p) once, on output.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import numpy as np
 from . import linalg
 from .codec import Codec, Stripe
 from .errors import InternalError, SingularMatrixError
-from .linalg import Fold, accumulate, exact_product, multiply, pieces, term_groups, work_arrays
 from .params import CodeParams
 
 
@@ -110,11 +110,11 @@ def helper_message(codec: Codec, rack_vectors: np.ndarray, e: int,
                    job: RepairJob, plan: RepairPlan | None = None) -> np.ndarray:
     """The beta symbols helper rack e ships for the job: the locator^residue
     (e_star)-weighted sum of its nodes' zero-digit coordinates, read through
-    a view, in one float64 product.  Without a plan they are returned as
-    int64 symbols in [0, p), shape (beta,) + tail.  With plan, from
-    rack_vectors (u, alpha, w) of symbols in [0, p), they go into the plan's
-    rows for rack e, which are returned: a float64 sum of u terms that the
-    plan's next apply at width w folds.
+    a view.  Without a plan they are returned as int64 symbols in [0, p),
+    shape (beta,) + tail.  With plan, from rack_vectors (u, alpha, w) of
+    symbols in [0, p), the plan's step for rack e writes them into its rows,
+    which are returned: float64 signed residues, kept for the plan's next
+    apply at width w.
     """
     params, p = codec.params, codec.p
     if e not in job.helpers:
@@ -129,55 +129,46 @@ def helper_message(codec: Codec, rack_vectors: np.ndarray, e: int,
     place = int(codec.pcm.place[job.digit_position(params)])
     selected = rack_vectors.reshape(
         (u, rack_vectors.shape[1] // (s_bar * place), s_bar, place) + tail)[:, :, 0]
-    shape = (params.beta,) + tail
     if plan is not None:
-        work, slot = plan._work(math.prod(tail)), job.helpers.index(e)
-        np.copyto(work["selected"].reshape(selected.shape), selected)
-        multiply(pieces(plan.weights[slot:slot + 1], work["selected"].reshape(u, -1),
-                        work["messages"][slot].reshape(1, -1)))
-        return work["messages"][slot].reshape(shape)
-    weights = codec.pcm.diag[params.rack_residue(job.e_star), e][None].astype(np.float64)
-    operand = np.asarray(codec._reduce(selected), dtype=np.float64).reshape(u, -1)
-    message = np.empty((1, operand.shape[1]))
-    multiply(pieces(weights, operand, message))  # u terms below p^2: exact
-    return (message % p).astype(np.int64).reshape(shape)
+        slot = job.helpers.index(e)
+        source = plan.program.run(selected, slot, slot + 1)
+        return source[1 + slot * params.beta:1 + (slot + 1) * params.beta].reshape(
+            (params.beta,) + tail)
+    weights = codec.pcm.diag[params.rack_residue(job.e_star), e]
+    # u terms below p^2 each: exact in int64.
+    return (weights @ codec._reduce(selected).reshape(u, -1) % p).reshape((params.beta,) + tail)
 
 
 @dataclass(eq=False)
 class RepairPlan:
-    """One repair job's tables over one codec, and the work arrays they are
-    applied in.
+    """One repair job's tables over one codec, as one linalg.Program, and
+    the work arrays it runs in.
 
     An apply to w stripes works in one source array of rows w wide: a zero
     row, helper i's message at its k-th zero-digit row at 1 + i*beta + k,
-    the survivors, then each level's solution block.  The zero-digit rows
-    are taken in level-major order, and a level, (lo, hi, index), is
-    positions lo to hi of it.  index gathers the level's terms from the
-    source: the helper messages, the survivors at the rows' s_bar digit
-    siblings and, for each rack of the host's residue, its s_bar - 1
-    correction terms (its aggregate one level down, or the zero row).  coef
-    maps them, one product per column range of groups, to the block: the
-    failed node at the rows' digit siblings, then the non-helper aggregates
-    at the rows.  Its columns are step's helper columns, the survivors' peel
-    weights and step's extra-point columns once per rack, and its
-    failed-node rows of step are scaled by the peel's inverse.  host[a] and
-    side are the source rows of the failed node at coordinate a and of the
-    non-helper aggregates per zero-digit row; weights[i] weigh helper i's
-    nodes into its message.  rows, the widest per-stripe array of a repair
-    (the source, a level's gather or a rack's u nodes), sizes chunks.  Work
+    the survivors, then each level's solution block.  The first messages
+    steps, one per helper in job.helpers order, weigh the helper rack's
+    nodes, staged where the survivors go, into its message; helper_message
+    runs them.  The zero-digit rows are taken in level-major order, and each
+    later step is a level, positions lo to hi of that order.  It gathers the
+    level's terms from the source: the helper messages, the survivors at the
+    rows' s_bar digit siblings and, for each rack of the host's residue, its
+    s_bar - 1 correction terms (its aggregate one level down, or the zero
+    row).  Its coefficients map them to the block: the failed node at the
+    rows' digit siblings, then the non-helper aggregates at the rows.  They
+    are step's helper columns, the survivors' peel weights and step's
+    extra-point columns once per rack, and the failed-node rows of step are
+    scaled by the peel's inverse.  The output reads the failed node at each
+    coordinate; side holds the source rows of the non-helper aggregates per
+    zero-digit row.  rows, the widest per-stripe array of a repair (the
+    source, a level's gather or a rack's u nodes), sizes chunks.  Work
     arrays are kept from call to call, so a plan is not for concurrent use.
     """
 
-    weights: np.ndarray
-    levels: tuple[tuple[int, int, np.ndarray], ...]
-    coef: np.ndarray
-    groups: tuple[tuple[int, int], ...]
-    host: np.ndarray
+    program: linalg.Program
     side: np.ndarray
-    fold: Fold
+    messages: int
     rows: int
-    _store: dict = dc_field(default_factory=dict)
-    _views: tuple = (None, None)
 
     @classmethod
     def create(cls, codec: Codec, job: RepairJob) -> "RepairPlan":
@@ -187,7 +178,7 @@ class RepairPlan:
         res_star = params.rack_residue(e_star)
         if e_star not in codec._repair_layouts:
             codec._repair_layouts[e_star] = _layout(codec, e_star)
-        order, bounds, solved, host, side, survived, racks, sibling, present = \
+        order, bounds, solved, host, side, survived, racks, sibling, present, selected, messages = \
             codec._repair_layouts[e_star]
         helpers = list(job.helpers)
         others = [e for e in range(params.n_bar) if e != e_star and e not in job.helpers]
@@ -223,60 +214,26 @@ class RepairPlan:
             -inverse * int(scale) % p for g, scale in enumerate(scales) if g != g_star]
         coef = np.hstack([step[:, :d_bar], peel.reshape(r_bar, -1)]
                          + [step[:, d_bar:]] * len(racks))
-        return cls(weights=codec.pcm.diag[res_star, helpers].astype(np.float64),
-                   levels=tuple((lo, hi, np.ascontiguousarray(index[:, lo:hi]))
-                                for lo, hi in zip(bounds, bounds[1:])),
-                   coef=coef.astype(np.float64),
-                   groups=term_groups(params.n, d_bar + (u - 1) * s_bar, d_bar + u - 1,
-                                      len(racks), s_bar - 1),
-                   host=host, side=side, fold=Fold(p),
-                   rows=max(1 + d_bar * beta + (u - 1) * params.alpha + r_bar * beta,
-                            len(index) * int(np.diff(bounds).max()), u * params.alpha))
-
-    def _work(self, width: int) -> dict:
-        """Work-array views and product pieces for chunks of width stripes."""
-        if self._views[0] == width:
-            return self._views[1]
-        (d_bar, u), r_bar = self.weights.shape, len(self.coef)
-        beta, alpha = self.side.shape[1], self.host.size
         kept = 1 + d_bar * beta
-        base = kept + (u - 1) * alpha
-        work = work_arrays(self._store, {
-            "source": (base + r_bar * beta,), "selected": (u, beta), "node": (alpha,),
-            "operand": (max(index.size for *_, index in self.levels),),
-            "scratch": (max(d_bar, r_bar) * beta,)}, width)
-        source, scratch = work["source"], work["scratch"]
-        source[0] = 0  # the row that gathers read as a zero term
-        levels = []
-        for lo, hi, index in self.levels:
-            operand = work["operand"][:index.size].reshape(len(index), -1)
-            block = source[base + r_bar * lo:base + r_bar * hi].reshape(r_bar, -1)
-            block_scratch = scratch[:r_bar * (hi - lo)].reshape(block.shape)
-            levels.append((index, operand.reshape(index.shape + (width,)), block, block_scratch,
-                           exact_product(self.coef, self.groups, operand, block, block_scratch)))
-        work.update(sent=source[1:kept], messages=source[1:kept].reshape(d_bar, beta, width),
-                    survivors=source[kept:base].reshape(u - 1, alpha, width), levels=levels)
-        self._views = (width, work)
-        return work
+        base = kept + (u - 1) * params.alpha
+        steps = [linalg.Step(*selected[:2], messages[e], 1 + i * beta)
+                 for i, e in enumerate(helpers)]
+        ranges = linalg.split(coef, params.n)
+        steps += [linalg.step(index[:, lo:hi], ranges, base + r_bar * lo)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        program = linalg.Program(p, base + r_bar * beta, steps, kept, host)
+        return cls(program=program, side=side, messages=d_bar,
+                   rows=max(program.rows, program.widest, u * params.alpha))
 
     def __call__(self, survivors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Recover the failed node over a chunk of w stripes from the helper
-        messages written into this plan at width w, by helper_message or
-        into its "messages" rows, (d_bar, beta, w) in job.helpers order, and
-        the survivors, (u - 1, alpha, w) in node order, all symbols in
-        [0, p).  Returns the failed node, (alpha, w) symbols in [0, p), in out
-        (an array of that shape whose dtype holds p - 1) or else in a new
-        int64 array, never in a work array.
+        messages in this plan at width w, written by helper_message, and the
+        survivors, (u - 1, alpha, w) in node order, symbols in [0, p).
+        Returns the failed node, (alpha, w) symbols in [0, p), in out (an
+        array of that shape whose dtype holds p - 1) or else in a new int64
+        array, never in a work array.
         """
-        work, fold = self._work(survivors.shape[-1]), self.fold
-        source, scratch, node = work["source"], work["scratch"], work["node"]
-        fold(work["sent"], scratch[:len(work["sent"])])
-        np.copyto(work["survivors"], survivors)
-        for index, operand, block, block_scratch, products in work["levels"]:
-            np.take(source, index, axis=0, mode="clip", out=operand)
-            accumulate(products, block, block_scratch, fold)
-        np.take(source, self.host, axis=0, mode="clip", out=node)
-        fold.nonnegative(node, scratch[:len(node)])
+        node = self.program(survivors, self.messages)
         if out is None:
             return node.astype(np.int64)
         np.copyto(out, node, casting="unsafe")
@@ -288,7 +245,8 @@ def _layout(codec: Codec, e_star: int) -> tuple:
     alone, which the codec keeps.  sibling[i, v - 1, j] is the position of
     rack racks[i]'s correction term for extra point v at position j: the
     row with that rack's digit set to v, where present[i, 0, j], the digit
-    is zero."""
+    is zero.  selected is a message step's gather and messages[e] its
+    column ranges for rack e."""
     params, pcm = codec.params, codec.pcm
     u, alpha, s_bar, beta = params.u, params.alpha, params.s_bar, params.beta
     r_bar, kept, tau = params.r_bar, 1 + params.d_bar * params.beta, params.rack_digit(e_star)
@@ -315,7 +273,15 @@ def _layout(codec: Codec, e_star: int) -> tuple:
     digit = pcm.digits[targets][:, racks // (u - params.u0)].T[:, None]
     sibling = position[targets + (np.arange(1, s_bar)[:, None] - digit)
                        * pcm.place[racks // (u - params.u0), None, None]]
-    return order, bounds, solved, host, side, survived, racks, sibling, digit == 0
+    # A helper rack's nodes' zero-digit rows are staged from row kept on,
+    # where the survivors and the levels go once every message is in (u*beta
+    # rows fit, as beta <= alpha and r_bar >= 1), and weighed by messages[e]
+    # for rack e.  A split's ranges hold for any of its rows.
+    selected = linalg.step(kept + np.arange(u * beta).reshape(u, beta), (), 0)
+    weights = linalg.split(pcm.diag[params.rack_residue(e_star)], params.n)
+    messages = [tuple((lo, hi, c[e:e + 1]) for lo, hi, c in weights) for e in range(params.n_bar)]
+    return (order, bounds, solved, host, side, survived, racks, sibling, digit == 0, selected,
+            messages)
 
 
 def repair_node(codec: Codec, job: RepairJob, messages: dict[int, np.ndarray],
@@ -343,16 +309,15 @@ def repair_node(codec: Codec, job: RepairJob, messages: dict[int, np.ndarray],
 
     plan = RepairPlan.create(codec, job)
     width = math.prod(tail)
-    work = plan._work(width)
-    work["messages"][...] = np.stack([msgs[e] for e in job.helpers]).reshape(
-        len(msgs), beta, width)
+    source = plan.program.bind(width)
+    source[1:1 + len(msgs) * beta] = np.stack([msgs[e] for e in job.helpers]).reshape(-1, width)
     recovered = plan(np.stack([surv[g] for g in sorted(surv)]).reshape(len(surv), alpha, width))
     # The non-helper racks' aggregates, solved on the way, in rack order.
     others = [e for e in range(params.n_bar) if e != job.e_star and e not in job.helpers]
     return RepairTranscript.of(
         params, job, width, messages=msgs, recovered=recovered.reshape((alpha,) + tail),
         side_aggregates={e: (aggregate % p).astype(np.int64).reshape((beta,) + tail)
-                         for e, aggregate in zip(others, work["source"][plan.side])})
+                         for e, aggregate in zip(others, source[plan.side])})
 
 
 def repair_from_stripe(codec: Codec, stripe: Stripe, job: RepairJob) -> RepairTranscript:

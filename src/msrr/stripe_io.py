@@ -12,7 +12,7 @@ widest per-stripe array holds about _CHUNK_SYMBOLS symbols: a codeword's
 n*alpha for encode_file and decode_file, the repair plan's rows for
 repair_shard, which never holds a codeword.  A job opens each shard once, as
 a raw descriptor (os.preadv, os.write), and keeps it to the end; past half
-the soft open-file limit the oldest is closed first (_Descriptors).  So
+the soft open-file limit the newest is closed first (_Descriptors).  So
 neither memory nor open files grow with the file or with n.  encode_file and
 decode_file hash the payload as it passes, and keep one chunk array of every
 node's stripes, laid out as the shards store them.  repair_shard opens only
@@ -214,7 +214,9 @@ def _check_sizes(paths, expected: int) -> None:
 class _Descriptors(dict):
     """One job's shard descriptors by path, opened with flags on first use
     and kept until the block ends, which closes them all.  Past half the
-    soft open-file limit the oldest is closed first."""
+    soft open-file limit the newest is closed first: a job reads its shards
+    in the same order every chunk, so the first cap - 1 stay open and only
+    the rest take turns in the last slot."""
 
     def __init__(self, flags: int):
         super().__init__()
@@ -224,7 +226,7 @@ class _Descriptors(dict):
 
     def __missing__(self, path: Path) -> int:
         if len(self) >= self.cap:
-            os.close(self.pop(next(iter(self))))
+            os.close(self.pop(next(reversed(self))))
         self[path] = descriptor = os.open(path, self.flags)
         return descriptor
 

@@ -460,8 +460,8 @@ def test_repair_is_exact_at_the_largest_prime(params):
 def test_repair_level_split_is_exact_at_the_largest_prime():
     # n = 8, alpha = 81, and every rack shares residue 0: a level's product
     # has 3 helper, 3 survivor and 2 correction columns for each of the 3
-    # other racks, more than n, so term_groups splits it into column ranges
-    # that are folded in turn.
+    # other racks, more than n columns, but no row holds more than n nonzero
+    # coefficients, so it is not split.
     params = CodeParams.from_total_k(4, 2, 3, 3)
     assert (params.n, params.alpha) == (8, 81)
     codec = Codec(params, field=_field_at_the_bound(params))
@@ -471,13 +471,41 @@ def test_repair_level_split_is_exact_at_the_largest_prime():
     for i, (e, g) in enumerate(params.nodes()):
         job = RepairJob.create(params, e, g)
         plan = RepairPlan.create(codec, job)
-        assert len(plan.groups) > 1
         # No row of a range sums more than n terms; a later range is added
         # to a folded sum, one more term.
-        for later, (lo, hi) in enumerate(plan.groups):
-            assert np.count_nonzero(plan.coef[:, lo:hi], axis=1).max() <= params.n - bool(later)
+        for step in plan.program.steps:
+            for later, (lo, hi, coef) in enumerate(step.ranges):
+                assert np.count_nonzero(coef, axis=1).max() <= params.n - bool(later)
         transcript = repair_from_stripe(codec, stripe, job)
         assert np.array_equal(transcript.recovered, vectors[i]), (e, g)
+
+
+def _every_step(codec):
+    """The steps of the encode plan; of decode plans for the first r nodes,
+    the last r and one erasure per rack in turn; of every node's repair plan;
+    and of the product of every node."""
+    params = codec.params
+    n, r, u = params.n, params.r, params.u
+    spread = sorted([e * u + g for g in range(u) for e in range(params.n_bar)][:r])
+    programs = [codec._plan(list(nodes)).program
+                for nodes in (range(params.k, n), range(r), range(n - r, n), spread)]
+    programs += [RepairPlan.create(codec, RepairJob.create(params, e, g)).program
+                 for e, g in params.nodes()]
+    programs.append(codec.pcm.product(range(n)))
+    return [step for program in programs for step in program.steps]
+
+
+@pytest.mark.parametrize("params", EXACTNESS_CODES.values(), ids=EXACTNESS_CODES.keys())
+def test_every_product_sums_at_most_n_terms_per_row(params):
+    # A product's column ranges cover its columns in order.  No row of the
+    # first range holds more than n nonzero coefficients; a later range is
+    # added to a folded sum, one more term, so it holds at most n - 1.
+    for step in _every_step(Codec(params)):
+        edges = [lo for lo, _, _ in step.ranges] + [step.ranges[-1][1]]
+        assert edges[0] == 0 and edges[-1] == step.shape[0]
+        for later, (lo, hi, coef) in enumerate(step.ranges):
+            assert hi > lo == edges[later] and coef.shape[1] == hi - lo
+            assert np.count_nonzero(coef, axis=1).max(initial=0) <= params.n - bool(later)
 
 
 def test_exactness_bound_counts_every_node():
@@ -501,7 +529,7 @@ def test_spread_erasures_are_exact_at_the_largest_prime():
     present[[0, 3, 6, 9, 12, 15, 18, 21, 1, 4, 7, 10]] = False
     zeroed = np.where(present[:, None, None], stripe, 0)
     assert np.array_equal(codec.decode_batch(zeroed, present), stripe)
-    assert any(len(groups) > 1 for *_, groups in codec._decode_plan.levels)
+    assert any(len(step.ranges) > 1 for step in codec._decode_plan.program.steps)
 
 
 # -- signed residues and work arrays ----------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from msrr import linalg
 from msrr.errors import SingularMatrixError
+from msrr.field import is_prime
 from oracle import inverse, invertible, solve
 
 
@@ -128,3 +130,25 @@ def test_vandermonde_solve_batched_moments():
 def test_vandermonde_solve_rejects_repeated_points():
     with pytest.raises(SingularMatrixError):
         linalg.vandermonde_solve([3, 3], [1, 2], 11)
+
+
+def test_a_sum_past_n_terms_is_folded_between_its_ranges():
+    # n = 8 and the largest prime p with n * (p - 1)^2 < 2^53.  Each row sums
+    # 3n odd terms near p^2, about 2^54 in all, which float64 cannot hold
+    # exactly; split cuts them into ranges of n, n - 1, n - 1 and 2 terms,
+    # folded one after another, so the program's result is exact.
+    n = 8
+    p = math.isqrt((2**53 - 1) // n) + 1
+    while not (n * (p - 1) ** 2 < 2**53 and is_prime(p)):
+        p -= 1
+    terms = 3 * n
+    rng = np.random.default_rng(7)
+    coef = p - 2 - 2 * rng.integers(0, 8, size=(2, terms))
+    symbols = p - 2 - 2 * rng.integers(0, 8, size=(terms, 1, 3))
+    ranges = linalg.split(coef, n)
+    assert [hi - lo for lo, hi, _ in ranges] == [n, n - 1, n - 1, 2]
+    rows = 1 + np.arange(terms)
+    step = linalg.step(rows[:, None], ranges, 1 + terms)
+    program = linalg.Program(p, 3 + terms, [step], 1, 1 + terms + np.arange(2)[:, None])
+    expected = coef.astype(object) @ symbols[:, 0].astype(object) % p
+    assert program(symbols)[:, 0].tolist() == expected.tolist()

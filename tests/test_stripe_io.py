@@ -529,6 +529,46 @@ def test_repair_beyond_the_open_file_limit(tmp_path):
         (tmp_path / "original.shard").read_bytes()
 
 
+# Decodes the 80-shard code with rack 0's 20 shards deleted, under a 64-file
+# limit, in chunks of 16 stripes, and prints how many shards it opened.
+OPEN_COUNT_SCRIPT = """
+import os, resource, sys
+from msrr import CodeParams, stripe_io
+from msrr.stripe_io import decode_file, encode_file, shard_name
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+work = sys.argv[1]
+shards = os.path.join(work, "shards")
+params = CodeParams.from_total_k(4, 20, 60, 3)
+stripe_io._CHUNK_SYMBOLS = 16 * params.n * params.alpha
+encode_file(os.path.join(work, "in.bin"), shards, params)
+for g in range(params.u):
+    os.unlink(os.path.join(shards, shard_name(0, g)))
+opens, original = [], os.open
+def counted(path, *args, **kwargs):
+    opens.append(os.fspath(path))
+    return original(path, *args, **kwargs)
+os.open = counted
+decode_file(shards, os.path.join(work, "out.bin"))
+print(sum(path.endswith(".shard") for path in opens))
+"""
+
+
+def test_past_the_open_file_limit_only_the_shards_beyond_the_cap_reopen(tmp_path):
+    # The first cap - 1 shards a chunk reads stay open; the other read - cap
+    # + 1 take turns in the last slot, one open each per chunk.
+    payload = bytes(range(256)) * 40
+    (tmp_path / "in.bin").write_bytes(payload)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", OPEN_COUNT_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out.bin").read_bytes() == payload
+    stripes = -(-len(payload) // 60)  # k * alpha = 60 symbols per stripe
+    cap, read, chunks = 64 // 2, 60, -(-stripes // 16)
+    assert chunks == 11
+    assert int(done.stdout) <= cap - 1 + (read - cap + 1) * chunks
+
+
 # sha256 of every file encode_file writes for a seeded 20 KiB payload, captured
 # before the codec followed the level order of the construction; shard bytes
 # on disk must never change.
