@@ -180,6 +180,21 @@ def _repair_jobs(params: CodeParams, mode: str, samples: int,
             yield RepairJob.create(params, e_star, g_star, helpers)
 
 
+def _draw(rng: random.Random, p: int, count: int) -> np.ndarray:
+    """[rng.randrange(p) for _ in range(count)] as an array, leaving rng in
+    the same state.  randrange(p) is random._randbelow_with_getrandbits: it
+    takes 32-bit words, keeps the top p.bit_length() bits of each and
+    returns the first below p.  getrandbits(32*need) is need such words,
+    the first least significant, so each word yields at most one value, and
+    drawing only the deficit again never takes a word past the last value."""
+    values, shift = np.empty(0, dtype=np.uint32), 32 - p.bit_length()
+    while need := count - values.size:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
+        words = words >> shift
+        values = np.concatenate([values, words[words < p]])
+    return values
+
+
 def cmd_verify(args) -> int:
     if args.mode == "sample" and args.samples < 1:
         raise ParameterError("bad_samples",
@@ -201,30 +216,32 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     jobs_checked = 0
     repair_failures = []
-    w, p = STRIPES_PER_VERIFY_JOB, codec.p
+    w, p, k, alpha = STRIPES_PER_VERIFY_JOB, codec.p, params.k, params.alpha
     present = np.ones(params.n, dtype=bool)
-    for job in _repair_jobs(params, args.mode, args.samples, rng):
-        data = np.array(
-            [[[rng.randrange(p) for _ in range(w)]
-              for _ in range(params.alpha)] for _ in range(params.k)],
-            dtype=np.int64)
-        vectors = codec.encode_batch(data)
-        transcript = repair_from_stripe(
-            codec, Stripe(params, vectors, present), job)
-        target = params.node_index(job.e_star, job.g_star)
-        ok = bool(np.array_equal(transcript.recovered, vectors[target]))
-        jobs_checked += 1
-        if not ok:
-            repair_failures.append(job)
-        records.append({
-            "record": "repair_job", "rack": job.e_star, "node": job.g_star,
-            "helpers": list(job.helpers), "stripes": w,
-            "cross_rack_symbols": transcript.cross_rack_symbols,
-            "intra_rack_symbols": transcript.intra_rack_symbols,
-            "accessed_symbols_per_helper_rack":
-                transcript.accessed_symbols_per_helper_rack,
-            "ok": ok,
-        })
+    jobs = _repair_jobs(params, args.mode, args.samples, rng)
+    batch = max(1, codec.encode_plan.chunk // w)
+    # Each job and then its data are drawn in turn, as one job at a time
+    # draws them; one encode_batch takes up to one chunk of jobs' stripes.
+    while drawn := [(job, _draw(rng, p, k * alpha * w).reshape(k, alpha, w))
+                    for job in itertools.islice(jobs, batch)]:
+        vectors = codec.encode_batch(np.concatenate([data for _, data in drawn], axis=2))
+        for slot, (job, _) in enumerate(drawn):
+            stripes = vectors[:, :, slot * w:(slot + 1) * w]
+            transcript = repair_from_stripe(codec, Stripe(params, stripes, present), job)
+            target = params.node_index(job.e_star, job.g_star)
+            ok = bool(np.array_equal(transcript.recovered, stripes[target]))
+            jobs_checked += 1
+            if not ok:
+                repair_failures.append(job)
+            records.append({
+                "record": "repair_job", "rack": job.e_star, "node": job.g_star,
+                "helpers": list(job.helpers), "stripes": w,
+                "cross_rack_symbols": transcript.cross_rack_symbols,
+                "intra_rack_symbols": transcript.intra_rack_symbols,
+                "accessed_symbols_per_helper_rack":
+                    transcript.accessed_symbols_per_helper_rack,
+                "ok": ok,
+            })
 
     ok = mds.ok and not repair_failures
     records.append({

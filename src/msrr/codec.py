@@ -27,15 +27,17 @@ a - rint(a/p)*p, which for integer |a| < 2^53 have |r| <= p/2 + 2 <= p - 1
 cuts each product, by its coefficients, into column ranges folded one after
 another, so that no row sums more than n nonzero terms, a folded sum
 counting as one; so Codec requires n * (p - 1)^2 < 2^53.  Values move into
-[0, p) once, on output.  verify_mds certifies full rank of
-each r-subset's dense column groups from the same level order, with dense
-elimination where the certificate fails.  Batch variants carry a trailing
-stripe axis so that file striping can encode and decode a chunk of stripes
-in one shot.
+[0, p) once, on output.  verify_mds certifies full rank of each r-subset's
+dense column groups from the same level order: each group is checked once,
+alone, so memory holds one group, and a subset then needs only distinct
+Vandermonde diagonal columns; dense elimination runs only where the
+certificate fails.  Batch variants carry a trailing stripe axis so that file
+striping can encode and decode a chunk of stripes in one shot.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -163,16 +165,21 @@ class Codec:
                 f"n={params.n}, p={self.p} overflow the exact float64 product")
         self.constants: CodeConstants = build_constants(params, self.field)
         self.pcm = ParityCheckMatrix(params, self.constants)
-        # Plans cached: the encode plan, and one decode plan for the last
+        # Plans cached besides encode_plan: one decode plan for the last
         # erasure pattern, so a file decoded chunk by chunk plans once; and
         # the tables of repair plans that depend on the host rack alone.
-        self._encode_plan: _Plan | None = None
         self._decode_plan: _Plan | None = None
         self._repair_layouts: dict[int, tuple] = {}
 
     @property
     def p(self) -> int:
         return self.field.p
+
+    @functools.cached_property
+    def encode_plan(self) -> _Plan:
+        """The solve for the r parity nodes, planned on first use; encode_batch
+        runs it once per chunk of encode_plan.chunk stripes."""
+        return self._plan(list(range(self.params.k, self.params.n)))
 
     def _reduce(self, a) -> np.ndarray:
         """a as symbols in [0, p); unsigned input already below p is returned
@@ -260,14 +267,12 @@ class Codec:
         if data.shape[:2] != (params.k, params.alpha):
             raise ValueError(
                 f"data shape {data.shape} does not start with {(params.k, params.alpha)}")
-        if self._encode_plan is None:
-            self._encode_plan = self._plan(list(range(params.k, params.n)))
         if out is None:
             out = np.empty((params.n,) + data.shape[1:], dtype=np.int64)
         stripes = out[..., None] if out.ndim == 2 else out.reshape(params.n, params.alpha, -1)
         data = data.reshape(stripes[:params.k].shape)
         stripes[:params.k] = data
-        for lo, hi, values in self._solve(self._encode_plan, data):
+        for lo, hi, values in self._solve(self.encode_plan, data):
             stripes[params.k:, :, lo:hi] = values
         return out
 
@@ -352,10 +357,18 @@ class Codec:
         mode "exhaustive" walks every r-subset of nodes (refused above cap);
         mode "sample" draws `samples` subsets from the given seed.
 
-        Certificate: a subset's dense matrix h that is block lower triangular
-        in level order, with one invertible r x r diagonal block at every
-        coordinate, has rank r*alpha.  Otherwise its rank is linalg.rank(h),
-        so the report equals that of dense rank on any input.
+        Certificate: a subset's dense matrix h, its column groups side by
+        side, has rank r*alpha if (a) no group has an entry at row (t, a),
+        column b != a with level(b) >= level(a), so h is block lower
+        triangular in level order; (b) each group has the same diagonal
+        column at every coordinate; and (c) the r x r block of those columns
+        is invertible.  (a) and (b) are checked once per node, on one dense
+        column group at a time.  (c) holds when every column is a Vandermonde
+        column [x^t] and the x are distinct; otherwise linalg.rank decides
+        it.  A subset that fails is the only one whose h is built, from its
+        own groups, and its rank is linalg.rank(h); so the report equals that
+        of dense rank on any input, in the memory of one column group,
+        r*alpha x alpha, whatever the sample count.
         """
         params, p = self.params, self.p
         if mode == "exhaustive":
@@ -374,21 +387,28 @@ class Codec:
             raise ValueError(f"unknown mode {mode!r}")
 
         r, alpha, level = params.r, params.alpha, self.pcm.level
-        dense = [self.pcm.dense_node(e, g) for e, g in params.nodes()]
-        # Row (t, a), column (j, b) entries that must vanish for h to be block
-        # lower triangular in level order: b != a with level(b) >= level(a).
-        above_a, above_b = np.nonzero(
-            (level[None, :] >= level[:, None]) & ~np.eye(alpha, dtype=bool))
+        # One column group at a time: its verdict on (a) and (b), and its
+        # diagonal column, as x if that is the Vandermonde column [x^t].
+        holds, columns, points = [], np.empty((r, params.n), dtype=np.int64), []
         coords = np.arange(alpha)
+        for i, (e, g) in enumerate(params.nodes()):
+            block = self.pcm.dense_node(e, g)
+            rows, cols = np.nonzero(block)
+            diagonal = block.reshape(r, alpha, alpha)[:, coords, coords]
+            holds.append(bool(((cols == rows % alpha) | (level[cols] < level[rows % alpha])).all()
+                              and (diagonal == diagonal[:, :1]).all()))
+            columns[:, i] = column = diagonal[:, 0]
+            x = int(column[1]) if r > 1 else 1
+            points.append(x if column.tolist() == [pow(x, t, p) for t in range(r)] else None)
+            del block  # before the next group is built
         report = MdsReport(mode=mode, subsets_checked=0)
         for subset in subsets:
-            h = np.hstack([dense[i] for i in subset])
-            h4 = h.reshape(r, alpha, r, alpha)
-            blocks = h4[:, coords, :, coords]  # (alpha, r, r) diagonal blocks
-            certified = (not h4[:, above_a, :, above_b].any()
-                         and (blocks == blocks[0]).all()
-                         and linalg.rank(blocks[0], p) == r)
-            rk = r * alpha if certified else linalg.rank(h, p)
+            distinct = {points[i] for i in subset}
+            certified = all(holds[i] for i in subset) and (
+                None not in distinct and len(distinct) == r
+                or linalg.rank(columns[:, subset], p) == r)
+            rk = r * alpha if certified else linalg.rank(
+                np.hstack([self.pcm.dense_node(*params.node_pair(i)) for i in subset]), p)
             report.subsets_checked += 1
             if rk != r * alpha:
                 report.failures.append((subset, rk))

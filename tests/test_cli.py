@@ -1,11 +1,12 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
 from msrr import stripe_io
-from msrr.cli import main
+from msrr.cli import _draw, main
 from msrr.stripe_io import shard_name
 
 P1_FLAGS = ["--racks", "4", "--nodes-per-rack", "2", "--k", "4", "--helpers", "3"]
@@ -128,6 +129,27 @@ def test_verify_records_are_frozen(capsys, flags, digest):
     records[-1].pop("elapsed_s")
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("budget", [1, 7 * 12 * 8])
+def test_verify_records_do_not_depend_on_the_jobs_per_encode(capsys, monkeypatch, budget):
+    # verify encodes up to one codec chunk of jobs' stripes at a time.  A
+    # one-symbol budget makes that one 2-stripe job per encode, and 7
+    # stripes of (6,2,6,4) three jobs, so 20 jobs end on a short batch.
+    flags, digest = FROZEN_VERIFY[1]
+    monkeypatch.setattr("msrr.codec._CHUNK_SYMBOLS", budget)
+    test_verify_records_are_frozen(capsys, flags, digest)
+
+
+@pytest.mark.parametrize("count", [1, 648])
+@pytest.mark.parametrize("p", [5, 11, 257, 271, 8191, 65521])
+def test_bulk_draw_matches_randrange(p, count):
+    # verify's data draw must be randrange, value for value and in the state
+    # it leaves, or the frozen verify records change with it.
+    one_by_one, bulk = random.Random(p * count), random.Random(p * count)
+    expected = [one_by_one.randrange(p) for _ in range(count)]
+    assert _draw(bulk, p, count).tolist() == expected
+    assert bulk.random() == one_by_one.random()
 
 
 def test_verify_exhaustive_p1(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,51 @@ def test_verify_mds_reports_colliding_locators(monkeypatch):
     subsets = list(itertools.combinations(range(P1.n), P1.r))
     assert report.failures == dense_mds_failures(codec, subsets)
     assert [s for s, _ in report.failures] == both
+
+
+def test_verify_mds_reports_a_diagonal_column_that_is_not_vandermonde(monkeypatch):
+    codec = Codec(P1)
+    r, alpha, p = P1.r, P1.alpha, codec.p
+    # Block t=2 of node (2, 1) is scaled by c at every coordinate: (a) and (b)
+    # still hold, but its diagonal column is no longer [x^t], so only the
+    # r x r rank decides (c), and h is dense only where that block is singular.
+    c, node = 3, P1.node_index(2, 1)
+    columns = codec.pcm.diag.reshape(r, P1.n).copy()
+    columns[2, node] = columns[2, node] * c % p
+    subsets = list(itertools.combinations(range(P1.n), P1.r))
+    singular = [s for s in subsets if linalg.rank(columns[:, s], p) < r]
+    assert singular
+
+    def scale(block):
+        rows = 2 * alpha + np.arange(alpha)
+        block[rows, np.arange(alpha)] = block[rows, np.arange(alpha)] * c % p
+
+    edit_dense_node(monkeypatch, codec, [(2, 1)], scale)
+    calls = count_dense_ranks(monkeypatch, codec)
+    report = codec.verify_mds("exhaustive")
+    assert len(calls) == len(singular)
+    assert report.failures == dense_mds_failures(codec, subsets)
+    assert [s for s, _ in report.failures] == singular
+
+
+def test_verify_mds_memory_holds_one_column_group():
+    # (10,2,10,7): alpha 243, one dense column group r*alpha x alpha of
+    # int64 is 4.7 MB, and h would be 47 MB.  The peak must not grow with
+    # the sample count nor hold more than a few groups.
+    codec = Codec(CodeParams.from_total_k(10, 2, 10, 7))
+    params = codec.params
+    group = params.r * params.alpha * params.alpha * 8
+    peaks = []
+    tracemalloc.start()
+    try:
+        for samples in (1, 6):
+            tracemalloc.reset_peak()
+            assert codec.verify_mds("sample", samples=samples, seed=3).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < group
+    assert max(peaks) < 3 * group
 
 
 def test_codec_respects_explicit_min_field():
