@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .codec import Codec, Stripe
+from .codec import SWEEP_CAP, Codec, Stripe
 from .construction import build_constants
 from .errors import MsrrError, ParameterError
 from .field import FieldCtx
@@ -26,7 +26,6 @@ from .params import CodeParams
 from .repair import RepairJob, repair_from_stripe
 from .stripe_io import decode_file, encode_file, repair_shard
 
-SWEEP_CAP = 100_000
 STRIPES_PER_VERIFY_JOB = 2
 
 
@@ -205,8 +204,7 @@ def cmd_verify(args) -> int:
     records = [{"record": "params",
                 **_param_record(params, codec.field, codec.constants)}]
 
-    mds = codec.verify_mds(mode=args.mode, samples=args.samples,
-                           seed=args.seed, cap=SWEEP_CAP)
+    mds = codec.verify_mds(mode=args.mode, samples=args.samples, seed=args.seed)
     records.append({
         "record": "mds", "mode": mds.mode,
         "subsets_checked": mds.subsets_checked,

@@ -28,11 +28,11 @@ cuts each product, by its coefficients, into column ranges folded one after
 another, so that no row sums more than n nonzero terms, a folded sum
 counting as one; so Codec requires n * (p - 1)^2 < 2^53.  Values move into
 [0, p) once, on output.  verify_mds certifies full rank of each r-subset's
-dense column groups from the same level order: each group is checked once,
-alone, so memory holds one group, and a subset then needs only distinct
-Vandermonde diagonal columns; dense elimination runs only where the
-certificate fails.  Batch variants carry a trailing stripe axis so that file
-striping can encode and decode a chunk of stripes in one shot.
+column groups from the same level order, read off the sparse tables
+ParityCheckMatrix.off_diagonal and diag, and from distinct Vandermonde
+diagonal columns; only where the certificate fails is a dense column group
+built and eliminated.  Batch variants carry a trailing stripe axis so that
+file striping can encode and decode a chunk of stripes in one shot.
 """
 
 from __future__ import annotations
@@ -127,6 +127,9 @@ class MdsReport:
     def ok(self) -> bool:
         return not self.failures
 
+
+# Most r-subsets, or repair jobs, that an exhaustive verify walks.
+SWEEP_CAP = 100_000
 
 # Stripes per chunk of a solve, and of a file pass, are chosen so that no
 # work array exceeds about this many symbols.
@@ -351,7 +354,7 @@ class Codec:
     # -- MDS sweep ---------------------------------------------------------------
 
     def verify_mds(self, mode: str = "exhaustive", samples: int = 0,
-                   seed: int = 0, cap: int = 100_000) -> MdsReport:
+                   seed: int = 0, cap: int = SWEEP_CAP) -> MdsReport:
         """Check invertibility of the r-column-group concatenations.
 
         mode "exhaustive" walks every r-subset of nodes (refused above cap);
@@ -362,13 +365,14 @@ class Codec:
         column b != a with level(b) >= level(a), so h is block lower
         triangular in level order; (b) each group has the same diagonal
         column at every coordinate; and (c) the r x r block of those columns
-        is invertible.  (a) and (b) are checked once per node, on one dense
-        column group at a time.  (c) holds when every column is a Vandermonde
-        column [x^t] and the x are distinct; otherwise linalg.rank decides
-        it.  A subset that fails is the only one whose h is built, from its
-        own groups, and its rank is linalg.rank(h); so the report equals that
-        of dense rank on any input, in the memory of one column group,
-        r*alpha x alpha, whatever the sample count.
+        is invertible.  Rack e's u nodes share its entry positions,
+        pcm.off_diagonal[e]; (a) and (b) hold for them when each entry reads a
+        column of lower level than its row, so none lands on the diagonal,
+        which is pcm.diag's at every coordinate.  (c) holds when every column
+        is a Vandermonde column [x^t] and the x are distinct; otherwise
+        linalg.rank decides it.  A subset that fails, if only by an entry
+        valued 0, is the only one whose h is built, and its rank is
+        linalg.rank(h); so the report equals that of dense rank on any input.
         """
         params, p = self.params, self.p
         if mode == "exhaustive":
@@ -387,20 +391,13 @@ class Codec:
             raise ValueError(f"unknown mode {mode!r}")
 
         r, alpha, level = params.r, params.alpha, self.pcm.level
-        # One column group at a time: its verdict on (a) and (b), and its
-        # diagonal column, as x if that is the Vandermonde column [x^t].
-        holds, columns, points = [], np.empty((r, params.n), dtype=np.int64), []
-        coords = np.arange(alpha)
-        for i, (e, g) in enumerate(params.nodes()):
-            block = self.pcm.dense_node(e, g)
-            rows, cols = np.nonzero(block)
-            diagonal = block.reshape(r, alpha, alpha)[:, coords, coords]
-            holds.append(bool(((cols == rows % alpha) | (level[cols] < level[rows % alpha])).all()
-                              and (diagonal == diagonal[:, :1]).all()))
-            columns[:, i] = column = diagonal[:, 0]
-            x = int(column[1]) if r > 1 else 1
-            points.append(x if column.tolist() == [pow(x, t, p) for t in range(r)] else None)
-            del block  # before the next group is built
+        holds = np.repeat([bool((level[cols] < level[rows % alpha][:, None]).all())
+                           for rows, cols, _ in self.pcm.off_diagonal], params.u)
+        # Each node's diagonal column, as x if that is the Vandermonde column [x^t].
+        columns, points = self.pcm.diag.reshape(r, params.n), []
+        for column in columns.T.tolist():
+            x = column[1] if r > 1 else 1
+            points.append(x if column == [pow(x, t, p) for t in range(r)] else None)
         report = MdsReport(mode=mode, subsets_checked=0)
         for subset in subsets:
             distinct = {points[i] for i in subset}

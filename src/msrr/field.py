@@ -98,10 +98,10 @@ class FieldCtx:
 
     @classmethod
     def create(cls, p: int, u: int) -> "FieldCtx":
+        if p >= MAX_PRIME:  # before is_prime, whose trial division grows with sqrt(p)
+            raise ParameterError("field_too_large", f"p must be below {MAX_PRIME}")
         if not is_prime(p):
             raise ParameterError("not_prime", f"{p} is not prime")
-        if p >= MAX_PRIME:
-            raise ParameterError("field_too_large", f"p must be below {MAX_PRIME}")
         root = find_primitive(p)
         eta = find_unity_root(p, root, u)
         return cls(p=p, primitive_root=root, unity_root=eta, u=u)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from msrr import Codec, CodeParams, ErasurePattern, RepairJob, Stripe, linalg, repair_from_stripe
+from msrr.construction import ParityCheckMatrix
 from msrr.errors import InternalError, ParameterError
 from msrr.field import FieldCtx, find_primitive, find_unity_root, is_prime
 from msrr.linalg import Fold
@@ -213,17 +214,28 @@ def test_verify_mds_sample_matches_dense_rank():
     assert report.failures == dense_mds_failures(codec, subsets) == []
 
 
-def edit_dense_node(monkeypatch, codec, nodes, edit):
-    """Make codec.pcm.dense_node apply edit to the column groups of nodes."""
-    dense_node = codec.pcm.dense_node
+def test_a_correct_code_verifies_without_dense_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense work on a code that meets the certificate")
 
-    def edited(e, g):
-        block = dense_node(e, g)
-        if (e, g) in nodes:
-            edit(block)
-        return block
+    monkeypatch.setattr(ParityCheckMatrix, "dense_node", refuse)
+    monkeypatch.setattr(linalg, "rank", refuse)
+    for params in (P1, P2, P3, P1_DEGENERATE):
+        assert Codec(params).verify_mds("exhaustive").ok
+    for shape in ((8, 3, 12, 6), (10, 2, 10, 7), (6, 3, 8, 5)):
+        assert Codec(CodeParams.from_total_k(*shape)).verify_mds("sample", samples=20, seed=1).ok
 
-    monkeypatch.setattr(codec.pcm, "dense_node", edited)
+
+def add_entries(monkeypatch, codec, e, entries):
+    """Append entries (row, column, value per node g) to rack e's table
+    codec.pcm.off_diagonal[e], which verify_mds and dense_node both read.
+    For codes with s_bar = 2: each row reads one sibling column."""
+    rows, cols, values = codec.pcm.off_diagonal[e]
+    new_rows, new_cols, new_values = zip(*entries)
+    table = list(codec.pcm.off_diagonal)
+    table[e] = (np.append(rows, new_rows), np.vstack([cols, np.array(new_cols)[:, None]]),
+                np.concatenate([values, np.array(new_values).T[:, :, None]], axis=1))
+    monkeypatch.setattr(codec.pcm, "off_diagonal", table)
 
 
 def with_node(params, node):
@@ -231,17 +243,23 @@ def with_node(params, node):
     return [s for s in itertools.combinations(range(params.n), params.r) if i in s]
 
 
+def with_rack(params, e):
+    return [s for s in itertools.combinations(range(params.n), params.r)
+            if any(i // params.u == e for i in s)]
+
+
 def test_verify_mds_reports_an_entry_above_the_level_order(monkeypatch):
     codec = Codec(P1)
     level = codec.pcm.level
     assert (level[3], level[0]) == (0, 2)
-    # Row (t=1, a=3) of node (1, 0) gains an entry in column b=0, a coordinate
-    # of higher level than a: the matrix is no longer block lower triangular.
-    edit_dense_node(monkeypatch, codec, [(1, 0)],
-                    lambda block: block.__setitem__((P1.alpha + 3, 0), 5))
+    # Row (t=1, a=3) of rack 1 gains an entry in column b=0, a coordinate of
+    # higher level than a, valued 5 for node (1, 0) and 0 for node (1, 1):
+    # node (1, 0)'s matrix is no longer block lower triangular.  The entry's
+    # position is the rack's, so both its nodes fail the certificate.
+    add_entries(monkeypatch, codec, 1, [(P1.alpha + 3, 0, [5, 0])])
     calls = count_dense_ranks(monkeypatch, codec)
     report = codec.verify_mds("exhaustive")
-    assert len(calls) == len(with_node(P1, (1, 0)))
+    assert len(calls) == len(with_rack(P1, 1))
     subsets = list(itertools.combinations(range(P1.n), P1.r))
     assert report.failures == dense_mds_failures(codec, subsets) != []
 
@@ -254,11 +272,11 @@ def test_verify_mds_reports_a_coupling_within_a_level(monkeypatch):
     # In every column group, rows (t, 1) and (t, 2) repeat their diagonal
     # value in each other's column.  Coordinates 1 and 2 share a level, and
     # each subset's matrix gains the singular block [[D, D], [D, D]] there.
-    def couple(block):
-        for t in range(P1.r):
-            block[t * alpha + 1, 2] = block[t * alpha + 2, 1] = block[t * alpha + 1, 1]
-
-    edit_dense_node(monkeypatch, codec, P1.nodes(), couple)
+    for e in range(P1.n_bar):
+        diagonal = codec.pcm.diag[:, e]
+        add_entries(monkeypatch, codec, e,
+                    [(t * alpha + a, b, diagonal[t]) for t in range(P1.r)
+                     for a, b in ((1, 2), (2, 1))])
     calls = count_dense_ranks(monkeypatch, codec)
     report = codec.verify_mds("exhaustive")
     subsets = list(itertools.combinations(range(P1.n), P1.r))
@@ -269,13 +287,14 @@ def test_verify_mds_reports_a_coupling_within_a_level(monkeypatch):
 
 def test_verify_mds_reports_a_changed_diagonal_entry(monkeypatch):
     codec = Codec(P1)
+    # Rack 2 gains an entry on the diagonal, row (t=1, a=0) in column 0,
+    # valued 0 for node (2, 1) and node (2, 0)'s own diagonal value for it.
     # Block t=1 of node (2, 1) carries a different value at coordinate 0 than
     # at the other coordinates: the diagonal blocks are no longer all equal.
-    edit_dense_node(monkeypatch, codec, [(2, 1)],
-                    lambda block: block.__setitem__((P1.alpha, 0), 0))
+    add_entries(monkeypatch, codec, 2, [(P1.alpha, 0, [codec.pcm.diag[1, 2, 0], 0])])
     calls = count_dense_ranks(monkeypatch, codec)
     report = codec.verify_mds("exhaustive")
-    assert len(calls) == len(with_node(P1, (2, 1)))
+    assert len(calls) == len(with_rack(P1, 2))
     subsets = list(itertools.combinations(range(P1.n), P1.r))
     assert report.failures == dense_mds_failures(codec, subsets) != []
 
@@ -296,22 +315,17 @@ def test_verify_mds_reports_colliding_locators(monkeypatch):
 
 def test_verify_mds_reports_a_diagonal_column_that_is_not_vandermonde(monkeypatch):
     codec = Codec(P1)
-    r, alpha, p = P1.r, P1.alpha, codec.p
+    r, p = P1.r, codec.p
     # Block t=2 of node (2, 1) is scaled by c at every coordinate: (a) and (b)
     # still hold, but its diagonal column is no longer [x^t], so only the
     # r x r rank decides (c), and h is dense only where that block is singular.
-    c, node = 3, P1.node_index(2, 1)
-    columns = codec.pcm.diag.reshape(r, P1.n).copy()
-    columns[2, node] = columns[2, node] * c % p
+    c, diag = 3, codec.pcm.diag.copy()
+    diag[2, 2, 1] = diag[2, 2, 1] * c % p
+    columns = diag.reshape(r, P1.n)
     subsets = list(itertools.combinations(range(P1.n), P1.r))
     singular = [s for s in subsets if linalg.rank(columns[:, s], p) < r]
     assert singular
-
-    def scale(block):
-        rows = 2 * alpha + np.arange(alpha)
-        block[rows, np.arange(alpha)] = block[rows, np.arange(alpha)] * c % p
-
-    edit_dense_node(monkeypatch, codec, [(2, 1)], scale)
+    monkeypatch.setattr(codec.pcm, "diag", diag)
     calls = count_dense_ranks(monkeypatch, codec)
     report = codec.verify_mds("exhaustive")
     assert len(calls) == len(singular)

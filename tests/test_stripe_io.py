@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from msrr import Codec, CodeParams, stripe_io
 from msrr.codec import _CHUNK_SYMBOLS
-from msrr.errors import RepairRefusedError, ShardFormatError, SymbolMappingError
+from msrr.errors import ParameterError, RepairRefusedError, ShardFormatError, SymbolMappingError
 from msrr.repair import RepairJob, RepairPlan
 from msrr.stripe_io import (
     Manifest,
@@ -191,6 +191,18 @@ def test_decode_detects_checksum_mismatch(tmp_path):
     manifest_path.write_text(json.dumps(payload))
     with pytest.raises(ShardFormatError, match="checksum"):
         decode_file(out, tmp_path / "x.bin")
+
+
+def test_decode_refuses_a_manifest_prime_beyond_the_field_limit(tmp_path):
+    _, out, _ = _encode_tmp(tmp_path, bytes(64))
+    manifest_path = out / "manifest.json"
+    payload = json.loads(manifest_path.read_text())
+    # Trial division would run about 2^45 steps to find the factor 2^31 - 1.
+    payload["p"] = (2**31 - 1) * (2**61 - 1)
+    manifest_path.write_text(json.dumps(payload))
+    with pytest.raises(ParameterError) as err:
+        decode_file(out, tmp_path / "x.bin")
+    assert err.value.code == "field_too_large"
 
 
 def test_repair_shard_round_trip(tmp_path):
