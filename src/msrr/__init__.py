@@ -18,7 +18,7 @@ from .errors import (
 )
 from .field import FieldCtx, find_field, find_primitive, find_unity_root
 from .params import CodeParams
-from .repair import RepairJob, RepairTranscript, helper_message, repair_from_stripe, repair_node
+from .repair import RepairJob, RepairTranscript, helper_message, repair_from_stripe
 from .stripe_io import Manifest, decode_file, encode_file, repair_shard
 
 __version__ = "0.1.0"
@@ -50,6 +50,5 @@ __all__ = [
     "find_unity_root",
     "helper_message",
     "repair_from_stripe",
-    "repair_node",
     "repair_shard",
 ]

@@ -18,12 +18,12 @@ import time
 
 import numpy as np
 
-from .codec import SWEEP_CAP, Codec, Stripe
+from .codec import SWEEP_CAP, Codec
 from .construction import build_constants
 from .errors import MsrrError, ParameterError
 from .field import FieldCtx
 from .params import CodeParams
-from .repair import RepairJob, repair_from_stripe
+from .repair import RepairJob, RepairPlan, RepairTranscript, apply_plan
 from .stripe_io import decode_file, encode_file, repair_shard
 
 STRIPES_PER_VERIFY_JOB = 2
@@ -215,7 +215,6 @@ def cmd_verify(args) -> int:
     jobs_checked = 0
     repair_failures = []
     w, p, k, alpha = STRIPES_PER_VERIFY_JOB, codec.p, params.k, params.alpha
-    present = np.ones(params.n, dtype=bool)
     jobs = _repair_jobs(params, args.mode, args.samples, rng)
     batch = max(1, codec.encode_plan.chunk // w)
     # Each job and then its data are drawn in turn, as one job at a time
@@ -225,9 +224,10 @@ def cmd_verify(args) -> int:
         vectors = codec.encode_batch(np.concatenate([data for _, data in drawn], axis=2))
         for slot, (job, _) in enumerate(drawn):
             stripes = vectors[:, :, slot * w:(slot + 1) * w]
-            transcript = repair_from_stripe(codec, Stripe(params, stripes, present), job)
+            recovered = apply_plan(codec, RepairPlan.create(codec, job), job, stripes)
+            transcript = RepairTranscript.of(params, job, w)
             target = params.node_index(job.e_star, job.g_star)
-            ok = bool(np.array_equal(transcript.recovered, stripes[target]))
+            ok = bool(np.array_equal(recovered, stripes[target]))
             jobs_checked += 1
             if not ok:
                 repair_failures.append(job)

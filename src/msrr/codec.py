@@ -354,10 +354,10 @@ class Codec:
     # -- MDS sweep ---------------------------------------------------------------
 
     def verify_mds(self, mode: str = "exhaustive", samples: int = 0,
-                   seed: int = 0, cap: int = SWEEP_CAP) -> MdsReport:
+                   seed: int = 0) -> MdsReport:
         """Check invertibility of the r-column-group concatenations.
 
-        mode "exhaustive" walks every r-subset of nodes (refused above cap);
+        mode "exhaustive" walks every r-subset of nodes (refused above SWEEP_CAP);
         mode "sample" draws `samples` subsets from the given seed.
 
         Certificate: a subset's dense matrix h, its column groups side by
@@ -377,10 +377,10 @@ class Codec:
         params, p = self.params, self.p
         if mode == "exhaustive":
             total = math.comb(params.n, params.r)
-            if total > cap:
+            if total > SWEEP_CAP:
                 raise ParameterError(
                     "cap_exceeded",
-                    f"{total} subsets exceed the exhaustive cap {cap}")
+                    f"{total} subsets exceed the exhaustive cap {SWEEP_CAP}")
             subsets = itertools.combinations(range(params.n), params.r)
         elif mode == "sample":
             rng = random.Random(seed)

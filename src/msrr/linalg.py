@@ -230,25 +230,6 @@ class Program:
             self._store[name] = np.empty(size)
         return self._store[name][:size]
 
-    def bind(self, width: int) -> np.ndarray:
-        """The source, (rows, width), and the output's views on it.  A step's
-        views are bound on its first run at this width, so a plan that runs
-        some steps only (repair_node never runs the message steps) binds
-        only those."""
-        if self._width == width:
-            return self.source
-        self.source = source = self._array("source", self.rows * width).reshape(self.rows, width)
-        source[0] = 0
-        shape = self.output.shape + (width,)
-        if isinstance(self._output, slice):
-            output = source[self._output]
-        else:
-            output = self._array("output", self.output.size * width)
-        self._results = (output.reshape(shape),
-                         self._array("scratch", self._scratch * width)[:output.size].reshape(shape))
-        self._bound, self._width = [None] * len(self.steps), width
-        return source
-
     def _bind(self, i: int) -> tuple:
         """Step i's views: its index, the array np.take fills (None for a
         view), its output block and scratch, and per range the product's
@@ -268,9 +249,21 @@ class Program:
 
     def run(self, vectors: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Stage vectors[inputs], (..., w), and run steps[start:stop]; returns
-        the source."""
-        source, staged = self.bind(vectors.shape[-1]), vectors[self.inputs]
-        count = math.prod(staged.shape[:-1])
+        the source, (rows, w).  A step's views are bound on its first run at
+        width w, so a run of some steps only (a message step) binds only those."""
+        width, staged = vectors.shape[-1], vectors[self.inputs]
+        if self._width != width:
+            self.source = self._array("source", self.rows * width).reshape(self.rows, width)
+            self.source[0] = 0
+            shape = self.output.shape + (width,)
+            if isinstance(self._output, slice):
+                output = self.source[self._output]
+            else:
+                output = self._array("output", self.output.size * width)
+            scratch = self._array("scratch", self._scratch * width)[:output.size]
+            self._results = output.reshape(shape), scratch.reshape(shape)
+            self._bound, self._width = [None] * len(self.steps), width
+        source, count = self.source, math.prod(staged.shape[:-1])
         np.copyto(source[self.first:self.first + count].reshape(staged.shape), staged)
         for i in range(start, len(self.steps) if stop is None else stop):
             index, take, out, spill, ranges = self._bound[i] or self._bind(i)

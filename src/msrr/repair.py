@@ -23,10 +23,10 @@ the step that writes a helper rack's message into the plan's rows; an apply
 then runs each level as one step: a gather, one exact product and a fold.
 The level products peel the survivors out of the host aggregate as they
 solve it, so they yield the failed node, which moves into natural coordinate
-order once, on output.  repair_node validates
-its inputs and applies a fresh plan to the whole batch;
-stripe_io.repair_shard applies one plan to a shard directory in chunks whose
-widest array, RepairPlan.rows symbols per stripe, holds about _CHUNK_SYMBOLS.
+order once, on output.  stripe_io.repair_shard applies one plan to a shard
+directory in chunks whose widest array, RepairPlan.rows symbols per stripe,
+holds about _CHUNK_SYMBOLS; apply_plan runs the same steps in memory.
+Without a plan, helper_message runs a fresh plan's step.
 
 Arithmetic is float64, as in the codec: every term is a coefficient in
 [0, p) times a symbol or a signed residue (linalg.Fold), so at most
@@ -82,8 +82,9 @@ class RepairTranscript:
 
     Symbol counts are per stripe; stripe_count says how many stripes the
     transcript covers when messages carried a batch axis.  repair_shard
-    streams the node to its shard file, so its transcript carries the job and
-    the accounting only: no messages, no side aggregates, recovered None.
+    streams the node to its shard file, and verify compares it in place, so
+    their transcripts carry the job and the accounting only: no messages, no
+    side aggregates, recovered None.
     """
 
     job: RepairJob
@@ -110,13 +111,14 @@ def helper_message(codec: Codec, rack_vectors: np.ndarray, e: int,
                    job: RepairJob, plan: RepairPlan | None = None) -> np.ndarray:
     """The beta symbols helper rack e ships for the job: the locator^residue
     (e_star)-weighted sum of its nodes' zero-digit coordinates, read through
-    a view.  Without a plan they are returned as int64 symbols in [0, p),
-    shape (beta,) + tail.  With plan, from rack_vectors (u, alpha, w) of
-    symbols in [0, p), the plan's step for rack e writes them into its rows,
-    which are returned: float64 signed residues, kept for the plan's next
-    apply at width w.
+    a view, as the plan's step for rack e writes them into its rows.  With
+    plan, from rack_vectors (u, alpha, w) of symbols in [0, p), the rows are
+    returned: float64 signed residues, kept for the plan's next apply at
+    width w.  Without one, a fresh plan's step runs on rack_vectors, (u,
+    alpha) + tail, taken mod p, and the message is returned as int64
+    symbols in [0, p), shape (beta,) + tail.
     """
-    params, p = codec.params, codec.p
+    params = codec.params
     if e not in job.helpers:
         raise ValueError(f"rack {e} is not a helper of this job")
     rack_vectors = np.asarray(rack_vectors)
@@ -125,18 +127,18 @@ def helper_message(codec: Codec, rack_vectors: np.ndarray, e: int,
             f"rack needs shape ({params.u}, {params.alpha}, ...), got {rack_vectors.shape}")
     # With alpha split as (s_bar^(m-1-tau), s_bar, s_bar^tau), the middle
     # axis is digit tau; index 0 of it is pcm.zero_rows[tau], in order.
-    u, s_bar, tail = params.u, params.s_bar, rack_vectors.shape[2:]
+    u, s_bar, beta, tail = params.u, params.s_bar, params.beta, rack_vectors.shape[2:]
     place = int(codec.pcm.place[job.digit_position(params)])
     selected = rack_vectors.reshape(
         (u, rack_vectors.shape[1] // (s_bar * place), s_bar, place) + tail)[:, :, 0]
-    if plan is not None:
-        slot = job.helpers.index(e)
-        source = plan.program.run(selected, slot, slot + 1)
-        return source[1 + slot * params.beta:1 + (slot + 1) * params.beta].reshape(
-            (params.beta,) + tail)
-    weights = codec.pcm.diag[params.rack_residue(job.e_star), e]
-    # u terms below p^2 each: exact in int64.
-    return (weights @ codec._reduce(selected).reshape(u, -1) % p).reshape((params.beta,) + tail)
+    fresh = plan is None
+    if fresh:
+        plan = RepairPlan.create(codec, job)
+        selected = codec._reduce(selected).reshape(u, beta, math.prod(tail))
+    slot = job.helpers.index(e)
+    source = plan.program.run(selected, slot, slot + 1)
+    message = source[1 + slot * beta:1 + (slot + 1) * beta].reshape((beta,) + tail)
+    return (message % codec.p).astype(np.int64) if fresh else message
 
 
 @dataclass(eq=False)
@@ -284,58 +286,35 @@ def _layout(codec: Codec, e_star: int) -> tuple:
             messages)
 
 
-def repair_node(codec: Codec, job: RepairJob, messages: dict[int, np.ndarray],
-                survivors: dict[int, np.ndarray]) -> RepairTranscript:
-    """Recover the failed node vector from helper messages and host survivors."""
-    params, p = codec.params, codec.p
-    alpha, beta = params.alpha, params.beta
-
-    if set(messages) != set(job.helpers):
-        absent = sorted(set(job.helpers) - set(messages))
-        raise ValueError(f"missing helper messages from racks {absent}")
-    msgs = {e: np.asarray(messages[e], dtype=np.int64) % p for e in job.helpers}
-    tail = msgs[job.helpers[0]].shape[1:]
-    for e, msg in msgs.items():
-        if msg.shape != (beta,) + tail:
-            raise ValueError(
-                f"message from rack {e} has shape {msg.shape}, expected {(beta,) + tail}")
-    if sorted(survivors) != [g for g in range(params.u) if g != job.g_star]:
-        raise ValueError("survivors must cover every host-rack node but the failed one")
-    surv = {g: np.asarray(v, dtype=np.int64) % p for g, v in survivors.items()}
-    for g, v in surv.items():
-        if v.shape != (alpha,) + tail:
-            raise ValueError(
-                f"survivor {g} has shape {v.shape}, expected {(alpha,) + tail}")
-
-    plan = RepairPlan.create(codec, job)
-    width = math.prod(tail)
-    source = plan.program.bind(width)
-    source[1:1 + len(msgs) * beta] = np.stack([msgs[e] for e in job.helpers]).reshape(-1, width)
-    recovered = plan(np.stack([surv[g] for g in sorted(surv)]).reshape(len(surv), alpha, width))
-    # The non-helper racks' aggregates, solved on the way, in rack order.
-    others = [e for e in range(params.n_bar) if e != job.e_star and e not in job.helpers]
-    return RepairTranscript.of(
-        params, job, width, messages=msgs, recovered=recovered.reshape((alpha,) + tail),
-        side_aggregates={e: (aggregate % p).astype(np.int64).reshape((beta,) + tail)
-                         for e, aggregate in zip(others, source[plan.side])})
+def apply_plan(codec: Codec, plan: RepairPlan, job: RepairJob,
+               vectors: np.ndarray) -> np.ndarray:
+    """The failed node, (alpha, w) int64 symbols in [0, p), from vectors,
+    (n, alpha, w) symbols in [0, p) of every node, by plan's steps in the
+    order repair_shard runs them: each helper rack's message into the plan,
+    then the host rack's survivors.  No other node is read."""
+    u = codec.params.u
+    for e in job.helpers:
+        helper_message(codec, vectors[e * u:(e + 1) * u], e, job, plan)
+    return plan(vectors[[job.e_star * u + g for g in range(u) if g != job.g_star]])
 
 
 def repair_from_stripe(codec: Codec, stripe: Stripe, job: RepairJob) -> RepairTranscript:
-    """Run the full protocol against one stripe (or a batch of stripes):
-    helpers compute their messages, survivors hand over their vectors, the
-    engine recovers the rest."""
-    params = codec.params
-    for e in job.helpers:
-        for g in range(params.u):
-            if not stripe.present[params.node_index(e, g)]:
-                raise ValueError(f"helper rack {e} is missing node {(e, g)}")
-    messages = {e: helper_message(codec, stripe.rack(e), e, job)
-                for e in job.helpers}
-    survivors = {}
-    for g in range(params.u):
-        if g == job.g_star:
-            continue
-        if not stripe.present[params.node_index(job.e_star, g)]:
-            raise ValueError(f"host-rack survivor {(job.e_star, g)} is missing")
-        survivors[g] = stripe.node(job.e_star, g)
-    return repair_node(codec, job, messages, survivors)
+    """Run the full protocol against one stripe (or a batch of stripes) by
+    apply_plan.  The transcript also holds what the plan's source keeps: the
+    helper messages and the non-helper racks' aggregates, solved on the way."""
+    params, u, beta = codec.params, codec.params.u, codec.params.beta
+    read = [(e, g) for e in job.helpers for g in range(u)] + [
+        (job.e_star, g) for g in range(u) if g != job.g_star]
+    for e, g in read:
+        if not stripe.present[params.node_index(e, g)]:
+            raise ValueError(f"node {(e, g)}, which the repair reads, is missing")
+    vectors = codec._reduce(stripe.vectors)
+    tail, width = vectors.shape[2:], math.prod(vectors.shape[2:])
+    plan = RepairPlan.create(codec, job)
+    recovered = apply_plan(codec, plan, job, vectors.reshape(params.n, params.alpha, width))
+    source = (plan.program.source % codec.p).astype(np.int64).reshape((-1,) + tail)
+    others = [e for e in range(params.n_bar) if e != job.e_star and e not in job.helpers]
+    return RepairTranscript.of(
+        params, job, width, recovered=recovered.reshape((params.alpha,) + tail),
+        messages={e: source[1 + i * beta:1 + (i + 1) * beta] for i, e in enumerate(job.helpers)},
+        side_aggregates=dict(zip(others, source[plan.side])))

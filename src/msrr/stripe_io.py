@@ -30,6 +30,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import resource
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -91,10 +92,14 @@ class Manifest:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ShardFormatError(f"manifest is not valid JSON: {exc}") from exc
-        try:
-            manifest = cls(**payload)
-        except TypeError as exc:
-            raise ShardFormatError(f"manifest misses required fields: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ShardFormatError("manifest is not a JSON object")
+        names = {f.name for f in fields(cls)}
+        for problem, keys in (("has unknown", set(payload) - names),
+                              ("misses required", names - set(payload))):
+            if keys:
+                raise ShardFormatError(f"manifest {problem} fields: {', '.join(sorted(keys))}")
+        manifest = cls(**payload)
         for f in fields(cls):
             value = getattr(manifest, f.name)
             if f.type == "int" and not _is_int(value):
@@ -129,6 +134,10 @@ class Manifest:
                 f"symbol width {self.symbol_width_bytes} wrong for p={self.p}")
         if self.original_file_length_bytes < 0 or self.stripe_count < 0:
             raise ShardFormatError("negative length or stripe count")
+        if not (isinstance(self.checksum_sha256, str)
+                and re.fullmatch("[0-9a-f]{64}", self.checksum_sha256)):
+            raise ShardFormatError("manifest field checksum_sha256 must be 64 lowercase "
+                                   f"hex digits, got {self.checksum_sha256!r}")
 
 
 def _is_int(value) -> bool:

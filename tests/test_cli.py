@@ -108,7 +108,7 @@ def test_plan_and_report_lines_are_frozen(capsys, command, flags, line):
 
 
 # sha256 of every verify record, elapsed_s popped, as sorted-key JSON; frozen
-# before verify_mds and repair_node followed the level order.
+# before verify_mds and the repair engine followed the level order.
 FROZEN_VERIFY = [
     (P1_FLAGS,
      "1776a7621e0688349d1bb96ac2e0a974b3a508351786365f4f806c671028d09e"),

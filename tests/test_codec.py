@@ -156,9 +156,10 @@ def test_verify_mds_sample_mode_is_deterministic(p3_codec):
     assert a.failures == b.failures == []
 
 
-def test_verify_mds_cap_and_mode_validation(p3_codec):
+def test_verify_mds_cap_and_mode_validation(p3_codec, monkeypatch):
+    monkeypatch.setattr("msrr.codec.SWEEP_CAP", 100)
     with pytest.raises(ParameterError) as err:
-        p3_codec.verify_mds("exhaustive", cap=100)
+        p3_codec.verify_mds("exhaustive")
     assert err.value.code == "cap_exceeded"
     with pytest.raises(ValueError):
         p3_codec.verify_mds("shuffle")

@@ -1,13 +1,14 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msrr import (Codec, CodeParams, RepairJob, Stripe, helper_message, repair_from_stripe,
-                  repair_node, stripe_io)
-from msrr.repair import RepairPlan
+from msrr import Codec, CodeParams, RepairJob, Stripe, helper_message, repair_from_stripe, stripe_io
+from msrr.cli import main
+from msrr.repair import RepairPlan, _layout
 
 from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, random_stripe
 from oracle import repair_blocks, zero_digit_rows
@@ -174,40 +175,15 @@ def test_batched_repair_matches_per_stripe(p2_codec):
     w = 7
     vectors = random_stripe(p2_codec, seed=8, stripes=w)
     job = RepairJob.create(params, 2, 1)
-    u = params.u
-    messages = {e: helper_message(p2_codec, vectors[e * u:(e + 1) * u], e, job)
-                for e in job.helpers}
-    survivors = {g: vectors[params.node_index(job.e_star, g)]
-                 for g in range(u) if g != job.g_star}
-    batch = repair_node(p2_codec, job, messages, survivors)
+    batch = repair_from_stripe(p2_codec, Stripe(params, vectors, np.ones(params.n, dtype=bool)), job)
     assert batch.stripe_count == w
     assert batch.cross_rack_symbols == params.d_bar * params.beta
     target = params.node_index(job.e_star, job.g_star)
     assert np.array_equal(batch.recovered, vectors[target])
-    from msrr import Stripe
     for s in range(w):
         stripe = Stripe.complete(params, vectors[:, :, s])
         single = repair_from_stripe(p2_codec, stripe, job)
         assert np.array_equal(single.recovered, batch.recovered[:, s])
-
-
-def test_repair_node_input_validation(p1_codec):
-    params = p1_codec.params
-    stripe = random_stripe(p1_codec, seed=9)
-    job = RepairJob.create(params, 0, 0)
-    good = {e: helper_message(p1_codec, stripe.rack(e), e, job)
-            for e in job.helpers}
-    survivors = {1: stripe.node(0, 1)}
-    incomplete = dict(good)
-    del incomplete[job.helpers[0]]
-    with pytest.raises(ValueError, match="missing helper"):
-        repair_node(p1_codec, job, incomplete, survivors)
-    truncated = dict(good)
-    truncated[job.helpers[0]] = good[job.helpers[0]][:1]
-    with pytest.raises(ValueError, match="shape"):
-        repair_node(p1_codec, job, truncated, survivors)
-    with pytest.raises(ValueError, match="survivors"):
-        repair_node(p1_codec, job, good, {})
 
 
 def test_repair_from_stripe_needs_live_helpers(p1_codec):
@@ -215,6 +191,52 @@ def test_repair_from_stripe_needs_live_helpers(p1_codec):
     job = RepairJob.create(p1_codec.params, 0, 0)
     with pytest.raises(ValueError):
         repair_from_stripe(p1_codec, stripe, job)
+
+
+@pytest.mark.parametrize("stripes", [0, slice(None)], ids=["one", "batch"])
+def test_the_message_path_takes_unreduced_symbols(p3_codec, stripes):
+    # Vectors shifted by +p and by -p are congruent to the codeword but lie
+    # outside [0, p); a fresh plan's message step and repair_from_stripe
+    # reduce them first.
+    params, p, u = p3_codec.params, p3_codec.p, p3_codec.params.u
+    vectors = random_stripe(p3_codec, seed=27, stripes=3)[:, :, stripes]
+    present = np.ones(params.n, dtype=bool)
+    job = RepairJob.create(params, 2, 1)
+    reduced = repair_from_stripe(p3_codec, Stripe(params, vectors, present), job)
+    assert np.array_equal(reduced.recovered, vectors[params.node_index(2, 1)])
+    for shift in (p, -p):
+        shifted = vectors + shift
+        transcript = repair_from_stripe(p3_codec, Stripe(params, shifted, present), job)
+        assert np.array_equal(transcript.recovered, reduced.recovered), shift
+        for e in job.helpers:
+            message = helper_message(p3_codec, shifted[e * u:(e + 1) * u], e, job)
+            assert np.array_equal(message, reduced.messages[e]), (shift, e)
+            assert np.array_equal(transcript.messages[e], reduced.messages[e]), (shift, e)
+
+
+def test_a_wrong_message_weight_fails_verify_and_repair(capsys, monkeypatch):
+    # Helper rack 1's message step weighs its nodes twice over.  verify and
+    # repair_from_stripe run the plan's message step, as repair_shard does,
+    # so both must miss every node that rack 1 helps repair.
+    def doubled(codec, e_star):
+        *tables, messages = _layout(codec, e_star)
+        messages = list(messages)
+        messages[1] = tuple((lo, hi, 2 * c % codec.p) for lo, hi, c in messages[1])
+        return (*tables, messages)
+
+    monkeypatch.setattr("msrr.repair._layout", doubled)
+    assert main(["verify", "--racks", "6", "--nodes-per-rack", "2", "--k", "6",
+                 "--helpers", "4", "--mode", "exhaustive"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    jobs = [rec for rec in records if rec["record"] == "repair_job"]
+    assert len(jobs) == 60
+    assert [not rec["ok"] for rec in jobs] == [1 in rec["helpers"] for rec in jobs]
+    assert records[-1]["repair_failures"] == 40 and records[-1]["mds_failures"] == 0
+    params = CodeParams.from_total_k(6, 2, 6, 4)
+    codec = Codec(params)
+    stripe = random_stripe(codec, seed=28)
+    transcript = repair_from_stripe(codec, stripe, RepairJob.create(params, 0, 0, [1, 2, 3, 4]))
+    assert not np.array_equal(transcript.recovered, stripe.node(0, 0))
 
 
 def test_repair_on_deeply_recursive_shape():

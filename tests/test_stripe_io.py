@@ -183,6 +183,37 @@ def test_manifest_validation_rejects_tampering(tmp_path):
         Manifest.from_json(json.dumps(payload))
 
 
+def test_manifest_names_an_unknown_or_a_missing_key(tmp_path):
+    _, out, _ = _encode_tmp(tmp_path, bytes(64))
+    payload = json.loads((out / "manifest.json").read_text())
+    with pytest.raises(ShardFormatError, match="^manifest has unknown fields: extra_field$"):
+        Manifest.from_json(json.dumps({**payload, "extra_field": 1}))
+    del payload["stripe_count"]
+    with pytest.raises(ShardFormatError, match="^manifest misses required fields: stripe_count$"):
+        Manifest.from_json(json.dumps(payload))
+    with pytest.raises(ShardFormatError, match="not a JSON object"):
+        Manifest.from_json("[]")
+
+
+@pytest.mark.parametrize("checksum", [5, None, "abc", "0" * 63, "A" * 64, "0" * 64 + "\n"])
+def test_decode_refuses_a_malformed_checksum_before_reading_a_shard(tmp_path, monkeypatch,
+                                                                     checksum):
+    _, out, _ = _encode_tmp(tmp_path, os.urandom(3000))
+    manifest_path = out / "manifest.json"
+    good = manifest_path.read_text()
+    manifest_path.write_text(json.dumps({**json.loads(good), "checksum_sha256": checksum}))
+    reads, preadv = [], os.preadv
+    monkeypatch.setattr(stripe_io.os, "preadv", lambda *args: reads.append(args) or preadv(*args))
+    with pytest.raises(ShardFormatError, match="checksum_sha256 must be 64 lowercase hex"):
+        decode_file(out, tmp_path / "x.bin")
+    assert reads == []
+    assert not (tmp_path / "x.bin").exists()
+    # The count sees reads: the well-formed manifest decodes through preadv.
+    manifest_path.write_text(good)
+    decode_file(out, tmp_path / "x.bin")
+    assert reads
+
+
 def test_decode_detects_checksum_mismatch(tmp_path):
     _, out, _ = _encode_tmp(tmp_path, bytes(64))
     manifest_path = out / "manifest.json"
