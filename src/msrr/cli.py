@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
         vectors = codec.encode_batch(np.concatenate([data for _, data in drawn], axis=2))
         for slot, (job, _) in enumerate(drawn):
             stripes = vectors[:, :, slot * w:(slot + 1) * w]
-            recovered = apply_plan(codec, RepairPlan.create(codec, job), job, stripes)
+            recovered = apply_plan(RepairPlan.create(codec, job), stripes)
             transcript = RepairTranscript.of(params, job, w)
             target = params.node_index(job.e_star, job.g_star)
             ok = bool(np.array_equal(recovered, stripes[target]))

@@ -220,15 +220,11 @@ class Codec:
         for slot, (e, g) in enumerate(pairs):
             if e in racks:
                 weights[racks.index(e), slot] = pcm.diag[params.rack_residue(e), e, g]
-        order = np.argsort(pcm.level, kind="stable")
-        bounds = np.flatnonzero(np.diff(pcm.level[order], prepend=-1, append=-1))
-        sizes = bounds[1:] - bounds[:-1]
-        starts, sizes = np.repeat(bounds[:-1], sizes), np.repeat(sizes, sizes)
         known = pcm.product([i for i in range(n) if i not in unknowns])
         # held[q, j], past the known product's rows: unknown q's solution at
         # level-major position j for q < r, else rack racks[q - r]'s aggregate.
-        held = (known.rows + (r + len(racks)) * starts + np.arange(alpha) - starts
-                + np.arange(r + len(racks))[:, None] * sizes)
+        order, bounds, held = pcm.level_blocks(np.arange(alpha), r + len(racks))
+        held += known.rows
         # One table of the unknown racks' sibling terms over the level-major
         # order, cut by level; rows of racks with no term in a level drop out.
         gather, sibling_coef = pcm.sibling_table(racks, order, order)

@@ -123,7 +123,6 @@ class ParityCheckMatrix:
         # zero_rows[tau], shape (R,); the sibling columns each row reads,
         # sibling_cols[tau], (R, s_bar - 1); and per node g the values
         # locator^residue(e) * extra_pow[i, v-1], (u, R, s_bar - 1).
-        self.extra_pow = extra_pow
         self.off_diagonal = []
         for e in range(n_bar):
             res, tau = params.rack_residue(e), params.rack_digit(e)
@@ -133,10 +132,28 @@ class ParityCheckMatrix:
                 np.tile(cols.T, (blocks.size, 1)),
                 self.diag[res, e][:, None, None]
                 * np.repeat(extra_pow[blocks // u], zero.size, axis=0) % p))
+        # Per residue res, (r, s_bar - 1): extra_pow[t // u] in the blocks t =
+        # res (mod u), else 0, one prefix table for every rack of the residue.
+        blocks = np.arange(r)[:, None]
+        self.sibling_coef = np.where(blocks % u == np.arange(u - params.u0)[:, None, None],
+                                     extra_pow[blocks[:, 0] // u], 0)
 
     @property
     def p(self) -> int:
         return self.constants.field.p
+
+    def level_blocks(self, coords, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """order, coords' positions by ascending zero-digit count (stably);
+        bounds, with positions bounds[i] to bounds[i + 1] of order one level;
+        and block[q, j], the offset of row q at order position j in a layout
+        of one (count, level size) block per level, back to back."""
+        order = np.argsort(self.level[coords], kind="stable")
+        level = self.level[coords[order]]
+        level -= level[0]
+        bounds = np.searchsorted(level, np.arange(level[-1] + 2))
+        starts, sizes = bounds[level], bounds[level + 1] - bounds[level]
+        return order, bounds, ((count - 1) * starts + np.arange(level.size)
+                               + np.arange(count)[:, None] * sizes)
 
     def sibling_table(self, racks, targets, sources) -> tuple[np.ndarray, np.ndarray]:
         """The listed racks' off-diagonal terms at the target coordinates, as
@@ -148,27 +165,24 @@ class ParityCheckMatrix:
         where that digit of a is not zero.  Gathered from rows whose row 0 is
         zero and whose rows 1 + i*len(sources) + j are rack i's aggregate at
         sources[j], it yields every sibling term.  coef[t, (i, v)] is
-        extra_point_v^(t // u) where t = residue(racks[i]) (mod u), else 0:
-        one prefix table for every rack, so racks that share a residue add
-        into the same rows inside the product.
+        sibling_coef[residue(racks[i]), t, v - 1], so racks that share a
+        residue add into the same rows inside the product.
         """
         params = self.params
-        racks, targets, sources = (np.asarray(x, dtype=np.intp) for x in (racks, targets, sources))
-        slot = np.full(params.alpha, -1)
-        slot[sources] = np.arange(sources.size)
-        width = params.u - params.u0
-        tau, residue = racks // width, racks % width
-        zero = (self.digits[targets][:, tau] == 0).T[:, None, :]              # (R, 1, T)
-        siblings = targets + np.arange(1, params.s_bar)[:, None] * self.place[tau][:, None, None]
-        position = slot[np.where(zero, siblings, sources[0] if sources.size else 0)]
-        if (zero & (position < 0)).any():
+        racks = np.asarray(racks, dtype=np.intp)
+        tau, residue = racks // (params.u - params.u0), racks % (params.u - params.u0)
+        # A sibling missing from sources gets a negative row.
+        slot = np.full(params.alpha, -params.alpha * (racks.size + 1))
+        slot[sources] = np.arange(len(sources))
+        digit = self.digits[targets, tau[:, None, None]]                      # (R, 1, T)
+        index = slot[targets + (np.arange(1, params.s_bar)[:, None] - digit)
+                     * self.place[tau][:, None, None]]
+        index += 1 + np.arange(racks.size)[:, None, None] * len(sources)
+        index *= digit == 0
+        if index.min(initial=0) < 0:
             raise InternalError("a digit sibling is missing from the sources")
-        index = np.where(zero, 1 + np.arange(racks.size)[:, None, None] * sources.size
-                         + position, 0)
-        blocks = np.arange(params.r)[:, None]
-        coef = np.where((blocks % params.u == residue)[:, :, None],
-                        self.extra_pow[blocks[:, 0] // params.u][:, None, :], 0)
-        return index.reshape(-1, targets.size), coef.reshape(params.r, -1)
+        coef = self.sibling_coef[residue].transpose(1, 0, 2).reshape(params.r, -1)
+        return index.reshape(-1, len(targets)), coef
 
     def product(self, nodes) -> Program:
         """The column groups of the given node indices, summed, as a Program.

@@ -203,8 +203,8 @@ class Program:
     stripe, whose row 0 stays zero: the row a gather reads for an absent term.
 
     run stages vectors[inputs], symbols in [0, p), in the rows from first on
-    and runs steps[start:stop]; a call runs from start to the end and
-    returns the output rows, shape output.shape + (w,), moved into [0, p).
+    and runs steps[start:stop]; a call runs the rest once steps[:start] ran
+    at width w and returns the output rows, output.shape + (w,), in [0, p).
     Every operand is a symbol or a signed residue and every coefficient is
     in [0, p), so each term is at most (p - 1)^2, and split keeps each sum
     within n of them.  Work arrays are bound per width w and kept from call
@@ -278,6 +278,8 @@ class Program:
         return source
 
     def __call__(self, vectors: np.ndarray, start: int = 0) -> np.ndarray:
+        if start and (vectors.shape[-1] != self._width or None in self._bound[:start]):
+            raise ValueError(f"steps before {start} have not all run at width {vectors.shape[-1]}")
         source = self.run(vectors, start)
         output, scratch = self._results
         if not isinstance(self._output, slice):

@@ -17,6 +17,11 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 
+def is_int(value) -> bool:
+    """A plain int: bool, float and numpy integers are refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Validated rack/node/repair parameters of one code.
@@ -33,7 +38,7 @@ class CodeParams:
     def __post_init__(self):
         for name in ("n_bar", "u", "u0", "k_bar", "d_bar"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_int(value):
                 raise ParameterError("not_integer", f"{name} must be an integer")
         if self.u < 2:
             raise ParameterError("u_too_small", f"need u >= 2, got {self.u}")
@@ -52,7 +57,7 @@ class CodeParams:
     @classmethod
     def from_total_k(cls, n_bar: int, u: int, k: int, d_bar: int) -> "CodeParams":
         """Build from a total data-node count k, splitting it into (k_bar, u0)."""
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not is_int(k):
             raise ParameterError("not_integer", "k must be an integer")
         return cls(n_bar=n_bar, u=u, u0=k % u, k_bar=k // u, d_bar=d_bar)
 

@@ -16,17 +16,19 @@ Lagrange matrix.  The engine only ever sees helper messages and host-rack
 survivors, so reading beyond the allowed beta symbols per helper node is
 structurally impossible.
 
-The engine is a plan and an apply.  RepairPlan.create builds, once per codec
-and job, everything that depends on the job alone, as one linalg.Program
-whose work arrays the plan keeps from chunk to chunk.  helper_message runs
-the step that writes a helper rack's message into the plan's rows; an apply
-then runs each level as one step: a gather, one exact product and a fold.
-The level products peel the survivors out of the host aggregate as they
-solve it, so they yield the failed node, which moves into natural coordinate
-order once, on output.  stripe_io.repair_shard applies one plan to a shard
-directory in chunks whose widest array, RepairPlan.rows symbols per stripe,
-holds about _CHUNK_SYMBOLS; apply_plan runs the same steps in memory.
-Without a plan, helper_message runs a fresh plan's step.
+The engine is a plan and an apply, and the plan is its whole interface.
+RepairPlan.create builds, once per codec and job, everything that depends on
+the job alone, as one linalg.Program whose work arrays the plan keeps from
+chunk to chunk.  helper_message(plan, rack_vectors, e) runs the step that
+writes helper rack e's message into the plan's rows; an apply then runs
+each level as one step: a gather, one exact product and a fold.  The level
+products peel the survivors out of the host aggregate as they solve it, so
+they yield the failed node, which moves into natural coordinate order once,
+on output.  The level order and the correction gather are read off
+ParityCheckMatrix (level_blocks, sibling_table), as the codec's are.
+stripe_io.repair_shard applies one plan to a shard directory in chunks whose
+widest array, RepairPlan.rows symbols per stripe, holds about
+_CHUNK_SYMBOLS; apply_plan(plan, vectors) runs the same steps in memory.
 
 Arithmetic is float64, as in the codec: every term is a coefficient in
 [0, p) times a symbol or a signed residue (linalg.Fold), so at most
@@ -45,7 +47,7 @@ import numpy as np
 from . import linalg
 from .codec import Codec, Stripe
 from .errors import InternalError, SingularMatrixError
-from .params import CodeParams
+from .params import CodeParams, is_int
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,14 @@ class RepairJob:
     @classmethod
     def create(cls, params: CodeParams, e_star: int, g_star: int,
                helpers=None) -> "RepairJob":
-        params.node_index(e_star, g_star)
         if helpers is None:
             # Deterministic default: the d_bar smallest racks besides the host.
             helpers = [e for e in range(params.n_bar) if e != e_star][:params.d_bar]
-        helpers = tuple(sorted(int(e) for e in helpers))
+        helpers = tuple(helpers)
+        if not all(map(is_int, (e_star, g_star) + helpers)):
+            raise ValueError(f"racks and nodes must be integers, got {(e_star, g_star, helpers)}")
+        params.node_index(e_star, g_star)
+        helpers = tuple(sorted(helpers))
         if len(set(helpers)) != params.d_bar:
             raise ValueError(
                 f"need {params.d_bar} distinct helper racks, got {helpers}")
@@ -71,9 +76,6 @@ class RepairJob:
             if not 0 <= e < params.n_bar or e == e_star:
                 raise ValueError(f"invalid helper rack {e}")
         return cls(e_star=e_star, g_star=g_star, helpers=helpers)
-
-    def digit_position(self, params: CodeParams) -> int:
-        return params.rack_digit(self.e_star)
 
 
 @dataclass
@@ -107,38 +109,24 @@ class RepairTranscript:
                    stripe_count=stripe_count, **results)
 
 
-def helper_message(codec: Codec, rack_vectors: np.ndarray, e: int,
-                   job: RepairJob, plan: RepairPlan | None = None) -> np.ndarray:
-    """The beta symbols helper rack e ships for the job: the locator^residue
-    (e_star)-weighted sum of its nodes' zero-digit coordinates, read through
-    a view, as the plan's step for rack e writes them into its rows.  With
-    plan, from rack_vectors (u, alpha, w) of symbols in [0, p), the rows are
-    returned: float64 signed residues, kept for the plan's next apply at
-    width w.  Without one, a fresh plan's step runs on rack_vectors, (u,
-    alpha) + tail, taken mod p, and the message is returned as int64
-    symbols in [0, p), shape (beta,) + tail.
-    """
-    params = codec.params
-    if e not in job.helpers:
+def helper_message(plan: RepairPlan, rack_vectors: np.ndarray, e: int) -> np.ndarray:
+    """Run plan's step for helper rack e on its nodes' vectors, (u, alpha, w)
+    symbols in [0, p), and return the message it writes into the plan's
+    rows: the locator^residue(e_star)-weighted sum of the nodes' zero-digit
+    coordinates, read through a view, as (beta, w) float64 signed residues,
+    kept for the plan's next apply at width w."""
+    helpers, (u, outer, s_bar, place) = plan.job.helpers, plan.view
+    if e not in helpers:
         raise ValueError(f"rack {e} is not a helper of this job")
-    rack_vectors = np.asarray(rack_vectors)
-    if rack_vectors.shape[:2] != (params.u, params.alpha):
-        raise ValueError(
-            f"rack needs shape ({params.u}, {params.alpha}, ...), got {rack_vectors.shape}")
+    if rack_vectors.ndim != 3 or rack_vectors.shape[:2] != (u, outer * s_bar * place):
+        raise ValueError(f"rack needs shape ({u}, {outer * s_bar * place}, w), "
+                         f"got {rack_vectors.shape}")
     # With alpha split as (s_bar^(m-1-tau), s_bar, s_bar^tau), the middle
     # axis is digit tau; index 0 of it is pcm.zero_rows[tau], in order.
-    u, s_bar, beta, tail = params.u, params.s_bar, params.beta, rack_vectors.shape[2:]
-    place = int(codec.pcm.place[job.digit_position(params)])
-    selected = rack_vectors.reshape(
-        (u, rack_vectors.shape[1] // (s_bar * place), s_bar, place) + tail)[:, :, 0]
-    fresh = plan is None
-    if fresh:
-        plan = RepairPlan.create(codec, job)
-        selected = codec._reduce(selected).reshape(u, beta, math.prod(tail))
-    slot = job.helpers.index(e)
-    source = plan.program.run(selected, slot, slot + 1)
-    message = source[1 + slot * beta:1 + (slot + 1) * beta].reshape((beta,) + tail)
-    return (message % codec.p).astype(np.int64) if fresh else message
+    slot, beta = helpers.index(e), outer * place
+    source = plan.program.run(
+        rack_vectors.reshape(plan.view + rack_vectors.shape[2:])[:, :, 0], slot, slot + 1)
+    return source[1 + slot * beta:1 + (slot + 1) * beta]
 
 
 @dataclass(eq=False)
@@ -148,28 +136,30 @@ class RepairPlan:
 
     An apply to w stripes works in one source array of rows w wide: a zero
     row, helper i's message at its k-th zero-digit row at 1 + i*beta + k,
-    the survivors, then each level's solution block.  The first messages
-    steps, one per helper in job.helpers order, weigh the helper rack's
-    nodes, staged where the survivors go, into its message; helper_message
-    runs them.  The zero-digit rows are taken in level-major order, and each
-    later step is a level, positions lo to hi of that order.  It gathers the
-    level's terms from the source: the helper messages, the survivors at the
-    rows' s_bar digit siblings and, for each rack of the host's residue, its
-    s_bar - 1 correction terms (its aggregate one level down, or the zero
-    row).  Its coefficients map them to the block: the failed node at the
-    rows' digit siblings, then the non-helper aggregates at the rows.  They
-    are step's helper columns, the survivors' peel weights and step's
-    extra-point columns once per rack, and the failed-node rows of step are
-    scaled by the peel's inverse.  The output reads the failed node at each
-    coordinate; side holds the source rows of the non-helper aggregates per
-    zero-digit row.  rows, the widest per-stripe array of a repair (the
-    source, a level's gather or a rack's u nodes), sizes chunks.  Work
-    arrays are kept from call to call, so a plan is not for concurrent use.
+    the survivors, then each level's solution block.  The first steps, one
+    per helper in job.helpers order, weigh the helper rack's nodes, staged
+    where the survivors go, into its message; helper_message runs them on
+    the rack's view of shape view + (w,), whose index 0 on axis 2 is the
+    zero-digit rows.  Each later step is a level of their level-major order,
+    positions lo to hi.  It gathers the level's terms from the source: the
+    helper messages, the survivors at the rows' s_bar digit siblings and,
+    for each rack of the host's residue, its s_bar - 1 correction terms (its
+    aggregate one level down, or the zero row).  Its coefficients map them
+    to the block: the failed node at the rows' digit siblings, then the
+    non-helper aggregates at the rows.  They are step's helper columns, the
+    survivors' peel weights and step's extra-point columns once per rack,
+    and the failed-node rows of step are scaled by the peel's inverse.  The
+    output reads the failed node at each coordinate; side holds the source
+    rows of the non-helper aggregates per zero-digit row.  rows, the widest
+    per-stripe array of a repair (the source, a level's gather or a rack's
+    u nodes), sizes chunks.  Work arrays are kept from call to call, so a
+    plan is not for concurrent use.
     """
 
+    job: RepairJob
     program: linalg.Program
     side: np.ndarray
-    messages: int
+    view: tuple[int, int, int, int]
     rows: int
 
     @classmethod
@@ -180,7 +170,7 @@ class RepairPlan:
         res_star = params.rack_residue(e_star)
         if e_star not in codec._repair_layouts:
             codec._repair_layouts[e_star] = _layout(codec, e_star)
-        order, bounds, solved, host, side, survived, racks, sibling, present, selected, messages = \
+        order, bounds, solved, host, side, survived, racks, corrections, selected, messages = \
             codec._repair_layouts[e_star]
         helpers = list(job.helpers)
         others = [e for e in range(params.n_bar) if e != e_star and e not in job.helpers]
@@ -189,8 +179,8 @@ class RepairPlan:
         source = np.zeros((params.n_bar, beta), dtype=np.intp)
         source[helpers] = 1 + np.arange(d_bar)[:, None] * beta + order
         source[others] = solved[s_bar:]
-        index = np.vstack([source[helpers], survived, np.where(
-            present, source[racks[:, None, None], sibling], 0).reshape(-1, beta)])
+        index = np.vstack([source[helpers], survived,
+                           np.concatenate([[0], source[racks].ravel()])[corrections]])
 
         # A row's moments are minus its helper aggregates at rack-point powers
         # minus its summed corrections at extra-point powers; the points'
@@ -224,8 +214,9 @@ class RepairPlan:
         steps += [linalg.step(index[:, lo:hi], ranges, base + r_bar * lo)
                   for lo, hi in zip(bounds, bounds[1:])]
         program = linalg.Program(p, base + r_bar * beta, steps, kept, host)
-        return cls(program=program, side=side, messages=d_bar,
-                   rows=max(program.rows, program.widest, u * params.alpha))
+        place = s_bar ** params.rack_digit(e_star)
+        view = (u, params.alpha // (s_bar * place), s_bar, place)
+        return cls(job, program, side, view, max(program.rows, program.widest, u * params.alpha))
 
     def __call__(self, survivors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Recover the failed node over a chunk of w stripes from the helper
@@ -233,9 +224,9 @@ class RepairPlan:
         survivors, (u - 1, alpha, w) in node order, symbols in [0, p).
         Returns the failed node, (alpha, w) symbols in [0, p), in out (an
         array of that shape whose dtype holds p - 1) or else in a new int64
-        array, never in a work array.
+        array, never in a work array; refuses unless all messages are at w.
         """
-        node = self.program(survivors, self.messages)
+        node = self.program(survivors, len(self.job.helpers))
         if out is None:
             return node.astype(np.int64)
         np.copyto(out, node, casting="unsafe")
@@ -244,24 +235,18 @@ class RepairPlan:
 
 def _layout(codec: Codec, e_star: int) -> tuple:
     """The tables of a RepairPlan that depend on the failed node's rack
-    alone, which the codec keeps.  sibling[i, v - 1, j] is the position of
-    rack racks[i]'s correction term for extra point v at position j: the
-    row with that rack's digit set to v, where present[i, 0, j], the digit
-    is zero.  selected is a message step's gather and messages[e] its
-    column ranges for rack e."""
+    alone, which the codec keeps.  order and bounds are pcm.level_blocks of
+    the zero-digit rows, and solved[q, j] the source row of a level
+    solution's row q at position j.  corrections is pcm.sibling_table's
+    index of the racks of the host's residue over that order.  selected is
+    a message step's gather and messages[e] its column ranges for rack e."""
     params, pcm = codec.params, codec.pcm
     u, alpha, s_bar, beta = params.u, params.alpha, params.s_bar, params.beta
-    r_bar, kept, tau = params.r_bar, 1 + params.d_bar * params.beta, params.rack_digit(e_star)
+    kept, tau = 1 + params.d_bar * params.beta, params.rack_digit(e_star)
     rows = pcm.zero_rows[tau]
-    order = np.argsort(pcm.level[rows], kind="stable")
+    order, bounds, solved = pcm.level_blocks(rows, params.r_bar)
+    solved += kept + (u - 1) * alpha
     targets = rows[order]
-    level = pcm.level[targets] - pcm.level[targets[0]]
-    bounds = np.searchsorted(level, np.arange(level[-1] + 2))
-    # Solution row q at position j, in the block of the level that starts at
-    # position starts[j] and holds sizes[j] rows, is source row solved[q, j].
-    starts, sizes = bounds[level], bounds[level + 1] - bounds[level]
-    solved = (kept + (u - 1) * alpha + (r_bar - 1) * starts + np.arange(beta)
-              + np.arange(r_bar)[:, None] * sizes)
     siblings = targets + np.arange(s_bar)[:, None] * pcm.place[tau]
     host = np.empty(alpha, dtype=np.intp)
     host[siblings] = solved[:s_bar]
@@ -270,11 +255,6 @@ def _layout(codec: Codec, e_star: int) -> tuple:
     survived = (kept + np.arange(u - 1)[:, None, None] * alpha + siblings).reshape(-1, beta)
     racks = np.array([e for e in range(params.n_bar) if e != e_star and
                       params.rack_residue(e) == params.rack_residue(e_star)], dtype=np.intp)
-    position = np.zeros(alpha, dtype=np.intp)
-    position[targets] = np.arange(beta)
-    digit = pcm.digits[targets][:, racks // (u - params.u0)].T[:, None]
-    sibling = position[targets + (np.arange(1, s_bar)[:, None] - digit)
-                       * pcm.place[racks // (u - params.u0), None, None]]
     # A helper rack's nodes' zero-digit rows are staged from row kept on,
     # where the survivors and the levels go once every message is in (u*beta
     # rows fit, as beta <= alpha and r_bar >= 1), and weighed by messages[e]
@@ -282,19 +262,18 @@ def _layout(codec: Codec, e_star: int) -> tuple:
     selected = linalg.step(kept + np.arange(u * beta).reshape(u, beta), (), 0)
     weights = linalg.split(pcm.diag[params.rack_residue(e_star)], params.n)
     messages = [tuple((lo, hi, c[e:e + 1]) for lo, hi, c in weights) for e in range(params.n_bar)]
-    return (order, bounds, solved, host, side, survived, racks, sibling, digit == 0, selected,
-            messages)
+    return (order, bounds, solved, host, side, survived, racks,
+            pcm.sibling_table(racks, targets, targets)[0], selected, messages)
 
 
-def apply_plan(codec: Codec, plan: RepairPlan, job: RepairJob,
-               vectors: np.ndarray) -> np.ndarray:
+def apply_plan(plan: RepairPlan, vectors: np.ndarray) -> np.ndarray:
     """The failed node, (alpha, w) int64 symbols in [0, p), from vectors,
     (n, alpha, w) symbols in [0, p) of every node, by plan's steps in the
     order repair_shard runs them: each helper rack's message into the plan,
     then the host rack's survivors.  No other node is read."""
-    u = codec.params.u
+    job, u = plan.job, plan.view[0]
     for e in job.helpers:
-        helper_message(codec, vectors[e * u:(e + 1) * u], e, job, plan)
+        helper_message(plan, vectors[e * u:(e + 1) * u], e)
     return plan(vectors[[job.e_star * u + g for g in range(u) if g != job.g_star]])
 
 
@@ -311,7 +290,7 @@ def repair_from_stripe(codec: Codec, stripe: Stripe, job: RepairJob) -> RepairTr
     vectors = codec._reduce(stripe.vectors)
     tail, width = vectors.shape[2:], math.prod(vectors.shape[2:])
     plan = RepairPlan.create(codec, job)
-    recovered = apply_plan(codec, plan, job, vectors.reshape(params.n, params.alpha, width))
+    recovered = apply_plan(plan, vectors.reshape(params.n, params.alpha, width))
     source = (plan.program.source % codec.p).astype(np.int64).reshape((-1,) + tail)
     others = [e for e in range(params.n_bar) if e != job.e_star and e not in job.helpers]
     return RepairTranscript.of(

@@ -41,7 +41,7 @@ from .codec import _CHUNK_SYMBOLS, Codec
 from .construction import build_constants
 from .errors import ParameterError, RepairRefusedError, ShardFormatError, SymbolMappingError
 from .field import FieldCtx
-from .params import CodeParams
+from .params import CodeParams, is_int
 from .repair import RepairJob, RepairPlan, RepairTranscript, helper_message
 
 FORMAT_VERSION = 1
@@ -102,11 +102,11 @@ class Manifest:
         manifest = cls(**payload)
         for f in fields(cls):
             value = getattr(manifest, f.name)
-            if f.type == "int" and not _is_int(value):
+            if f.type == "int" and not is_int(value):
                 raise ShardFormatError(
                     f"manifest field {f.name} must be an integer, got {value!r}")
         extra = manifest.extra_points
-        if not (isinstance(extra, list) and all(map(_is_int, extra))):
+        if not (isinstance(extra, list) and all(map(is_int, extra))):
             raise ShardFormatError(
                 f"manifest field extra_points must be a list of integers, got {extra!r}")
         manifest = replace(manifest, extra_points=tuple(extra))
@@ -138,10 +138,6 @@ class Manifest:
                 and re.fullmatch("[0-9a-f]{64}", self.checksum_sha256)):
             raise ShardFormatError("manifest field checksum_sha256 must be 64 lowercase "
                                    f"hex digits, got {self.checksum_sha256!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _symbol_dtype(width: int) -> np.dtype:
@@ -466,7 +462,7 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
             width = min(chunk, manifest.stripe_count - start)
             for h, rack in zip(job.helpers, racks):
                 _read_block(shards, rack, nodes[:, :width], start, manifest.p)
-                helper_message(codec, nodes[:, :width].transpose(0, 2, 1), h, job, plan)
+                helper_message(plan, nodes[:, :width].transpose(0, 2, 1), h)
             _read_block(shards, survivors, nodes[:u - 1, :width], start, manifest.p)
             plan(nodes[:u - 1, :width].transpose(0, 2, 1), out=node[:width].T)
             sink.write(node[:width])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from msrr import CodeParams, Codec
+from msrr import CodeParams, Codec, helper_message
+from msrr.repair import RepairPlan
 
 # Desk-scale codes used throughout the suite.
 P1 = CodeParams(n_bar=4, u=2, u0=0, k_bar=2, d_bar=3)   # p=11, alpha=4
@@ -44,3 +45,12 @@ def random_stripe(codec, seed=0, stripes=None):
     if stripes is None:
         return codec.encode_systematic(rng.integers(0, codec.p, size=shape))
     return codec.encode_batch(rng.integers(0, codec.p, size=shape + (stripes,)))
+
+
+def fresh_message(codec, rack, e, job):
+    """helper_message of a fresh plan for job on rack e's nodes, (u, alpha)
+    or (u, alpha, w), as symbols in [0, p) of shape (beta,) or (beta, w)."""
+    params = codec.params
+    message = helper_message(RepairPlan.create(codec, job),
+                             np.reshape(rack, (params.u, params.alpha, -1)), e)
+    return (message % codec.p).astype(np.int64).reshape((params.beta,) + np.shape(rack)[2:])

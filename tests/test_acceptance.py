@@ -20,10 +20,9 @@ import pytest
 from msrr import Codec, CodeParams, RepairJob, build_constants, repair_from_stripe
 from msrr.cli import main
 from msrr.field import FieldCtx, find_field
-from msrr.repair import helper_message
 from msrr.stripe_io import shard_name
 
-from conftest import P1, P1_DEGENERATE, P2, P3
+from conftest import P1, P1_DEGENERATE, P2, P3, fresh_message
 from oracle import zero_digit_rows
 
 STRIPES_PER_JOB = 20
@@ -121,13 +120,13 @@ def test_criterion_3_bandwidth_equality(repair_sweeps, codecs):
         stripe = codec.encode_systematic(
             rng.integers(0, codec.p, size=(params.k, params.alpha)))
         job = RepairJob.create(params, 0, 0)
-        rows = set(zero_digit_rows(params, job.digit_position(params)))
+        rows = set(zero_digit_rows(params, params.rack_digit(job.e_star)))
         hidden = [a for a in range(params.alpha) if a not in rows]
         for e in job.helpers:
             rack = stripe.rack(e).copy()
-            message = helper_message(codec, rack, e, job)
+            message = fresh_message(codec, rack, e, job)
             rack[:, hidden] = rng.integers(0, codec.p, size=(params.u, len(hidden)))
-            assert np.array_equal(message, helper_message(codec, rack, e, job))
+            assert np.array_equal(message, fresh_message(codec, rack, e, job))
 
 
 def test_criterion_4_access_level(repair_sweeps, codecs):

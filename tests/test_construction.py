@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from msrr import CodeParams, Codec, ParityCheckMatrix, build_constants
+from msrr.errors import InternalError
 from msrr.field import FieldCtx
 
 from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P3
@@ -64,6 +65,41 @@ def test_digit_tables_match_scalar_oracle():
             assert [cols.tolist() for cols in pcm.sibling_cols[tau]] == [
                 [replace_digit(params, a, tau, v) for a in rows]
                 for v in range(1, params.s_bar)], (params, tau)
+
+
+def test_level_blocks_and_sibling_gathers_match_scalar_oracle():
+    # The level layout and the sibling gather that the codec's solve and the
+    # repair plans read, over all coordinates and over each rack digit's
+    # zero rows, against loops over the scalar digit helpers.
+    for params in SMALL_ALPHA_CODES:
+        pcm, width = _pcm(params), params.u - params.u0
+        for coords in [np.arange(params.alpha)] + pcm.zero_rows:
+            order, bounds, block = pcm.level_blocks(coords, 3)
+            levels = [zero_digit_count(params, a) for a in coords]
+            assert order.tolist() == sorted(range(coords.size), key=levels.__getitem__)
+            for lo, hi in zip(bounds, bounds[1:]):
+                assert len({levels[j] for j in order[lo:hi]}) == 1
+                assert block[:, lo:hi].tolist() == [
+                    [3 * lo + q * (hi - lo) + j for j in range(hi - lo)] for q in range(3)]
+            targets = coords[order]
+            position = {int(a): j for j, a in enumerate(targets)}
+            # The row of a's sibling, 0 where rack e's digit of a is not zero
+            # and None where the sibling is not among coords.
+            expected = [[0 if digits(params, a)[e // width] else
+                         1 + e * coords.size + position[b] if b in position else None
+                         for a in targets for b in [replace_digit(params, a, e // width, v)]]
+                        for e in range(params.n_bar) for v in range(1, params.s_bar)]
+            if any(None in row for row in expected):
+                with pytest.raises(InternalError, match="missing from the sources"):
+                    pcm.sibling_table(range(params.n_bar), targets, targets)
+            else:
+                index, coef = pcm.sibling_table(range(params.n_bar), targets, targets)
+                assert index.tolist() == expected
+                extra, p, u = pcm.constants.extra_points, pcm.p, params.u
+                assert coef.tolist() == [
+                    [pow(extra[v - 1], t // u, p) if t % u == params.rack_residue(e) else 0
+                     for e in range(params.n_bar) for v in range(1, params.s_bar)]
+                    for t in range(params.r)]
 
 
 def test_rows_with_nonzero_owned_digit_are_diagonal_only(p3_codec):

@@ -10,8 +10,8 @@ from msrr import Codec, CodeParams, RepairJob, Stripe, helper_message, repair_fr
 from msrr.cli import main
 from msrr.repair import RepairPlan, _layout
 
-from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, random_stripe
-from oracle import repair_blocks, zero_digit_rows
+from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, fresh_message, random_stripe
+from oracle import zero_digit_rows
 
 
 def reference_aggregate(codec, rack, e, e_star):
@@ -40,30 +40,40 @@ def test_job_defaults_to_smallest_helper_racks(p3_codec):
         RepairJob.create(params, 2, 1, helpers=[0, 1, 3])  # too few
 
 
+@pytest.mark.parametrize("e_star, g_star, helpers", [
+    (0.5, 0, None), (0, 0.5, None), (True, 0, None), (0, 0, [1.7, 2, 3, 4]),
+    (0, 0, [True, 2, 3, 4]), (0, 0, ["1", 2, 3, 4])])
+def test_job_refuses_non_integer_racks_and_nodes(e_star, g_star, helpers):
+    # The manifest's rule: a plain int, so a float or a bool never passes as
+    # the rack or node it rounds or converts to.
+    with pytest.raises(ValueError, match="must be integers"):
+        RepairJob.create(CodeParams.from_total_k(6, 2, 6, 4), e_star, g_star, helpers)
+
+
 def test_rack_aggregate_plain_sum_when_residue_zero(p1_codec):
     # Host rack 0 has residue 0, so rack 1's message is its plain node sum.
     params = p1_codec.params
     stripe = random_stripe(p1_codec, seed=0)
     job = RepairJob.create(params, 0, 0)
-    rows = zero_digit_rows(params, job.digit_position(params))
-    msg = helper_message(p1_codec, stripe.rack(1), 1, job)
+    rows = zero_digit_rows(params, params.rack_digit(job.e_star))
+    msg = fresh_message(p1_codec, stripe.rack(1), 1, job)
     assert np.array_equal(msg, stripe.rack(1).sum(axis=0)[rows] % p1_codec.p)
 
 
 def test_rack_aggregate_zero_rack(p1_codec):
     job = RepairJob.create(p1_codec.params, 0, 0)
     zeros = np.zeros((2, 4), dtype=np.int64)
-    assert not helper_message(p1_codec, zeros, 2, job).any()
+    assert not fresh_message(p1_codec, zeros, 2, job).any()
 
 
 def test_helper_message_is_restricted_aggregate(p1_codec):
     params = p1_codec.params
     stripe = random_stripe(p1_codec, seed=2)
     job = RepairJob.create(params, 0, 0)
-    rows = zero_digit_rows(params, job.digit_position(params))
+    rows = zero_digit_rows(params, params.rack_digit(job.e_star))
     assert rows == [0, 2]
     for e in job.helpers:
-        msg = helper_message(p1_codec, stripe.rack(e), e, job)
+        msg = fresh_message(p1_codec, stripe.rack(e), e, job)
         assert msg.shape == (params.beta,)
         full = reference_aggregate(p1_codec, stripe.rack(e), e, job.e_star)
         assert np.array_equal(msg, full[rows])
@@ -77,8 +87,8 @@ def test_helper_message_uses_locator_weights(p1_codec):
     params = p1_codec.params
     stripe = random_stripe(p1_codec, seed=1)
     job = RepairJob.create(params, 3, 0)
-    rows = zero_digit_rows(params, job.digit_position(params))
-    msg = helper_message(p1_codec, stripe.rack(1), 1, job)
+    rows = zero_digit_rows(params, params.rack_digit(job.e_star))
+    msg = fresh_message(p1_codec, stripe.rack(1), 1, job)
     manual = (2 * stripe.node(1, 0) + 9 * stripe.node(1, 1)) % p1_codec.p
     assert np.array_equal(msg, manual[rows])
 
@@ -88,7 +98,7 @@ def test_helper_message_degenerate_code_ships_whole_aggregate(degenerate_codec):
     stripe = random_stripe(degenerate_codec, seed=3)
     job = RepairJob.create(params, 1, 0)
     e = job.helpers[0]
-    msg = helper_message(degenerate_codec, stripe.rack(e), e, job)
+    msg = fresh_message(degenerate_codec, stripe.rack(e), e, job)
     assert msg.shape == (1,)
     assert np.array_equal(
         msg, reference_aggregate(degenerate_codec, stripe.rack(e), e, 1))
@@ -97,8 +107,23 @@ def test_helper_message_degenerate_code_ships_whole_aggregate(degenerate_codec):
 def test_helper_message_rejects_non_helper(p1_codec):
     stripe = random_stripe(p1_codec, seed=4)
     job = RepairJob.create(p1_codec.params, 0, 0)
-    with pytest.raises(ValueError):
-        helper_message(p1_codec, stripe.rack(0), 0, job)
+    with pytest.raises(ValueError, match="not a helper"):
+        helper_message(RepairPlan.create(p1_codec, job), stripe.rack(0)[:, :, None], 0)
+
+
+@pytest.mark.parametrize("e_star", [0, 2], ids=["place1", "place2"])
+def test_helper_message_refuses_a_rack_that_is_not_u_alpha_w(e_star):
+    # Host racks 0 and 2 own digits of place value 1 and 2; neither view may
+    # take a rack of any other shape.
+    params = CodeParams.from_total_k(6, 2, 6, 4)
+    codec, job = Codec(params), RepairJob.create(params, e_star, 0)
+    plan, e = RepairPlan.create(codec, job), job.helpers[0]
+    rack = random_stripe(codec, seed=30, stripes=2)[e * params.u:(e + 1) * params.u]
+    for bad in (rack[:, :, 0], rack[:, :, :, None], rack[:, :4], rack[:1]):
+        with pytest.raises(ValueError, match=r"rack needs shape \(2, 8, w\)"):
+            helper_message(plan, bad, e)
+    assert np.array_equal(helper_message(plan, rack, e) % codec.p,
+                          fresh_message(codec, rack, e, job))
 
 
 @pytest.mark.parametrize("codec_fixture", ["p1_codec", "p2_codec", "p3_codec",
@@ -126,7 +151,7 @@ def test_side_aggregates_match_ground_truth(p3_codec):
     job = RepairJob.create(params, 0, 1, helpers=[1, 2, 3, 4])  # rack 5 left out
     transcript = repair_from_stripe(p3_codec, stripe, job)
     assert set(transcript.side_aggregates) == {5}
-    rows = zero_digit_rows(params, job.digit_position(params))
+    rows = zero_digit_rows(params, params.rack_digit(job.e_star))
     truth = reference_aggregate(p3_codec, stripe.rack(5), 5, job.e_star)[rows]
     assert np.array_equal(transcript.side_aggregates[5], truth)
 
@@ -161,13 +186,15 @@ def test_repair_is_linear(p1_codec, seed, scale):
 def test_transcript_structure_is_shared_within_a_rack(p3_codec):
     # Every node of a fixed rack repairs through the same block and row
     # selection; only the final unblending step differs.
+    # The plans of a rack's nodes share their row view, their source layout
+    # and every step's gather shape and output rows.
     params = p3_codec.params
     for e_star in range(params.n_bar):
-        positions = {RepairJob.create(params, e_star, g).digit_position(params)
-                     for g in range(params.u)}
-        assert len(positions) == 1
-        blocks = {tuple(repair_blocks(params, e_star)) for _ in range(params.u)}
-        assert len(blocks) == 1
+        plans = [RepairPlan.create(p3_codec, RepairJob.create(params, e_star, g))
+                 for g in range(params.u)]
+        assert len({plan.view for plan in plans}) == 1
+        assert len({(plan.side.tobytes(), tuple((s.shape, s.out) for s in plan.program.steps))
+                    for plan in plans}) == 1
 
 
 def test_batched_repair_matches_per_stripe(p2_codec):
@@ -196,8 +223,7 @@ def test_repair_from_stripe_needs_live_helpers(p1_codec):
 @pytest.mark.parametrize("stripes", [0, slice(None)], ids=["one", "batch"])
 def test_the_message_path_takes_unreduced_symbols(p3_codec, stripes):
     # Vectors shifted by +p and by -p are congruent to the codeword but lie
-    # outside [0, p); a fresh plan's message step and repair_from_stripe
-    # reduce them first.
+    # outside [0, p); repair_from_stripe reduces them before the message steps.
     params, p, u = p3_codec.params, p3_codec.p, p3_codec.params.u
     vectors = random_stripe(p3_codec, seed=27, stripes=3)[:, :, stripes]
     present = np.ones(params.n, dtype=bool)
@@ -209,8 +235,6 @@ def test_the_message_path_takes_unreduced_symbols(p3_codec, stripes):
         transcript = repair_from_stripe(p3_codec, Stripe(params, shifted, present), job)
         assert np.array_equal(transcript.recovered, reduced.recovered), shift
         for e in job.helpers:
-            message = helper_message(p3_codec, shifted[e * u:(e + 1) * u], e, job)
-            assert np.array_equal(message, reduced.messages[e]), (shift, e)
             assert np.array_equal(transcript.messages[e], reduced.messages[e]), (shift, e)
 
 
@@ -287,7 +311,7 @@ def test_per_level_repair_on_small_codes(case):
                           stripe.node(job.e_star, job.g_star))
     others = set(range(params.n_bar)) - {job.e_star} - set(job.helpers)
     assert set(transcript.side_aggregates) == others
-    rows = zero_digit_rows(params, job.digit_position(params))
+    rows = zero_digit_rows(params, params.rack_digit(job.e_star))
     for e in others:
         truth = reference_aggregate(codec, stripe.rack(e), e, job.e_star)[rows]
         assert np.array_equal(transcript.side_aggregates[e], truth)
@@ -309,10 +333,10 @@ def test_helper_messages_read_the_zero_digit_rows_on_every_grid_code(params):
     vectors = random_stripe(codec, seed=25, stripes=2)
     for e_star in range(params.n_bar):
         job = RepairJob.create(params, e_star, 0)
-        rows = codec.pcm.zero_rows[job.digit_position(params)]
+        rows = codec.pcm.zero_rows[params.rack_digit(job.e_star)]
         for e in job.helpers:
             rack = vectors[e * u:(e + 1) * u]
-            assert np.array_equal(helper_message(codec, rack, e, job),
+            assert np.array_equal(fresh_message(codec, rack, e, job),
                                   reference_aggregate(codec, rack, e, e_star)[rows]), (e_star, e)
 
 
@@ -324,11 +348,11 @@ def _plan_inputs(params, job, vectors):
     return racks, np.stack([vectors[job.e_star * u + g] for g in range(u) if g != job.g_star])
 
 
-def _apply(codec, plan, job, racks, survivors, out=None):
+def _apply(plan, racks, survivors, out=None):
     """One apply of plan as repair_shard runs it: each helper rack's message
     into the plan, then the survivors."""
-    for e, rack in zip(job.helpers, racks):
-        helper_message(codec, rack, e, job, plan)
+    for e, rack in zip(plan.job.helpers, racks):
+        helper_message(plan, rack, e)
     return plan(survivors, out=out)
 
 
@@ -341,12 +365,12 @@ def test_repair_results_never_alias_the_work_arrays(params):
     batches = [codec.encode_batch(rng.integers(0, codec.p, size=(params.k, params.alpha, w)))
                for w in (2, chunk - 1, chunk + 5) for _ in range(2)]
     plan = RepairPlan.create(codec, job)
-    results = [_apply(codec, plan, job, *_plan_inputs(params, job, vectors))
+    results = [_apply(plan, *_plan_inputs(params, job, vectors))
                for vectors in batches]
     target = params.node_index(job.e_star, job.g_star)
     for vectors, result in zip(batches, results):
         assert np.array_equal(result, vectors[target])
-        fresh = _apply(codec, RepairPlan.create(codec, job), job,
+        fresh = _apply(RepairPlan.create(codec, job),
                        *_plan_inputs(params, job, vectors))
         assert np.array_equal(result, fresh)
 
@@ -357,13 +381,31 @@ def test_a_plan_apply_at_a_width_already_seen_allocates_no_work_arrays():
     width = stripe_io._stripes_per_chunk(params)
     racks, survivors = _plan_inputs(params, job, random_stripe(codec, seed=24, stripes=width))
     plan, out = RepairPlan.create(codec, job), np.empty((params.alpha, width), dtype=np.uint16)
-    _apply(codec, plan, job, racks, survivors, out)
+    _apply(plan, racks, survivors, out)
     tracemalloc.start()
     try:
-        _apply(codec, plan, job, racks, survivors, out)
+        _apply(plan, racks, survivors, out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < params.alpha * width * 8
     assert np.array_equal(out, random_stripe(codec, seed=24, stripes=width)[
         params.node_index(job.e_star, job.g_star)])
+
+
+def test_a_plan_apply_refuses_unless_every_message_is_at_the_survivors_width():
+    params = CodeParams.from_total_k(6, 2, 6, 4)
+    codec, job = Codec(params), RepairJob.create(params, 2, 1)
+    vectors = random_stripe(codec, seed=29, stripes=3)
+    racks, survivors = _plan_inputs(params, job, vectors)
+    with pytest.raises(ValueError, match="width 3"):  # a fresh plan
+        RepairPlan.create(codec, job)(survivors)
+    plan = RepairPlan.create(codec, job)
+    helper_message(plan, racks[0], job.helpers[0])
+    with pytest.raises(ValueError, match="width 3"):  # one message of four
+        plan(survivors)
+    for e, rack in zip(job.helpers, racks):
+        helper_message(plan, rack, e)
+    with pytest.raises(ValueError, match="width 2"):  # messages 3 stripes wide
+        plan(survivors[:, :, :2])
+    assert np.array_equal(plan(survivors), vectors[params.node_index(2, 1)])
