@@ -10,7 +10,7 @@ right-hand side needs only values solved at the level before.  The locators
 are distinct, so each system is invertible.
 
 The solve is level-major: the coordinates are ordered by level, once per
-plan.  The known nodes move to the right-hand side in one float64 product
+plan.  The known nodes move to the right-hand side in one exact product
 (ParityCheckMatrix.product).  The unknowns' off-diagonal terms follow the
 construction as the known nodes' do: they are the unknown racks' aggregates
 of the level before, read at the digit siblings and weighed by the
@@ -21,12 +21,14 @@ linalg.Program of such gather-product-fold steps over one source array that
 the plan owns and reuses from chunk to chunk and call to call; natural
 coordinate order comes back once per chunk, on output.
 
-Arithmetic is float64 throughout.  Sums are folded into signed residues,
-a - rint(a/p)*p, which for integer |a| < 2^53 have |r| <= p/2 + 2 <= p - 1
-(linalg.Fold), so every product term is at most (p - 1)^2.  linalg.split
-cuts each product, by its coefficients, into column ranges folded one after
-another, so that no row sums more than n nonzero terms, a folded sum
-counting as one; so Codec requires n * (p - 1)^2 < 2^53.  Values move into
+Arithmetic is exact in floats.  Sums are folded into signed residues,
+a - rint(a/p)*p, which have |r| <= p/2 + 2 <= p - 1 (linalg.Fold), so every
+product term is at most (p - 1)^2.  linalg.split cuts each product, by its
+coefficients, into column ranges folded one after another, so that no row
+sums more than n nonzero terms, a folded sum counting as one.  So every sum
+is at most n * (p - 1)^2, and linalg.exact_float runs the whole solve in
+float32 where n * (p - 1)^2 + p < 2^24, as at every byte field, and in
+float64 otherwise; Codec requires n * (p - 1)^2 < 2^53.  Values move into
 [0, p) once, on output.  verify_mds certifies full rank of each r-subset's
 column groups from the same level order, read off the sparse tables
 ParityCheckMatrix.off_diagonal and diag, and from distinct Vandermonde
@@ -157,12 +159,13 @@ class Codec:
                  min_field: int = 0):
         self.params = params
         self.field = field if field is not None else FieldCtx.for_code(params, min_field)
-        # float64 holds integers below 2^53 exactly.  Every float64 product
-        # here is a linalg.Program step: each term is a coefficient in [0, p)
-        # times a symbol or a signed residue, |r| <= p/2 + 2 <= p - 1, so at
-        # most (p - 1)^2, and linalg.split keeps each row of a column range
-        # within n nonzero terms, a folded sum counting as one.  So
-        # n * (p - 1)^2 < 2^53 keeps every sum exact.
+        # Every product here is a linalg.Program step: each term is a
+        # coefficient in [0, p) times a symbol or a signed residue, |r| <=
+        # p/2 + 2 <= p - 1, so at most (p - 1)^2, and linalg.split keeps each
+        # row of a column range within n nonzero terms, a folded sum counting
+        # as one.  The steps run in linalg.exact_float(n, p), float32 where
+        # n * (p - 1)^2 + p < 2^24; float64 holds integers below 2^53, so
+        # n * (p - 1)^2 < 2^53 keeps every sum exact in either type.
         if params.n * (self.p - 1) ** 2 >= 2**53:
             raise InternalError(
                 f"n={params.n}, p={self.p} overflow the exact float64 product")
@@ -206,7 +209,7 @@ class Codec:
         the unknown racks' aggregates, a (racks, hi - lo) block after it; the
         last level has none.  The output reads the solution in natural order.
         """
-        params, pcm, p, n = self.params, self.pcm, self.p, self.params.n
+        params, pcm, p, n, dtype = self.params, self.pcm, self.p, self.params.n, self.pcm.dtype
         r, alpha, s1 = params.r, params.alpha, params.s_bar - 1
         pairs = [params.node_pair(i) for i in unknowns]
         try:
@@ -230,12 +233,12 @@ class Codec:
         gather, sibling_coef = pcm.sibling_table(racks, order, order)
         gather = np.concatenate([[0], held[r:].ravel()])[gather]
         sibling_coef = negated @ sibling_coef % p
-        steps, aggregate = list(known.steps), linalg.split(weights, n)
+        steps, aggregate = list(known.steps), linalg.split(weights, n, dtype)
         for lo, hi in zip(bounds, bounds[1:]):
             used = gather[:, lo:hi].any(axis=1)
             steps.append(linalg.step(
                 np.vstack([known.output[:, order[lo:hi]], gather[used, lo:hi]]),
-                linalg.split(np.hstack([negated, sibling_coef[:, used]]), n), held[0, lo]))
+                linalg.split(np.hstack([negated, sibling_coef[:, used]]), n, dtype), held[0, lo]))
             if racks and hi < alpha:
                 steps.append(linalg.step(held[:r, lo:hi], aggregate, held[r, lo]))
         natural = np.empty((r, alpha), dtype=np.intp)

@@ -14,10 +14,12 @@ digits of every coordinate, computed once.  The level order, the zero-digit
 rows and their digit siblings are read off it; no other module expands digits.
 
 Summed over a set of nodes, the column groups act on their vectors as a
-linalg.Program of two float64 steps (ParityCheckMatrix.product): one forms
-the locator^residue-weighted rack aggregates, and one gathers the vectors and
+linalg.Program of two steps (ParityCheckMatrix.product): one forms the
+locator^residue-weighted rack aggregates, and one gathers the vectors and
 each aggregate at the rows' digit siblings and weighs them by the diagonals
-and the extra-point powers.
+and the extra-point powers.  Every Program of the code, the codec's and
+repair's too, runs in ParityCheckMatrix.dtype, linalg.exact_float(n, p):
+float32 at every byte field.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import InternalError
 from .field import FieldCtx
-from .linalg import Program, split, step
+from .linalg import Program, exact_float, split, step
 from .params import CodeParams
 
 
@@ -87,7 +89,8 @@ class ParityCheckMatrix:
     """The r*alpha x n*alpha parity-check system in sparse block form.
 
     Depends only on (params, p); rebuilding yields identical contents.
-    Immutable after construction.
+    Immutable after construction.  dtype is the float type that the code's
+    Programs run in, exact_float(n, p); their coefficients are built in it.
     """
 
     def __init__(self, params: CodeParams, constants: CodeConstants):
@@ -95,6 +98,7 @@ class ParityCheckMatrix:
         self.constants = constants
         p = constants.field.p
         r, n_bar, u, s_bar = params.r, params.n_bar, params.u, params.s_bar
+        self.dtype = exact_float(params.n, p)
 
         # diag[t, e, g] = locator^t; extra_pow[t, v-1] = extra_points[v-1]^t.
         lam = np.array(constants.locators, dtype=np.int64)  # (n_bar, u)
@@ -212,10 +216,11 @@ class ParityCheckMatrix:
         gather, coef = self.sibling_table(known, coords, coords)
         vectors = 1 + np.arange(span.size * alpha).reshape(span.size, alpha)
         out = 1 + vectors.size + known.size * alpha
-        steps = [step(vectors, split(weights, params.n), 1 + vectors.size)] if known.size else []
+        n, dtype = params.n, self.dtype
+        steps = [step(vectors, split(weights, n, dtype), 1 + vectors.size)] if known.size else []
         steps.append(step(np.vstack([vectors, np.where(gather > 0, gather + vectors.size, 0)]),
                           split(np.hstack([np.where(listed, self.diag[:, racks, slots], 0), coef]),
-                                params.n), out))
+                                n, dtype), out))
         rows = params.r * alpha
         return Program(self.p, out + rows, steps, 1, out + np.arange(rows).reshape(params.r, alpha),
                        slice(int(span[0]), int(span[-1]) + 1))

@@ -1,5 +1,5 @@
 """Exact linear algebra over GF(p): rank, power-moment solves, and the exact
-float64 programs that encode, decode and repair run.
+float programs that encode, decode and repair run.
 
 Matrices are numpy int64 arrays holding canonical representatives in
 [0, p - 1]; all arithmetic is modular, so there are no tolerances anywhere.
@@ -12,11 +12,14 @@ int64 products stay below p^2, and vandermonde_solve's sums of n of them
 stay far inside int64.
 
 Encode, decode and repair are each a Program: a sequence of Steps over one
-plan-owned float64 source array.  A step gathers rows of the source, takes
-one exact product and folds it into signed residues (Fold), written back
-into the source for later steps to gather.  float64 holds integers below
-2^53 exactly, and split cuts each product into column ranges that keep
-every sum within n terms.
+plan-owned source array.  A step gathers rows of the source, takes one exact
+product and folds it into signed residues (Fold), written back into the
+source for later steps to gather.  split cuts each product into column
+ranges that keep every sum within n terms of at most (p - 1)^2, and
+exact_float picks the narrowest float that holds such sums exactly:
+float32 where n * (p - 1)^2 + p < 2^24, as at every byte field, else
+float64, which holds integers below 2^53.  It is the one place that
+decides; coefficients are built in its type and work arrays follow them.
 """
 
 from __future__ import annotations
@@ -99,24 +102,41 @@ def vandermonde_solve(points, moments, p: int) -> np.ndarray:
     return np.array(lagrange, dtype=np.int64) @ moments % p
 
 
-class Fold:
-    """Signed residues mod p of float64 integers, reduced in place.
+def exact_float(n: int, p: int) -> type:
+    """The float type of every Program over GF(p) whose sums hold at most n
+    terms of at most (p - 1)^2: float32 when n * (p - 1)^2 + p < 2^24, so
+    that its 24-bit significand holds each sum and each of Fold's
+    intermediates, else float64 (Codec requires n * (p - 1)^2 < 2^53)."""
+    return np.float32 if n * (p - 1) ** 2 + p < 2**24 else np.float64
 
-    fold(a, scratch) replaces a by a - q*p with q = rint(a * (1/p)).  For
-    integer |a| < 2^53 and p >= 5 (p > n >= 4 always holds) the result is
-    congruent to a with |result| <= p/2 + 2 <= p - 1: a * (1/p) is off from
-    a/p by less than 2/p, so |q - a/p| < 1/2 + 2/p.  q*p itself may pass 2^53
-    and round, so q and then q*(p - 1) are subtracted; each intermediate is
-    an integer below 2^53 in magnitude, so every step is exact.  scratch is a
-    float64 array of a's shape.  The scalars are kept as 0-d arrays, which
-    numpy broadcasts faster than Python floats.
+
+class Fold:
+    """Signed residues mod p of integers held in a float array, reduced in
+    place, in the array's type, float32 or float64, of significand width t =
+    24 or 53.
+
+    fold(a, scratch) replaces a by a - q*p with q = rint(a * (1/p)).  A
+    Program's a is an integer with |a| <= n * (p - 1)^2, which exact_float's
+    bound keeps below 2^24 - p in float32 and Codec's below 2^53 in float64;
+    p > n >= 4, so p >= 5.  Then the result is congruent to a with |result|
+    <= p/2 + 2 <= p - 1: 1/p and the product each round by a relative 2^-t
+    or so, so a * (1/p) is off from a/p by less than 2/p and |q - a/p| < 1/2
+    + 2/p.  q*p itself may pass 2^t and round, so q and then q*(p - 1) are
+    subtracted.  q has a's sign and |q| <= |a|, so |a - q| <= |a|; and q*(p -
+    1) = (a - q) - result.  In float32 that bounds |q*(p - 1)| by |a| + p/2 +
+    2 < 2^24.  In float64, |q*(p - 1)| < |a| - |a|/p + p/2 + 2 is at most |a|
+    once |a| >= p^2/2 + 2p, and far below 2^53 before.  So every
+    intermediate is an integer below 2^t in magnitude, and every step is
+    exact.  scratch is an array of a's shape and type.  The scalars are kept
+    as 0-d arrays of that type, which numpy broadcasts faster than Python
+    floats and which keep each pass in the array's type.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, dtype: type = np.float64):
         self.p = p
-        self._inverse = np.array(1.0 / p)
-        self._below = np.array(p - 1.0)
-        self._modulus = np.array(float(p))
+        self._inverse = np.array(1.0 / p, dtype=dtype)
+        self._below = np.array(p - 1, dtype=dtype)
+        self._modulus = np.array(p, dtype=dtype)
 
     def __call__(self, a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         np.multiply(a, self._inverse, out=scratch)
@@ -136,21 +156,22 @@ class Fold:
         return a
 
 
-def split(coef, n: int) -> tuple:
-    """coef's column ranges, (lo, hi, coef[:, lo:hi] as float64), cut greedily:
+def split(coef, n: int, dtype: type = np.float64) -> tuple:
+    """coef's column ranges, (lo, hi, coef[:, lo:hi] as dtype), cut greedily:
     no row holds more than n nonzero coefficients in the first range, or
     more than n - 1 in a later one, which is added to the folded sum of the
-    ranges before it, a term of its own."""
+    ranges before it, a term of its own.  dtype is the Program's float type,
+    exact_float(n, p)."""
     nonzero = np.asarray(coef) != 0
     if nonzero.sum(axis=1).max(initial=0) <= n:  # the common case, cheaply
-        return ((0, nonzero.shape[1], np.ascontiguousarray(coef, dtype=np.float64)),)
+        return ((0, nonzero.shape[1], np.ascontiguousarray(coef, dtype=dtype)),)
     counts = np.cumsum(nonzero, axis=1)
     edges = [0]
     while edges[-1] < counts.shape[1]:
         lo = edges[-1]
         over = (counts - (counts[:, lo - 1:lo] if lo else 0) > n - bool(lo)).any(axis=0)
         edges.append(int(over.argmax()) if over.any() else counts.shape[1])
-    return tuple((lo, hi, np.ascontiguousarray(coef[:, lo:hi], dtype=np.float64))
+    return tuple((lo, hi, np.ascontiguousarray(coef[:, lo:hi], dtype=dtype))
                  for lo, hi in zip(edges, edges[1:]))
 
 
@@ -186,7 +207,12 @@ def step(index, ranges, out: int) -> Step:
 # or more on several threads (0.3.31: from between 0.96 and 1.05 million).
 # At these shapes that gains little, and waking an idle worker took 6-8 ms
 # per product on a 2-vCPU virtual machine, so products are cut along their
-# columns into pieces of at most this many multiply-adds.
+# columns into pieces of at most this many multiply-adds.  float32 products
+# (sgemm) stay on one thread too: encoding, decoding (r nodes lost) and
+# repairing 1 MiB on each grid code ran every product in float32, none
+# above 2^19 multiply-adds, and left OpenBLAS 0.3.31's worker thread no CPU
+# time (/proc/self/task/*/schedstat), where twenty 512^3 sgemms gave it
+# 0.25 s.
 _PRODUCT_WORK = 1 << 19
 
 
@@ -199,8 +225,10 @@ def _pieces(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
 
 
 class Program:
-    """Steps over one float64 source array of rows rows, one column per
-    stripe, whose row 0 stays zero: the row a gather reads for an absent term.
+    """Steps over one source array of rows rows, one column per stripe,
+    whose row 0 stays zero: the row a gather reads for an absent term.  The
+    source, every work array and the folds are of the steps' coefficient
+    type, exact_float(n, p) as split built them.
 
     run stages vectors[inputs], symbols in [0, p), in the rows from first on
     and runs steps[start:stop]; a call runs the rest once steps[:start] ran
@@ -214,7 +242,12 @@ class Program:
 
     def __init__(self, p: int, rows: int, steps, first: int, output: np.ndarray,
                  inputs: slice = slice(None)):
-        self.fold, self.rows, self.steps = Fold(p), rows, tuple(steps)
+        self.rows, self.steps = rows, tuple(steps)
+        dtypes = {coef.dtype for s in self.steps for _, _, coef in s.ranges}
+        if len(dtypes) != 1:
+            raise ValueError(f"steps mix coefficient types {sorted(map(str, dtypes))}")
+        self.dtype = dtypes.pop()
+        self.fold = Fold(p, self.dtype)
         self.first, self.output, self.inputs = first, np.asarray(output), inputs
         # The widest gather: besides the source, the largest work array.
         self.widest = max(s.shape[0] * s.shape[1] for s in self.steps)
@@ -227,7 +260,7 @@ class Program:
         """A flat work array of size, replaced only when size outgrows it, so
         a narrower width shares the memory of a wider one."""
         if name not in self._store or self._store[name].size < size:
-            self._store[name] = np.empty(size)
+            self._store[name] = np.empty(size, dtype=self.dtype)
         return self._store[name][:size]
 
     def _bind(self, i: int) -> tuple:

@@ -30,11 +30,12 @@ stripe_io.repair_shard applies one plan to a shard directory in chunks whose
 widest array, RepairPlan.rows symbols per stripe, holds about
 _CHUNK_SYMBOLS; apply_plan(plan, vectors) runs the same steps in memory.
 
-Arithmetic is float64, as in the codec: every term is a coefficient in
-[0, p) times a symbol or a signed residue (linalg.Fold), so at most
-(p - 1)^2, and linalg.split keeps every sum within n nonzero terms, so
-Codec's bound n * (p - 1)^2 < 2^53 keeps all exact.  Values move into
-[0, p) once, on output.
+Arithmetic is exact in floats, as in the codec: every term is a coefficient
+in [0, p) times a symbol or a signed residue (linalg.Fold), so at most
+(p - 1)^2, and linalg.split keeps every sum within n nonzero terms.  The
+program runs in ParityCheckMatrix.dtype, linalg.exact_float(n, p): float32
+where n * (p - 1)^2 + p < 2^24, else float64 under Codec's bound
+n * (p - 1)^2 < 2^53.  Values move into [0, p) once, on output.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def helper_message(plan: RepairPlan, rack_vectors: np.ndarray, e: int) -> np.nda
     """Run plan's step for helper rack e on its nodes' vectors, (u, alpha, w)
     symbols in [0, p), and return the message it writes into the plan's
     rows: the locator^residue(e_star)-weighted sum of the nodes' zero-digit
-    coordinates, read through a view, as (beta, w) float64 signed residues,
-    kept for the plan's next apply at width w."""
+    coordinates, read through a view, as (beta, w) signed residues in the
+    plan's float type, kept for the plan's next apply at width w."""
     helpers, (u, outer, s_bar, place) = plan.job.helpers, plan.view
     if e not in helpers:
         raise ValueError(f"rack {e} is not a helper of this job")
@@ -210,7 +211,7 @@ class RepairPlan:
         base = kept + (u - 1) * params.alpha
         steps = [linalg.Step(*selected[:2], messages[e], 1 + i * beta)
                  for i, e in enumerate(helpers)]
-        ranges = linalg.split(coef, params.n)
+        ranges = linalg.split(coef, params.n, codec.pcm.dtype)
         steps += [linalg.step(index[:, lo:hi], ranges, base + r_bar * lo)
                   for lo, hi in zip(bounds, bounds[1:])]
         program = linalg.Program(p, base + r_bar * beta, steps, kept, host)
@@ -224,8 +225,13 @@ class RepairPlan:
         survivors, (u - 1, alpha, w) in node order, symbols in [0, p).
         Returns the failed node, (alpha, w) symbols in [0, p), in out (an
         array of that shape whose dtype holds p - 1) or else in a new int64
-        array, never in a work array; refuses unless all messages are at w.
+        array, never in a work array; refuses survivors of any other shape,
+        and unless all messages are at w.
         """
+        u, outer, s_bar, place = self.view
+        if survivors.ndim != 3 or survivors.shape[:2] != (u - 1, outer * s_bar * place):
+            raise ValueError(f"survivors need shape ({u - 1}, {outer * s_bar * place}, w), "
+                             f"got {survivors.shape}")
         node = self.program(survivors, len(self.job.helpers))
         if out is None:
             return node.astype(np.int64)
@@ -260,7 +266,7 @@ def _layout(codec: Codec, e_star: int) -> tuple:
     # rows fit, as beta <= alpha and r_bar >= 1), and weighed by messages[e]
     # for rack e.  A split's ranges hold for any of its rows.
     selected = linalg.step(kept + np.arange(u * beta).reshape(u, beta), (), 0)
-    weights = linalg.split(pcm.diag[params.rack_residue(e_star)], params.n)
+    weights = linalg.split(pcm.diag[params.rack_residue(e_star)], params.n, pcm.dtype)
     messages = [tuple((lo, hi, c[e:e + 1]) for lo, hi, c in weights) for e in range(params.n_bar)]
     return (order, bounds, solved, host, side, survived, racks,
             pcm.sibling_table(racks, targets, targets)[0], selected, messages)

@@ -464,14 +464,21 @@ def test_codec_refuses_a_field_beyond_the_exact_float64_product():
         Codec(P1, field=field)
 
 
-# -- the float64 exactness bound --------------------------------------------------
+# -- the float32 and float64 exactness bounds ---------------------------------------
 
-def _field_at_the_bound(params, above=False):
-    """GF(p) for the largest prime p with u | p - 1 and n * (p - 1)^2 < 2^53,
-    or with above=True the smallest such prime beyond that bound."""
-    p = math.isqrt((2**53 - 1) // params.n) + 1
+# (limit, margin): a field p is within the bound when n * (p - 1)^2 +
+# margin * p < limit.  Codec's float64 precondition, and the bound below which
+# every product runs in float32.
+FLOAT64_BOUND, FLOAT32_BOUND = (2**53, 0), (2**24, 1)
+
+
+def _field_at_the_bound(params, bound=FLOAT64_BOUND, above=False):
+    """GF(p) for the largest prime p with u | p - 1 within bound, or with
+    above=True the smallest such prime beyond it."""
+    limit, margin = bound
+    p = math.isqrt((limit - 1) // params.n) + 1
     step = 1 if above else -1
-    while not ((params.n * (p - 1) ** 2 < 2**53) != above
+    while not ((params.n * (p - 1) ** 2 + margin * p < limit) != above
                and (p - 1) % params.u == 0 and is_prime(p)):
         p += step
     root = find_primitive(p)
@@ -483,18 +490,31 @@ EXACTNESS_CODES = {
     "p1": P1, "p2": P2, "p3": P3, "6264": CodeParams.from_total_k(6, 2, 6, 4),
     "83126": CodeParams.from_total_k(8, 3, 12, 6), "degenerate": P1_DEGENERATE}
 
+# Per field: how to pick it, and the float type every program runs in there.
+EXACTNESS_FIELDS = {
+    "smallest-p": (FieldCtx.for_code, np.float32),
+    "largest-p": (_field_at_the_bound, np.float64),
+    "float32-largest-p": (lambda params: _field_at_the_bound(params, FLOAT32_BOUND),
+                          np.float32),
+    "float64-smallest-p": (lambda params: _field_at_the_bound(params, FLOAT32_BOUND, True),
+                           np.float64),
+}
 
-@pytest.mark.parametrize("at_bound", [False, True], ids=["smallest-p", "largest-p"])
+
+@pytest.mark.parametrize("at", EXACTNESS_FIELDS.values(), ids=EXACTNESS_FIELDS.keys())
 @pytest.mark.parametrize("params", EXACTNESS_CODES.values(), ids=EXACTNESS_CODES.keys())
-def test_right_hand_side_is_exact_at_the_largest_magnitudes(params, at_bound):
-    field = _field_at_the_bound(params) if at_bound else FieldCtx.for_code(params)
-    codec = Codec(params, field=field)
+def test_right_hand_side_is_exact_at_the_largest_magnitudes(params, at):
+    field, dtype = at
+    codec = Codec(params, field=field(params))
     n, k, r, p = params.n, params.k, params.r, codec.p
     vectors = np.full((n, params.alpha, 2), p - 1, dtype=np.int64)
     # Every node (the syndrome), encode's known nodes, and decode's known
     # nodes with the first r erased.
     for nodes in (range(n), range(k), range(r, n)):
-        got = codec.pcm.product(list(nodes))(vectors) % p
+        product = codec.pcm.product(list(nodes))
+        got = product(vectors)
+        assert product.dtype == got.dtype == dtype, list(nodes)
+        got = got % p
         expected = sum(apply_node(codec.pcm, *params.node_pair(i), vectors[i])
                        for i in nodes) % p
         assert np.array_equal(got.reshape(expected.shape), expected), list(nodes)
@@ -503,18 +523,31 @@ def test_right_hand_side_is_exact_at_the_largest_magnitudes(params, at_bound):
     present = np.arange(n) >= r
     zeroed = np.where(present[:, None, None], stripe, 0)
     assert np.array_equal(codec.decode_batch(zeroed, present), stripe)
+    assert codec.encode_plan.program.dtype == codec._decode_plan.program.dtype == dtype
 
 
-@pytest.mark.parametrize("params", EXACTNESS_CODES.values(), ids=EXACTNESS_CODES.keys())
-def test_repair_is_exact_at_the_largest_prime(params):
-    # Helper messages, level steps and the survivor peel are float64 products
-    # too; at the largest admissible p every node still repairs exactly.
-    codec = Codec(params, field=_field_at_the_bound(params))
+# The repair cases: each code at the float64 bound under its own name, and at
+# float32's largest p and the first p past it.
+REPAIR_EXACTNESS = {
+    name + ("" if at == "largest-p" else "-" + at): (params, EXACTNESS_FIELDS[at])
+    for name, params in EXACTNESS_CODES.items()
+    for at in ("largest-p", "float32-largest-p", "float64-smallest-p")}
+
+
+@pytest.mark.parametrize("params,at", REPAIR_EXACTNESS.values(), ids=REPAIR_EXACTNESS.keys())
+def test_repair_is_exact_at_the_largest_prime(params, at):
+    # Helper messages, level steps and the survivor peel are exact float
+    # products too; at the largest p of each float type, and at the first p
+    # past float32's bound, every node still repairs exactly.
+    field, dtype = at
+    codec = Codec(params, field=field(params))
     vectors = codec.encode_batch(
         np.full((params.k, params.alpha, 2), codec.p - 1, dtype=np.int64))
     stripe = Stripe(params, vectors, np.ones(params.n, dtype=bool))
     for i, (e, g) in enumerate(params.nodes()):
-        transcript = repair_from_stripe(codec, stripe, RepairJob.create(params, e, g))
+        job = RepairJob.create(params, e, g)
+        assert RepairPlan.create(codec, job).program.dtype == dtype, (e, g)
+        transcript = repair_from_stripe(codec, stripe, job)
         assert np.array_equal(transcript.recovered, vectors[i]), (e, g)
 
 

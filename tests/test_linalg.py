@@ -152,3 +152,36 @@ def test_a_sum_past_n_terms_is_folded_between_its_ranges():
     program = linalg.Program(p, 3 + terms, [step], 1, 1 + terms + np.arange(2)[:, None])
     expected = coef.astype(object) @ symbols[:, 0].astype(object) % p
     assert program(symbols)[:, 0].tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n", [4, 12, 24])
+def test_float32_folds_every_integer_below_its_bound(n):
+    # The largest prime p with n * (p - 1)^2 + p < 2^24 runs in float32, the
+    # next in float64; p > n >= 4, so n = 4 gives the largest float32 p of
+    # all.  A program's sums stay within n * (p - 1)^2 < 2^24 - p, and every
+    # integer below 2^24 - p in magnitude folds exactly in float32.
+    p = math.isqrt(2**24 // n) + 1
+    while not (n * (p - 1) ** 2 + p < 2**24 and is_prime(p)):
+        p -= 1
+    beyond = p + 1
+    while not is_prime(beyond):
+        beyond += 1
+    assert linalg.exact_float(n, p) is np.float32
+    assert linalg.exact_float(n, beyond) is np.float64
+    top = 2**24 - p - 1
+    assert n * (p - 1) ** 2 <= top
+    multiple, half = top // p * p, (p - 1) // 2
+    edges = [0, 1, half, half + 1, p - 1, p, top, top - 1]
+    edges += [multiple + d for d in (-p, -half - 1, -half, -1, 0, 1, half) if multiple + d <= top]
+    values = np.concatenate([edges, np.random.default_rng(n).integers(0, top + 1, size=100_000)])
+    values = np.concatenate([values, -values])
+    a = values.astype(np.float32)
+    assert np.array_equal(a.astype(np.int64), values)  # every input is exact
+    fold, scratch = linalg.Fold(p, np.float32), np.empty_like(a)
+    fold(a, scratch)
+    folded = a.astype(np.int64)
+    assert np.array_equal(folded, a) and a.dtype == np.float32
+    assert not ((folded - values) % p).any()
+    assert np.abs(folded).max() <= p // 2 + 2 <= p - 1
+    fold.nonnegative(a, scratch)
+    assert np.array_equal(a.astype(np.int64), values % p)

@@ -409,3 +409,20 @@ def test_a_plan_apply_refuses_unless_every_message_is_at_the_survivors_width():
     with pytest.raises(ValueError, match="width 2"):  # messages 3 stripes wide
         plan(survivors[:, :, :2])
     assert np.array_equal(plan(survivors), vectors[params.node_index(2, 1)])
+
+
+def test_a_plan_apply_refuses_survivors_that_are_not_u_minus_one_alpha_w():
+    # Messages written 8 stripes wide: a 2-D (u - 1, alpha) survivors array
+    # would otherwise be read as u - 1 rows 8 stripes wide.
+    params = CodeParams.from_total_k(6, 2, 6, 4)
+    codec, job = Codec(params), RepairJob.create(params, 2, 1)
+    vectors = random_stripe(codec, seed=31, stripes=params.alpha)
+    racks, survivors = _plan_inputs(params, job, vectors)
+    plan = RepairPlan.create(codec, job)
+    for e, rack in zip(job.helpers, racks):
+        helper_message(plan, rack, e)
+    for bad in (survivors[:, :, 0], survivors[:, :, :, None], survivors[:, :4],
+                np.concatenate([survivors, survivors])):
+        with pytest.raises(ValueError, match=r"survivors need shape \(1, 8, w\)"):
+            plan(bad)
+    assert np.array_equal(plan(survivors), vectors[params.node_index(2, 1)])
