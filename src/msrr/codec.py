@@ -27,8 +27,9 @@ product term is at most (p - 1)^2.  linalg.split cuts each product, by its
 coefficients, into column ranges folded one after another, so that no row
 sums more than n nonzero terms, a folded sum counting as one.  So every sum
 is at most n * (p - 1)^2, and linalg.exact_float runs the whole solve in
-float32 where n * (p - 1)^2 + p < 2^24, as at every byte field, and in
-float64 otherwise; Codec requires n * (p - 1)^2 < 2^53.  Values move into
+float32 where n * (p - 1)^2 + p < 2^24, as at the benchmark codes' fields
+(p = 257 and 271), and in float64 otherwise, where Codec requires
+n * (p - 1)^2 < 2^53.  Values move into
 [0, p) once, on output.  verify_mds certifies full rank of each r-subset's
 column groups from the same level order, read off the sparse tables
 ParityCheckMatrix.off_diagonal and diag, and from distinct Vandermonde

@@ -18,8 +18,8 @@ linalg.Program of two steps (ParityCheckMatrix.product): one forms the
 locator^residue-weighted rack aggregates, and one gathers the vectors and
 each aggregate at the rows' digit siblings and weighs them by the diagonals
 and the extra-point powers.  Every Program of the code, the codec's and
-repair's too, runs in ParityCheckMatrix.dtype, linalg.exact_float(n, p):
-float32 at every byte field.
+repair's too, runs in ParityCheckMatrix.dtype, linalg.exact_float(n, p),
+float32 or float64.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ product and folds it into signed residues (Fold), written back into the
 source for later steps to gather.  split cuts each product into column
 ranges that keep every sum within n terms of at most (p - 1)^2, and
 exact_float picks the narrowest float that holds such sums exactly:
-float32 where n * (p - 1)^2 + p < 2^24, as at every byte field, else
-float64, which holds integers below 2^53.  It is the one place that
-decides; coefficients are built in its type and work arrays follow them.
+float32 where n * (p - 1)^2 + p < 2^24, as at the benchmark codes' fields
+(p = 257 and 271), else float64, which holds integers below 2^53.  It is
+the one place that decides; coefficients are built in its type and work
+arrays follow them.
 """
 
 from __future__ import annotations
@@ -112,24 +113,26 @@ def exact_float(n: int, p: int) -> type:
 
 class Fold:
     """Signed residues mod p of integers held in a float array, reduced in
-    place, in the array's type, float32 or float64, of significand width t =
-    24 or 53.
+    place in the array's type: float32 or float64, of significand width
+    t = 24 or 53.
 
     fold(a, scratch) replaces a by a - q*p with q = rint(a * (1/p)).  A
     Program's a is an integer with |a| <= n * (p - 1)^2, which exact_float's
     bound keeps below 2^24 - p in float32 and Codec's below 2^53 in float64;
     p > n >= 4, so p >= 5.  Then the result is congruent to a with |result|
     <= p/2 + 2 <= p - 1: 1/p and the product each round by a relative 2^-t
-    or so, so a * (1/p) is off from a/p by less than 2/p and |q - a/p| < 1/2
-    + 2/p.  q*p itself may pass 2^t and round, so q and then q*(p - 1) are
-    subtracted.  q has a's sign and |q| <= |a|, so |a - q| <= |a|; and q*(p -
-    1) = (a - q) - result.  In float32 that bounds |q*(p - 1)| by |a| + p/2 +
-    2 < 2^24.  In float64, |q*(p - 1)| < |a| - |a|/p + p/2 + 2 is at most |a|
-    once |a| >= p^2/2 + 2p, and far below 2^53 before.  So every
-    intermediate is an integer below 2^t in magnitude, and every step is
-    exact.  scratch is an array of a's shape and type.  The scalars are kept
-    as 0-d arrays of that type, which numpy broadcasts faster than Python
-    floats and which keep each pass in the array's type.
+    at most (1/p in float32 by a hair more, as it is rounded from float64,
+    which the margin of p below 2^24 absorbs), so a * (1/p) is off from a/p
+    by less than 2/p and |q - a/p| < 1/2 + 2/p.  q*p itself may pass 2^t
+    and round, so q and then q*(p - 1) are subtracted.  q has a's sign and
+    |q| <= |a|, so |a - q| <= |a|; and q*(p - 1) = (a - q) - result.  In
+    float32 that bounds |q*(p - 1)| by |a| + p/2 + 2 < 2^24.  In float64,
+    |q*(p - 1)| < |a| - |a|/p + p/2 + 2 is at most |a| once |a| >= p^2/2 +
+    2p, and far below 2^53 before.  So every intermediate is an integer
+    below 2^t in magnitude, and every step is exact.  scratch is an array of
+    a's shape and type.  The scalars are kept as 0-d arrays of that type,
+    which numpy broadcasts faster than Python floats and which keep each
+    pass in the array's type.
     """
 
     def __init__(self, p: int, dtype: type = np.float64):
