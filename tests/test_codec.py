@@ -574,6 +574,22 @@ def test_repair_level_split_is_exact_at_the_largest_prime():
         assert np.array_equal(transcript.recovered, vectors[i]), (e, g)
 
 
+@pytest.mark.parametrize("racks,per_rack,k,helpers,min_field,p,dtype", [
+    (6, 2, 6, 4, 257, 257, np.float32), (8, 3, 12, 6, 257, 271, np.float32),
+    (6, 2, 6, 4, 4099, 4099, np.float64)])
+def test_the_shard_file_fields_pick_their_float_type(racks, per_rack, k, helpers,
+                                                      min_field, p, dtype):
+    # The benchmark codes at the file path's default field run in float32;
+    # at p = 4099, 12 * 4098^2 > 2^24 and they run in float64.
+    params = CodeParams.from_total_k(racks, per_rack, k, helpers)
+    codec = Codec(params, min_field=min_field)
+    assert codec.p == p and codec.pcm.dtype is dtype
+    job = RepairJob.create(params, 1, 1)
+    for program in (codec.encode_plan.program, codec._plan(list(range(params.r))).program,
+                    RepairPlan.create(codec, job).program):
+        assert program.dtype == dtype
+
+
 def _every_step(codec):
     """The steps of the encode plan; of decode plans for the first r nodes,
     the last r and one erasure per rack in turn; of every node's repair plan;
