@@ -5,7 +5,7 @@ and a failed node is regenerated from d_bar helper racks that each ship only
 beta aggregated symbols across the rack boundary.
 """
 
-from .codec import Codec, ErasurePattern, MdsReport, Stripe
+from .codec import Codec, MdsReport
 from .construction import CodeConstants, ParityCheckMatrix, build_constants
 from .errors import (
     InternalError,
@@ -27,7 +27,6 @@ __all__ = [
     "Codec",
     "CodeConstants",
     "CodeParams",
-    "ErasurePattern",
     "FieldCtx",
     "InternalError",
     "Manifest",
@@ -40,7 +39,6 @@ __all__ = [
     "RepairTranscript",
     "ShardFormatError",
     "SingularMatrixError",
-    "Stripe",
     "SymbolMappingError",
     "build_constants",
     "decode_file",

@@ -1,6 +1,11 @@
 """Systematic encoding, syndrome computation, erasure decoding, MDS sweeps.
 
-A stripe is one codeword: n node vectors of alpha symbols.  Data occupies the
+A stripe is one codeword: n node vectors of alpha symbols, any k of which
+determine it.  encode_batch, syndrome_batch, decode_batch and decode_into
+take stripes as arrays only, one as (n, alpha) symbols or w of them as
+(n, alpha, w), and decode takes an erasure as a presence mask of n
+booleans, False at each missing node.  Each refuses any other shape, and
+decode any other mask shape.  Data occupies the
 lexicographically first k nodes; encoding is decoding with the r parity nodes
 erased.  Off its diagonal, parity-check row a of a column group refers only
 to digit siblings of a with one fewer zero digit.  So with the coordinates
@@ -34,8 +39,7 @@ n * (p - 1)^2 < 2^53.  Values move into
 column groups from the same level order, read off the sparse tables
 ParityCheckMatrix.off_diagonal and diag, and from distinct Vandermonde
 diagonal columns; only where the certificate fails is a dense column group
-built and eliminated.  Batch variants carry a trailing stripe axis so that
-file striping can encode and decode a chunk of stripes in one shot.
+built and eliminated.
 """
 
 from __future__ import annotations
@@ -56,69 +60,6 @@ from .params import CodeParams
 
 
 @dataclass
-class Stripe:
-    """One codeword: vectors has shape (n, alpha); present marks live nodes.
-
-    vectors may carry a trailing stripe axis, (n, alpha[, stripes]), to hold
-    a batch of codewords sharing one erasure pattern.
-    """
-
-    params: CodeParams
-    vectors: np.ndarray
-    present: np.ndarray
-
-    @classmethod
-    def complete(cls, params: CodeParams, vectors: np.ndarray) -> "Stripe":
-        vectors = np.asarray(vectors, dtype=np.int64)
-        if vectors.shape != (params.n, params.alpha):
-            raise ValueError(
-                f"stripe shape {vectors.shape} != {(params.n, params.alpha)}")
-        return cls(params, vectors.copy(), np.ones(params.n, dtype=bool))
-
-    def node(self, e: int, g: int) -> np.ndarray:
-        return self.vectors[self.params.node_index(e, g)]
-
-    def rack(self, e: int) -> np.ndarray:
-        """The u node vectors of rack e, shape (u, alpha[, stripes])."""
-        u = self.params.u
-        return self.vectors[e * u:(e + 1) * u]
-
-    def erase(self, nodes) -> "Stripe":
-        """Copy with the given (e, g) nodes zeroed and flagged missing."""
-        vectors = self.vectors.copy()
-        present = self.present.copy()
-        for e, g in nodes:
-            i = self.params.node_index(e, g)
-            vectors[i] = 0
-            present[i] = False
-        return Stripe(self.params, vectors, present)
-
-    @property
-    def is_complete(self) -> bool:
-        return bool(self.present.all())
-
-
-@dataclass(frozen=True)
-class ErasurePattern:
-    """A set of erased node identities, at most r of them."""
-
-    nodes: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, params: CodeParams, nodes) -> "ErasurePattern":
-        listed = [(int(e), int(g)) for e, g in nodes]
-        uniq = sorted(set(listed))
-        if len(uniq) != len(listed):
-            raise ValueError("erasure pattern contains duplicate nodes")
-        for e, g in uniq:
-            params.node_index(e, g)
-        if len(uniq) > params.r:
-            raise ValueError(
-                f"{len(uniq)} erasures exceed the decoding limit r={params.r}")
-        return cls(tuple(uniq))
-
-
-@dataclass
 class MdsReport:
     """Outcome of an invertibility sweep over r-subsets of nodes."""
 
@@ -134,8 +75,8 @@ class MdsReport:
 # Most r-subsets, or repair jobs, that an exhaustive verify walks.
 SWEEP_CAP = 100_000
 
-# Stripes per chunk of a solve, and of a file pass, are chosen so that no
-# work array exceeds about this many symbols.
+# The stripes per chunk of a solve, and of a file pass, are chosen so that
+# no work array exceeds about this many symbols.
 _CHUNK_SYMBOLS = 1 << 17
 
 
@@ -259,6 +200,16 @@ class Codec:
             hi = min(lo + plan.chunk, vectors.shape[2])
             yield lo, hi, plan.program(vectors[:, :, lo:hi])
 
+    def _stripes(self, a: np.ndarray, nodes: int, name: str) -> np.ndarray:
+        """a, (nodes, alpha) or (nodes, alpha, w), as a (nodes, alpha, w) view,
+        which the calls that write in place write through; refuses any other
+        shape."""
+        alpha = self.params.alpha
+        if a.shape[:2] != (nodes, alpha) or a.ndim > 3:
+            raise ValueError(
+                f"{name} must be ({nodes}, {alpha}) or ({nodes}, {alpha}, w), got shape {a.shape}")
+        return a if a.ndim == 3 else a[..., None]
+
     # -- encoding ------------------------------------------------------------
 
     def encode_batch(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -267,55 +218,45 @@ class Codec:
         that shape whose dtype holds p - 1."""
         params = self.params
         data = self._reduce(data)
-        if data.shape[:2] != (params.k, params.alpha):
-            raise ValueError(
-                f"data shape {data.shape} does not start with {(params.k, params.alpha)}")
         if out is None:
             out = np.empty((params.n,) + data.shape[1:], dtype=np.int64)
-        stripes = out[..., None] if out.ndim == 2 else out.reshape(params.n, params.alpha, -1)
-        data = data.reshape(stripes[:params.k].shape)
+        data, stripes = self._stripes(data, params.k, "data"), self._stripes(out, params.n, "out")
         stripes[:params.k] = data
         for lo, hi, values in self._solve(self.encode_plan, data):
             stripes[params.k:, :, lo:hi] = values
         return out
 
-    def encode_systematic(self, data: np.ndarray) -> Stripe:
-        """Encode k data vectors of length alpha into a complete stripe."""
-        data = np.asarray(data, dtype=np.int64)
-        if data.shape != (self.params.k, self.params.alpha):
-            raise ValueError(
-                f"data shape {data.shape} != {(self.params.k, self.params.alpha)}")
-        return Stripe.complete(self.params, self.encode_batch(data))
-
     # -- syndrome ------------------------------------------------------------
 
     def syndrome_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Parity-check residual of shape (r*alpha,) + tail; zero iff codeword."""
+        """Parity-check residual of vectors, (n, alpha[, w]), of shape
+        (r*alpha[, w]); zero iff each stripe is a codeword."""
         params = self.params
         vectors = self._reduce(vectors)
         product = self.pcm.product(range(params.n))
-        residual = product(vectors.reshape(vectors.shape[:2] + (-1,))).astype(np.int64)
+        residual = product(self._stripes(vectors, params.n, "vectors")).astype(np.int64)
         return residual.reshape((params.r * params.alpha,) + vectors.shape[2:])
-
-    def syndrome(self, stripe: Stripe) -> np.ndarray:
-        if not stripe.is_complete:
-            raise ValueError("syndrome needs a complete stripe")
-        return self.syndrome_batch(stripe.vectors)
 
     # -- erasure decoding ------------------------------------------------------
 
     def decode_batch(self, vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
-        """Fill in missing node vectors; vectors (n, alpha) + optional stripe
-        axis.  Returns a new int64 array."""
+        """decode_into on a new int64 copy of vectors, which may hold any
+        integers; returns the copy."""
         restored = np.array(self._reduce(vectors), dtype=np.int64)  # never the caller's
         return self.decode_into(restored, present)
 
     def decode_into(self, vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
         """Write the missing nodes of vectors, (n, alpha[, w]) symbols in
-        [0, p) of a dtype that holds p - 1, in place; returns vectors.  Rows
-        of missing nodes are neither read nor kept."""
+        [0, p) of a dtype that holds p - 1, in place; returns vectors.
+        present, shape (n,), is False at each missing node, at most r of
+        them.  A missing node's rows may hold any value of the dtype: the
+        known product may stage them with the present nodes around them, but
+        weighs them by zero, and they are overwritten."""
         params = self.params
+        stripes = self._stripes(vectors, params.n, "vectors")
         present = np.asarray(present, dtype=bool)
+        if present.shape != (params.n,):
+            raise ValueError(f"present shape {present.shape} is not {(params.n,)}")
         missing = [i for i in range(params.n) if not present[i]]
         if not missing:
             return vectors
@@ -328,28 +269,11 @@ class Codec:
         unknowns = tuple(sorted(missing + pad))
         if self._decode_plan is None or self._decode_plan.unknowns != unknowns:
             self._decode_plan = self._plan(list(unknowns))
-        stripes = (vectors[..., None] if vectors.ndim == 2
-                   else vectors.reshape(params.n, params.alpha, -1))
         slots = [(i, unknowns.index(i)) for i in missing]
         for lo, hi, values in self._solve(self._decode_plan, stripes):
             for i, slot in slots:
                 stripes[i, :, lo:hi] = values[slot]
         return vectors
-
-    def decode_erasures(self, stripe: Stripe, pattern) -> Stripe:
-        """Reconstruct the erased nodes of a stripe; all other nodes must be live."""
-        params = self.params
-        if not isinstance(pattern, ErasurePattern):
-            pattern = ErasurePattern.of(params, pattern)
-        erased = {params.node_index(e, g) for e, g in pattern.nodes}
-        for i in range(params.n):
-            if i not in erased and not stripe.present[i]:
-                raise ValueError(
-                    f"node {params.node_pair(i)} is missing but not in the pattern")
-        present = np.ones(params.n, dtype=bool)
-        present[list(erased)] = False
-        restored = self.decode_batch(stripe.vectors, present)
-        return Stripe(params, restored, np.ones(params.n, dtype=bool))
 
     # -- MDS sweep ---------------------------------------------------------------
 

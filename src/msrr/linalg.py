@@ -276,7 +276,8 @@ class Program:
             gathered, take = source[s.index].reshape(terms, span * width), None
         else:
             gathered = self._array("operand", self.widest * width)[:s.index.size * width]
-            gathered, take = gathered.reshape(terms, span * width), gathered.reshape(-1, width)
+            gathered, take = (gathered.reshape(terms, span * width),
+                             gathered.reshape(s.index.size, width))
         out = source[s.out:s.out + rows * span].reshape(rows, span * width)
         spill = self._array("scratch", self._scratch * width)[:out.size].reshape(out.shape)
         self._bound[i] = (s.index, take, out, spill, [
@@ -319,5 +320,6 @@ class Program:
         source = self.run(vectors, start)
         output, scratch = self._results
         if not isinstance(self._output, slice):
-            np.take(source, self._output, axis=0, mode="clip", out=output.reshape(-1, self._width))
+            np.take(source, self._output, axis=0, mode="clip",
+                    out=output.reshape(self._output.size, self._width))
         return self.fold.nonnegative(output, scratch)

@@ -40,13 +40,12 @@ n * (p - 1)^2 < 2^53.  Values move into [0, p) once, on output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import linalg
-from .codec import Codec, Stripe
+from .codec import Codec
 from .errors import InternalError, SingularMatrixError
 from .params import CodeParams, is_int
 
@@ -283,23 +282,21 @@ def apply_plan(plan: RepairPlan, vectors: np.ndarray) -> np.ndarray:
     return plan(vectors[[job.e_star * u + g for g in range(u) if g != job.g_star]])
 
 
-def repair_from_stripe(codec: Codec, stripe: Stripe, job: RepairJob) -> RepairTranscript:
-    """Run the full protocol against one stripe (or a batch of stripes) by
-    apply_plan.  The transcript also holds what the plan's source keeps: the
-    helper messages and the non-helper racks' aggregates, solved on the way."""
-    params, u, beta = codec.params, codec.params.u, codec.params.beta
-    read = [(e, g) for e in job.helpers for g in range(u)] + [
-        (job.e_star, g) for g in range(u) if g != job.g_star]
-    for e, g in read:
-        if not stripe.present[params.node_index(e, g)]:
-            raise ValueError(f"node {(e, g)}, which the repair reads, is missing")
-    vectors = codec._reduce(stripe.vectors)
-    tail, width = vectors.shape[2:], math.prod(vectors.shape[2:])
-    plan = RepairPlan.create(codec, job)
-    recovered = apply_plan(plan, vectors.reshape(params.n, params.alpha, width))
-    source = (plan.program.source % codec.p).astype(np.int64).reshape((-1,) + tail)
+def repair_from_stripe(codec: Codec, vectors: np.ndarray, job: RepairJob) -> RepairTranscript:
+    """Run the full protocol by apply_plan on vectors, (n, alpha) integers
+    of one stripe or (n, alpha, w) of w stripes, reduced mod p first; the
+    plan reads only the helper racks and the host rack's survivors.  The
+    transcript also holds what the plan's source keeps, the helper messages
+    and the non-helper racks' aggregates solved on the way; these and the
+    recovered node carry vectors' stripe axis, if any."""
+    params, beta = codec.params, codec.params.beta
+    vectors = codec._reduce(vectors)
+    tail, plan = vectors.shape[2:], RepairPlan.create(codec, job)
+    recovered = apply_plan(plan, codec._stripes(vectors, params.n, "vectors"))
+    source = (plan.program.source % codec.p).astype(np.int64)
+    source = source.reshape(source.shape[:1] + tail)
     others = [e for e in range(params.n_bar) if e != job.e_star and e not in job.helpers]
     return RepairTranscript.of(
-        params, job, width, recovered=recovered.reshape((params.alpha,) + tail),
+        params, job, recovered.shape[1], recovered=recovered.reshape((params.alpha,) + tail),
         messages={e: source[1 + i * beta:1 + (i + 1) * beta] for i, e in enumerate(job.helpers)},
         side_aggregates=dict(zip(others, source[plan.side])))

@@ -183,7 +183,7 @@ def symbols_to_bytes(data: np.ndarray, length: int) -> bytes:
 
 
 def _stripes_per_chunk(params: CodeParams, rows: int | None = None) -> int:
-    """Stripes per chunk of rows symbols each, by default a codeword's."""
+    """The stripes per chunk of rows symbols each, by default a codeword's."""
     return max(1, _CHUNK_SYMBOLS // (rows or params.n * params.alpha))
 
 
@@ -302,7 +302,7 @@ def codec_for_manifest(manifest: Manifest) -> Codec:
 
 def encode_file(input_path, out_dir, params: CodeParams,
                 min_field: int = 257) -> Manifest:
-    """Stripe a file into a shard directory, one chunk of stripes at a time."""
+    """Encode a file into a shard directory, one chunk of stripes at a time."""
     codec = Codec(params, min_field=min_field)
     _require_byte_field(codec.p)  # before any file is created
     out_dir = Path(out_dir)

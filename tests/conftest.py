@@ -39,12 +39,18 @@ def degenerate_codec():
 
 
 def random_stripe(codec, seed=0, stripes=None):
-    """Random codeword(s): a Stripe, or raw vectors when stripes is given."""
+    """A random codeword, (n, alpha), or stripes of them, (n, alpha, stripes)."""
     rng = np.random.default_rng(seed)
-    shape = (codec.params.k, codec.params.alpha)
-    if stripes is None:
-        return codec.encode_systematic(rng.integers(0, codec.p, size=shape))
-    return codec.encode_batch(rng.integers(0, codec.p, size=shape + (stripes,)))
+    shape = (codec.params.k, codec.params.alpha) + (() if stripes is None else (stripes,))
+    return codec.encode_batch(rng.integers(0, codec.p, size=shape))
+
+
+def erase(params, vectors, nodes):
+    """A copy of vectors, (n, alpha[, w]), with the (e, g) nodes zeroed, and
+    the presence mask that marks them missing."""
+    present = np.ones(params.n, dtype=bool)
+    present[[params.node_index(e, g) for e, g in nodes]] = False
+    return np.where(present.reshape((-1,) + (1,) * (vectors.ndim - 1)), vectors, 0), present
 
 
 def fresh_message(codec, rack, e, job):

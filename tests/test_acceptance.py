@@ -22,7 +22,7 @@ from msrr.cli import main
 from msrr.field import FieldCtx, find_field
 from msrr.stripe_io import shard_name
 
-from conftest import P1, P1_DEGENERATE, P2, P3, fresh_message
+from conftest import P1, P1_DEGENERATE, P2, P3, erase, fresh_message
 from oracle import zero_digit_rows
 
 STRIPES_PER_JOB = 20
@@ -59,8 +59,7 @@ def repair_sweeps(codecs):
         params = codec.params
         rng = np.random.default_rng(20)
         stripes = [
-            codec.encode_systematic(
-                rng.integers(0, codec.p, size=(params.k, params.alpha)))
+            codec.encode_batch(rng.integers(0, codec.p, size=(params.k, params.alpha)))
             for _ in range(STRIPES_PER_JOB)]
         transcripts = []
         mismatches = 0
@@ -69,7 +68,7 @@ def repair_sweeps(codecs):
                 transcript = repair_from_stripe(codec, stripe, job)
                 transcripts.append(transcript)
                 if not np.array_equal(transcript.recovered,
-                                      stripe.node(job.e_star, job.g_star)):
+                                      stripe[params.node_index(job.e_star, job.g_star)]):
                     mismatches += 1
         results[name] = (transcripts, mismatches)
     return results
@@ -117,13 +116,12 @@ def test_criterion_3_bandwidth_equality(repair_sweeps, codecs):
         codec = codecs["P3"]
         params = codec.params
         rng = np.random.default_rng(3)
-        stripe = codec.encode_systematic(
-            rng.integers(0, codec.p, size=(params.k, params.alpha)))
+        stripe = codec.encode_batch(rng.integers(0, codec.p, size=(params.k, params.alpha)))
         job = RepairJob.create(params, 0, 0)
         rows = set(zero_digit_rows(params, params.rack_digit(job.e_star)))
         hidden = [a for a in range(params.alpha) if a not in rows]
         for e in job.helpers:
-            rack = stripe.rack(e).copy()
+            rack = stripe[e * params.u:(e + 1) * params.u].copy()
             message = fresh_message(codec, rack, e, job)
             rack[:, hidden] = rng.integers(0, codec.p, size=(params.u, len(hidden)))
             assert np.array_equal(message, fresh_message(codec, rack, e, job))
@@ -166,10 +164,10 @@ def test_criterion_6_erasure_decode_round_trip(codecs):
         patterns = 0
         for size in range(1, params.r + 1):
             for pattern in itertools.combinations(nodes, size):
-                stripe = codec.encode_systematic(
+                stripe = codec.encode_batch(
                     rng.integers(0, codec.p, size=(params.k, params.alpha)))
-                out = codec.decode_erasures(stripe.erase(pattern), pattern)
-                assert np.array_equal(out.vectors, stripe.vectors), pattern
+                out = codec.decode_batch(*erase(params, stripe, pattern))
+                assert np.array_equal(out, stripe), pattern
                 patterns += 1
         assert patterns == 162
         elapsed = time.monotonic() - started
@@ -186,13 +184,13 @@ def test_criterion_7_degenerate_single_stretch():
         assert report.subsets_checked == 70 and report.ok
         rng = np.random.default_rng(7)
         for trial in range(5):
-            stripe = codec.encode_systematic(
+            stripe = codec.encode_batch(
                 rng.integers(0, codec.p, size=(params.k, params.alpha)))
             for job in all_jobs(params):
                 transcript = repair_from_stripe(codec, stripe, job)
                 assert transcript.cross_rack_symbols == 2
                 assert np.array_equal(
-                    transcript.recovered, stripe.node(job.e_star, job.g_star))
+                    transcript.recovered, stripe[params.node_index(job.e_star, job.g_star)])
 
 
 def test_criterion_8_field_constraints():

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msrr import Codec, CodeParams, ErasurePattern, RepairJob, Stripe, linalg, repair_from_stripe
+from msrr import Codec, CodeParams, RepairJob, linalg, repair_from_stripe
 from msrr.construction import ParityCheckMatrix
 from msrr.errors import InternalError, ParameterError
 from msrr.field import FieldCtx, find_primitive, find_unity_root, is_prime
 from msrr.linalg import Fold
 from msrr.repair import RepairPlan
 
-from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, random_stripe
+from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, erase, random_stripe
 from oracle import apply_node, solve
 
 # Encoding the first standard basis vector (node (0,0), coordinate 0) of the
@@ -29,20 +29,20 @@ GOLDEN_BASIS_STRIPE = [
 def test_golden_basis_stripe(p1_codec):
     data = np.zeros((4, 4), dtype=np.int64)
     data[0, 0] = 1
-    stripe = p1_codec.encode_systematic(data)
-    assert stripe.vectors.tolist() == GOLDEN_BASIS_STRIPE
-    assert not p1_codec.syndrome(stripe).any()
+    stripe = p1_codec.encode_batch(data)
+    assert stripe.tolist() == GOLDEN_BASIS_STRIPE
+    assert not p1_codec.syndrome_batch(stripe).any()
 
 
 def test_encode_zero_data_gives_zero_stripe(p1_codec):
-    stripe = p1_codec.encode_systematic(np.zeros((4, 4), dtype=np.int64))
-    assert not stripe.vectors.any()
-    assert not p1_codec.syndrome(stripe).any()
+    stripe = p1_codec.encode_batch(np.zeros((4, 4), dtype=np.int64))
+    assert not stripe.any()
+    assert not p1_codec.syndrome_batch(stripe).any()
 
 
 def test_encode_rejects_wrong_shape(p1_codec):
     with pytest.raises(ValueError):
-        p1_codec.encode_systematic(np.zeros((3, 4), dtype=np.int64))
+        p1_codec.encode_batch(np.zeros((3, 4), dtype=np.int64))
     with pytest.raises(ValueError):
         p1_codec.encode_batch(np.zeros((4, 5), dtype=np.int64))
 
@@ -50,30 +50,60 @@ def test_encode_rejects_wrong_shape(p1_codec):
 def test_systematic_region_carries_data_verbatim(p2_codec):
     rng = np.random.default_rng(4)
     data = rng.integers(0, p2_codec.p, size=(p2_codec.params.k, p2_codec.params.alpha))
-    stripe = p2_codec.encode_systematic(data)
-    assert np.array_equal(stripe.vectors[:p2_codec.params.k], data)
+    stripe = p2_codec.encode_batch(data)
+    assert np.array_equal(stripe[:p2_codec.params.k], data)
 
 
 @pytest.mark.parametrize("codec_fixture", ["p1_codec", "p2_codec", "p3_codec"])
 def test_syndrome_zero_for_codewords(codec_fixture, request):
     codec = request.getfixturevalue(codec_fixture)
     stripe = random_stripe(codec, seed=1)
-    assert not codec.syndrome(stripe).any()
+    assert not codec.syndrome_batch(stripe).any()
 
 
 def test_syndrome_fires_on_any_perturbation(p1_codec):
     stripe = random_stripe(p1_codec, seed=2)
     for i in range(p1_codec.params.n):
         for a in range(p1_codec.params.alpha):
-            bad = Stripe.complete(p1_codec.params, stripe.vectors)
-            bad.vectors[i, a] = (bad.vectors[i, a] + 1) % p1_codec.p
-            assert p1_codec.syndrome(bad).any()
+            bad = stripe.copy()
+            bad[i, a] = (bad[i, a] + 1) % p1_codec.p
+            assert p1_codec.syndrome_batch(bad).any()
 
 
-def test_syndrome_requires_complete_stripe(p1_codec):
-    stripe = random_stripe(p1_codec, seed=3).erase([(0, 0)])
-    with pytest.raises(ValueError):
-        p1_codec.syndrome(stripe)
+def test_the_array_calls_refuse_vectors_that_are_not_n_alpha(p1_codec):
+    # The syndrome's product stages the first n nodes of its input into a
+    # work array kept from call to call: 7 nodes would leave the 8th row of
+    # the last call behind, and 9 would drop one.  decode_into writes through
+    # a view, which a fourth axis could make a copy.
+    vectors = random_stripe(p1_codec, seed=3, stripes=2)
+    assert not p1_codec.syndrome_batch(vectors).any()
+    present = np.arange(8) != 5
+    for bad in (vectors[:7], np.concatenate([vectors, vectors[:1]]), vectors[:, :3],
+                vectors[:, :, 0].ravel(), vectors[..., None]):
+        for call in (p1_codec.syndrome_batch, lambda v: p1_codec.decode_batch(v, present),
+                     lambda v: p1_codec.decode_into(v.copy(), present)):
+            with pytest.raises(ValueError, match=r"vectors must be \(8, 4\) or \(8, 4, w\)"):
+                call(bad)
+    assert np.array_equal(p1_codec.decode_batch(vectors, present), vectors)
+
+
+def test_decode_refuses_a_mask_that_is_not_n_booleans(p1_codec):
+    vectors = random_stripe(p1_codec, seed=14, stripes=3)
+    zeroed, present = erase(p1_codec.params, vectors, [(2, 1)])
+    for bad in (np.append(present, True), present[:-1], present[:, None], present[None]):
+        with pytest.raises(ValueError, match=r"present shape .* is not \(8,\)"):
+            p1_codec.decode_batch(zeroed, bad)
+    assert np.array_equal(p1_codec.decode_batch(zeroed, present), vectors)
+
+
+def test_a_missing_nodes_rows_may_hold_anything(p1_codec):
+    # With node 5 lost, the known product stages nodes 3 to 7 as one run,
+    # node 5 among them, and weighs it by zero.
+    vectors = random_stripe(p1_codec, seed=15, stripes=2)
+    zeroed, present = erase(p1_codec.params, vectors, [(2, 1)])
+    zeroed[5] = 7777
+    assert np.array_equal(p1_codec.decode_into(zeroed, present), vectors)
+    assert p1_codec._decode_plan.program.inputs == slice(3, 8)
 
 
 @settings(deadline=None, max_examples=25)
@@ -90,18 +120,17 @@ def test_encoding_is_linear(p2_codec, seed, scale):
 
 def test_decode_empty_pattern_is_identity(p1_codec):
     stripe = random_stripe(p1_codec, seed=5)
-    out = p1_codec.decode_erasures(stripe, [])
-    assert np.array_equal(out.vectors, stripe.vectors)
+    out = p1_codec.decode_batch(stripe, np.ones(p1_codec.params.n, dtype=bool))
+    assert np.array_equal(out, stripe)
 
 
 def test_decode_all_maximal_patterns_p1(p1_codec):
     stripe = random_stripe(p1_codec, seed=6)
     nodes = p1_codec.params.nodes()
     for pattern in itertools.combinations(nodes, p1_codec.params.r):
-        erased = stripe.erase(pattern)
-        out = p1_codec.decode_erasures(erased, pattern)
-        assert np.array_equal(out.vectors, stripe.vectors)
-        assert not p1_codec.syndrome(out).any()
+        out = p1_codec.decode_batch(*erase(p1_codec.params, stripe, pattern))
+        assert np.array_equal(out, stripe)
+        assert not p1_codec.syndrome_batch(out).any()
 
 
 @pytest.mark.parametrize("codec_fixture,samples", [("p2_codec", 1000),
@@ -115,8 +144,8 @@ def test_decode_sampled_patterns(codec_fixture, samples, request):
     for _ in range(samples):
         size = rng.integers(1, params.r + 1)
         pattern = [nodes[i] for i in rng.choice(params.n, size=size, replace=False)]
-        out = codec.decode_erasures(stripe.erase(pattern), pattern)
-        assert np.array_equal(out.vectors, stripe.vectors)
+        out = codec.decode_batch(*erase(params, stripe, pattern))
+        assert np.array_equal(out, stripe)
 
 
 def test_decode_batch_parallels_single_stripe(p1_codec):
@@ -132,15 +161,11 @@ def test_decode_batch_parallels_single_stripe(p1_codec):
 
 def test_erasure_pattern_validation(p1_codec):
     params = p1_codec.params
+    stripe = random_stripe(p1_codec, seed=10)
     with pytest.raises(ValueError):
-        ErasurePattern.of(params, [(0, 0), (0, 0)])
+        p1_codec.decode_batch(*erase(params, stripe, params.nodes()[:params.r + 1]))
     with pytest.raises(ValueError):
-        ErasurePattern.of(params, [(e, g) for e, g in params.nodes()][:params.r + 1])
-    stripe = random_stripe(p1_codec, seed=10).erase([(0, 0), (1, 1)])
-    with pytest.raises(ValueError):
-        p1_codec.decode_erasures(stripe, [(0, 0)])  # (1,1) missing but unlisted
-    with pytest.raises(ValueError):
-        p1_codec.decode_batch(stripe.vectors, np.zeros(params.n, dtype=bool))
+        p1_codec.decode_batch(stripe, np.zeros(params.n, dtype=bool))
 
 
 def test_verify_mds_exhaustive_p1(p1_codec):
@@ -358,7 +383,7 @@ def test_codec_respects_explicit_min_field():
     codec = Codec(P1, min_field=257)
     assert codec.p == 257
     stripe = random_stripe(codec, seed=11)
-    assert not codec.syndrome(stripe).any()
+    assert not codec.syndrome_batch(stripe).any()
 
 
 # -- structured codec against a dense oracle -----------------------------------
@@ -543,11 +568,10 @@ def test_repair_is_exact_at_the_largest_prime(params, at):
     codec = Codec(params, field=field(params))
     vectors = codec.encode_batch(
         np.full((params.k, params.alpha, 2), codec.p - 1, dtype=np.int64))
-    stripe = Stripe(params, vectors, np.ones(params.n, dtype=bool))
     for i, (e, g) in enumerate(params.nodes()):
         job = RepairJob.create(params, e, g)
         assert RepairPlan.create(codec, job).program.dtype == dtype, (e, g)
-        transcript = repair_from_stripe(codec, stripe, job)
+        transcript = repair_from_stripe(codec, vectors, job)
         assert np.array_equal(transcript.recovered, vectors[i]), (e, g)
 
 
@@ -561,7 +585,6 @@ def test_repair_level_split_is_exact_at_the_largest_prime():
     codec = Codec(params, field=_field_at_the_bound(params))
     vectors = codec.encode_batch(
         np.full((params.k, params.alpha, 2), codec.p - 1, dtype=np.int64))
-    stripe = Stripe(params, vectors, np.ones(params.n, dtype=bool))
     for i, (e, g) in enumerate(params.nodes()):
         job = RepairJob.create(params, e, g)
         plan = RepairPlan.create(codec, job)
@@ -570,7 +593,7 @@ def test_repair_level_split_is_exact_at_the_largest_prime():
         for step in plan.program.steps:
             for later, (lo, hi, coef) in enumerate(step.ranges):
                 assert np.count_nonzero(coef, axis=1).max() <= params.n - bool(later)
-        transcript = repair_from_stripe(codec, stripe, job)
+        transcript = repair_from_stripe(codec, vectors, job)
         assert np.array_equal(transcript.recovered, vectors[i]), (e, g)
 
 

@@ -185,3 +185,25 @@ def test_float32_folds_every_integer_below_its_bound(n):
     assert np.abs(folded).max() <= p // 2 + 2 <= p - 1
     fold.nonnegative(a, scratch)
     assert np.array_equal(a.astype(np.int64), values % p)
+
+
+def test_an_odd_sum_past_2_24_runs_exactly_past_the_float32_bound():
+    # At the first prime past the float32 bound at n = 4, a row of n terms,
+    # three of (p - 1)^2 and one of (p - 2)^2, sums to an odd integer above
+    # 2^24, which float32 cannot hold: only the float64 that exact_float
+    # picks there keeps the program's result exact.
+    n, p = 4, 2053
+    assert n * (p - 1) ** 2 + p >= 2**24 > n * (2039 - 1) ** 2 + 2039
+    assert all(not is_prime(q) for q in range(2040, p)) and is_prime(p)
+    coef = np.array([[p - 1, p - 1, p - 1, p - 2]])
+    symbols = np.array([[p - 1], [p - 1], [p - 1], [p - 2]])
+    total = int((coef @ symbols)[0, 0])
+    assert total > 2**24 and total % 2 == 1
+
+    def program(dtype):
+        step = linalg.step(1 + np.arange(n)[:, None], linalg.split(coef, n, dtype), 1 + n)
+        return linalg.Program(p, 2 + n, [step], 1, np.array([1 + n]))
+
+    assert program(linalg.exact_float(n, p))(symbols).tolist() == [[total % p]]
+    assert linalg.exact_float(n, p) is np.float64
+    assert program(np.float32)(symbols).tolist() != [[total % p]]

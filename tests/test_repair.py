@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msrr import Codec, CodeParams, RepairJob, Stripe, helper_message, repair_from_stripe, stripe_io
+from msrr import Codec, CodeParams, RepairJob, helper_message, repair_from_stripe, stripe_io
 from msrr.cli import main
-from msrr.repair import RepairPlan, _layout
+from msrr.repair import RepairPlan, _layout, apply_plan
 
-from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, fresh_message, random_stripe
+from conftest import (ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, erase, fresh_message,
+                      random_stripe)
 from oracle import zero_digit_rows
 
 
@@ -56,8 +57,9 @@ def test_rack_aggregate_plain_sum_when_residue_zero(p1_codec):
     stripe = random_stripe(p1_codec, seed=0)
     job = RepairJob.create(params, 0, 0)
     rows = zero_digit_rows(params, params.rack_digit(job.e_star))
-    msg = fresh_message(p1_codec, stripe.rack(1), 1, job)
-    assert np.array_equal(msg, stripe.rack(1).sum(axis=0)[rows] % p1_codec.p)
+    rack = stripe[1 * params.u:2 * params.u]
+    msg = fresh_message(p1_codec, rack, 1, job)
+    assert np.array_equal(msg, rack.sum(axis=0)[rows] % p1_codec.p)
 
 
 def test_rack_aggregate_zero_rack(p1_codec):
@@ -73,12 +75,13 @@ def test_helper_message_is_restricted_aggregate(p1_codec):
     rows = zero_digit_rows(params, params.rack_digit(job.e_star))
     assert rows == [0, 2]
     for e in job.helpers:
-        msg = fresh_message(p1_codec, stripe.rack(e), e, job)
+        rack = stripe[e * params.u:(e + 1) * params.u]
+        msg = fresh_message(p1_codec, rack, e, job)
         assert msg.shape == (params.beta,)
-        full = reference_aggregate(p1_codec, stripe.rack(e), e, job.e_star)
+        full = reference_aggregate(p1_codec, rack, e, job.e_star)
         assert np.array_equal(msg, full[rows])
         # Host rack 0 has residue 0, so every locator weight is 1.
-        assert np.array_equal(msg, stripe.rack(e).sum(axis=0)[rows] % p1_codec.p)
+        assert np.array_equal(msg, rack.sum(axis=0)[rows] % p1_codec.p)
 
 
 def test_helper_message_uses_locator_weights(p1_codec):
@@ -88,8 +91,9 @@ def test_helper_message_uses_locator_weights(p1_codec):
     stripe = random_stripe(p1_codec, seed=1)
     job = RepairJob.create(params, 3, 0)
     rows = zero_digit_rows(params, params.rack_digit(job.e_star))
-    msg = fresh_message(p1_codec, stripe.rack(1), 1, job)
-    manual = (2 * stripe.node(1, 0) + 9 * stripe.node(1, 1)) % p1_codec.p
+    msg = fresh_message(p1_codec, stripe[1 * params.u:2 * params.u], 1, job)
+    manual = (2 * stripe[params.node_index(1, 0)]
+              + 9 * stripe[params.node_index(1, 1)]) % p1_codec.p
     assert np.array_equal(msg, manual[rows])
 
 
@@ -98,17 +102,17 @@ def test_helper_message_degenerate_code_ships_whole_aggregate(degenerate_codec):
     stripe = random_stripe(degenerate_codec, seed=3)
     job = RepairJob.create(params, 1, 0)
     e = job.helpers[0]
-    msg = fresh_message(degenerate_codec, stripe.rack(e), e, job)
+    rack = stripe[e * params.u:(e + 1) * params.u]
+    msg = fresh_message(degenerate_codec, rack, e, job)
     assert msg.shape == (1,)
-    assert np.array_equal(
-        msg, reference_aggregate(degenerate_codec, stripe.rack(e), e, 1))
+    assert np.array_equal(msg, reference_aggregate(degenerate_codec, rack, e, 1))
 
 
 def test_helper_message_rejects_non_helper(p1_codec):
     stripe = random_stripe(p1_codec, seed=4)
     job = RepairJob.create(p1_codec.params, 0, 0)
     with pytest.raises(ValueError, match="not a helper"):
-        helper_message(RepairPlan.create(p1_codec, job), stripe.rack(0)[:, :, None], 0)
+        helper_message(RepairPlan.create(p1_codec, job), stripe[0:p1_codec.params.u, :, None], 0)
 
 
 @pytest.mark.parametrize("e_star", [0, 2], ids=["place1", "place2"])
@@ -135,7 +139,7 @@ def test_repair_recovers_every_node_with_every_helper_set(codec_fixture, request
     for job in all_jobs(params):
         transcript = repair_from_stripe(codec, stripe, job)
         assert np.array_equal(
-            transcript.recovered, stripe.node(job.e_star, job.g_star)), job
+            transcript.recovered, stripe[params.node_index(job.e_star, job.g_star)]), job
         assert transcript.cross_rack_symbols == params.d_bar * params.beta
         assert transcript.intra_rack_symbols == (params.u - 1) * params.alpha
         assert transcript.accessed_symbols_per_helper_rack == params.u * params.beta
@@ -152,14 +156,13 @@ def test_side_aggregates_match_ground_truth(p3_codec):
     transcript = repair_from_stripe(p3_codec, stripe, job)
     assert set(transcript.side_aggregates) == {5}
     rows = zero_digit_rows(params, params.rack_digit(job.e_star))
-    truth = reference_aggregate(p3_codec, stripe.rack(5), 5, job.e_star)[rows]
+    truth = reference_aggregate(p3_codec, stripe[5 * params.u:6 * params.u], 5, job.e_star)[rows]
     assert np.array_equal(transcript.side_aggregates[5], truth)
 
 
 def test_repair_of_zero_stripe_is_zero(p2_codec):
     params = p2_codec.params
-    zero = p2_codec.encode_systematic(
-        np.zeros((params.k, params.alpha), dtype=np.int64))
+    zero = p2_codec.encode_batch(np.zeros((params.k, params.alpha), dtype=np.int64))
     job = RepairJob.create(params, 3, 2)
     transcript = repair_from_stripe(p2_codec, zero, job)
     assert not transcript.recovered.any()
@@ -172,10 +175,9 @@ def test_repair_is_linear(p1_codec, seed, scale):
     params = p1_codec.params
     rng = np.random.default_rng(seed)
     shape = (params.k, params.alpha)
-    x = p1_codec.encode_systematic(rng.integers(0, p1_codec.p, size=shape))
-    y = p1_codec.encode_systematic(rng.integers(0, p1_codec.p, size=shape))
-    from msrr import Stripe
-    combined = Stripe.complete(params, (scale * x.vectors + y.vectors) % p1_codec.p)
+    x = p1_codec.encode_batch(rng.integers(0, p1_codec.p, size=shape))
+    y = p1_codec.encode_batch(rng.integers(0, p1_codec.p, size=shape))
+    combined = (scale * x + y) % p1_codec.p
     job = RepairJob.create(params, 1, 0)
     tx = repair_from_stripe(p1_codec, x, job)
     ty = repair_from_stripe(p1_codec, y, job)
@@ -202,22 +204,29 @@ def test_batched_repair_matches_per_stripe(p2_codec):
     w = 7
     vectors = random_stripe(p2_codec, seed=8, stripes=w)
     job = RepairJob.create(params, 2, 1)
-    batch = repair_from_stripe(p2_codec, Stripe(params, vectors, np.ones(params.n, dtype=bool)), job)
+    batch = repair_from_stripe(p2_codec, vectors, job)
     assert batch.stripe_count == w
     assert batch.cross_rack_symbols == params.d_bar * params.beta
     target = params.node_index(job.e_star, job.g_star)
     assert np.array_equal(batch.recovered, vectors[target])
     for s in range(w):
-        stripe = Stripe.complete(params, vectors[:, :, s])
-        single = repair_from_stripe(p2_codec, stripe, job)
+        single = repair_from_stripe(p2_codec, vectors[:, :, s], job)
         assert np.array_equal(single.recovered, batch.recovered[:, s])
 
 
-def test_repair_from_stripe_needs_live_helpers(p1_codec):
-    stripe = random_stripe(p1_codec, seed=10).erase([(1, 0)])
-    job = RepairJob.create(p1_codec.params, 0, 0)
-    with pytest.raises(ValueError):
-        repair_from_stripe(p1_codec, stripe, job)
+def test_every_array_call_takes_zero_stripes(p3_codec):
+    # A Program binds its take-gathers and its output at width 0 too, so an
+    # empty batch repairs, as it encodes and decodes, to an empty result.
+    params = p3_codec.params
+    vectors, job = random_stripe(p3_codec, seed=32, stripes=0), RepairJob.create(params, 2, 1)
+    assert vectors.shape == (params.n, params.alpha, 0)
+    assert p3_codec.syndrome_batch(vectors).shape == (params.r * params.alpha, 0)
+    assert p3_codec.decode_batch(*erase(params, vectors, [(0, 1), (3, 0)])).shape == vectors.shape
+    assert apply_plan(RepairPlan.create(p3_codec, job), vectors).shape == (params.alpha, 0)
+    transcript = repair_from_stripe(p3_codec, vectors, job)
+    assert transcript.recovered.shape == (params.alpha, 0) and transcript.stripe_count == 0
+    assert [m.shape for m in transcript.messages.values()] == [(params.beta, 0)] * params.d_bar
+    assert transcript.side_aggregates[5].shape == (params.beta, 0)
 
 
 @pytest.mark.parametrize("stripes", [0, slice(None)], ids=["one", "batch"])
@@ -226,13 +235,12 @@ def test_the_message_path_takes_unreduced_symbols(p3_codec, stripes):
     # outside [0, p); repair_from_stripe reduces them before the message steps.
     params, p, u = p3_codec.params, p3_codec.p, p3_codec.params.u
     vectors = random_stripe(p3_codec, seed=27, stripes=3)[:, :, stripes]
-    present = np.ones(params.n, dtype=bool)
     job = RepairJob.create(params, 2, 1)
-    reduced = repair_from_stripe(p3_codec, Stripe(params, vectors, present), job)
+    reduced = repair_from_stripe(p3_codec, vectors, job)
     assert np.array_equal(reduced.recovered, vectors[params.node_index(2, 1)])
     for shift in (p, -p):
         shifted = vectors + shift
-        transcript = repair_from_stripe(p3_codec, Stripe(params, shifted, present), job)
+        transcript = repair_from_stripe(p3_codec, shifted, job)
         assert np.array_equal(transcript.recovered, reduced.recovered), shift
         for e in job.helpers:
             assert np.array_equal(transcript.messages[e], reduced.messages[e]), (shift, e)
@@ -260,7 +268,7 @@ def test_a_wrong_message_weight_fails_verify_and_repair(capsys, monkeypatch):
     codec = Codec(params)
     stripe = random_stripe(codec, seed=28)
     transcript = repair_from_stripe(codec, stripe, RepairJob.create(params, 0, 0, [1, 2, 3, 4]))
-    assert not np.array_equal(transcript.recovered, stripe.node(0, 0))
+    assert not np.array_equal(transcript.recovered, stripe[params.node_index(0, 0)])
 
 
 def test_repair_on_deeply_recursive_shape():
@@ -275,7 +283,7 @@ def test_repair_on_deeply_recursive_shape():
     for job in all_jobs(params):
         transcript = repair_from_stripe(codec, stripe, job)
         assert np.array_equal(
-            transcript.recovered, stripe.node(job.e_star, job.g_star)), job
+            transcript.recovered, stripe[params.node_index(job.e_star, job.g_star)]), job
         assert transcript.cross_rack_symbols == params.d_bar * params.beta
 
 
@@ -305,15 +313,15 @@ def test_per_level_repair_on_small_codes(case):
         CODECS[params] = Codec(params)
     codec = CODECS[params]
     vectors = random_stripe(codec, seed=seed, stripes=width)
-    stripe = Stripe(params, vectors, np.ones(params.n, dtype=bool))
-    transcript = repair_from_stripe(codec, stripe, job)
+    transcript = repair_from_stripe(codec, vectors, job)
     assert np.array_equal(transcript.recovered,
-                          stripe.node(job.e_star, job.g_star))
+                          vectors[params.node_index(job.e_star, job.g_star)])
     others = set(range(params.n_bar)) - {job.e_star} - set(job.helpers)
     assert set(transcript.side_aggregates) == others
     rows = zero_digit_rows(params, params.rack_digit(job.e_star))
     for e in others:
-        truth = reference_aggregate(codec, stripe.rack(e), e, job.e_star)[rows]
+        rack = vectors[e * params.u:(e + 1) * params.u]
+        truth = reference_aggregate(codec, rack, e, job.e_star)[rows]
         assert np.array_equal(transcript.side_aggregates[e], truth)
 
 
