@@ -16,30 +16,31 @@ are distinct, so each system is invertible.
 
 The solve is level-major: the coordinates are ordered by level, once per
 plan.  The known nodes move to the right-hand side in one exact product
-(ParityCheckMatrix.product).  The unknowns' off-diagonal terms follow the
-construction as the known nodes' do: they are the unknown racks' aggregates
-of the level before, read at the digit siblings and weighed by the
-extra-point powers.  So a level is one gather, of the right-hand side at the
-level's coordinates and of those aggregates, and one product with
-[-V^-1 | -V^-1 times the extra-point powers].  The whole solve is one
-linalg.Program of such gather-product-fold steps over one source array that
-the plan owns and reuses from chunk to chunk and call to call; natural
-coordinate order comes back once per chunk, on output.
+(ParityCheckMatrix.product), which gathers each known node at its own digit
+siblings.  The unknowns' off-diagonal terms are read the same way: each
+unknown node's solution of the levels before, at the digit siblings, weighed
+by locator^residue times the extra-point powers.  So a level is one gather,
+of the right-hand side at the level's coordinates and of those siblings,
+and one product with [-V^-1 | -V^-1 times the weighed sibling
+coefficients]; no rack aggregate is formed, as those are repair's helper
+messages.  The whole solve is one linalg.Program of such
+gather-product-fold steps, one per level after the known product, over one
+source array that the plan owns and reuses from chunk to chunk and call to
+call; natural coordinate order comes back once per chunk, on output.
 
 Arithmetic is exact in floats.  Sums are folded into signed residues,
 a - rint(a/p)*p, which have |r| <= p/2 + 2 <= p - 1 (linalg.Fold), so every
 product term is at most (p - 1)^2.  linalg.split cuts each product, by its
 coefficients, into column ranges folded one after another, so that no row
-sums more than n nonzero terms, a folded sum counting as one.  So every sum
-is at most n * (p - 1)^2, and linalg.exact_float runs the whole solve in
-float32 where n * (p - 1)^2 + p < 2^24, as at the benchmark codes' fields
-(p = 257 and 271), and in float64 otherwise, where Codec requires
-n * (p - 1)^2 < 2^53.  Values move into
-[0, p) once, on output.  verify_mds certifies full rank of each r-subset's
-column groups from the same level order, read off the sparse tables
-ParityCheckMatrix.off_diagonal and diag, and from distinct Vandermonde
-diagonal columns; only where the certificate fails is a dense column group
-built and eliminated.
+sums more than linalg.capacity(p, dtype) nonzero terms, a folded sum
+counting as one: 255 in float32 at p = 257.  linalg.exact_float runs the
+whole solve in float32 where n * (p - 1)^2 + p < 2^24, as at the benchmark
+codes' fields (p = 257 and 271), and in float64 otherwise, where Codec
+requires n * (p - 1)^2 < 2^53.  Values move into [0, p) once, on output.
+verify_mds certifies full rank of each r-subset's column groups from the
+same level order, read off the sparse tables ParityCheckMatrix.off_diagonal
+and diag, and from distinct Vandermonde diagonal columns; only where the
+certificate fails is a dense column group built and eliminated.
 """
 
 from __future__ import annotations
@@ -83,11 +84,17 @@ _CHUNK_SYMBOLS = 1 << 17
 @dataclass(eq=False)
 class _Plan:
     """The level-major solve for r unknown nodes, ascending, as one Program
-    (see Codec._plan); chunk stripes or fewer per call."""
+    (see Codec._plan).  rows, the widest per-stripe array of a solve (a
+    codeword or the program's widest gather), sizes its chunks."""
 
     unknowns: tuple[int, ...]
     program: linalg.Program
-    chunk: int
+    rows: int
+
+    @property
+    def chunk(self) -> int:
+        """The stripes per call of the program."""
+        return max(1, _CHUNK_SYMBOLS // self.rows)
 
 
 class Codec:
@@ -101,21 +108,18 @@ class Codec:
                  min_field: int = 0):
         self.params = params
         self.field = field if field is not None else FieldCtx.for_code(params, min_field)
-        # Every product here is a linalg.Program step: each term is a
-        # coefficient in [0, p) times a symbol or a signed residue, |r| <=
-        # p/2 + 2 <= p - 1, so at most (p - 1)^2, and linalg.split keeps each
-        # row of a column range within n nonzero terms, a folded sum counting
-        # as one.  The steps run in linalg.exact_float(n, p), float32 where
-        # n * (p - 1)^2 + p < 2^24; float64 holds integers below 2^53, so
-        # n * (p - 1)^2 < 2^53 keeps every sum exact in either type.
+        # Every product here is a linalg.Program step of terms at most
+        # (p - 1)^2, cut at linalg.capacity(p, dtype) terms per sum.  The
+        # steps run in linalg.exact_float(n, p), float32 where n * (p - 1)^2
+        # + p < 2^24, else float64, whose capacity this keeps at n or more.
         if params.n * (self.p - 1) ** 2 >= 2**53:
             raise InternalError(
                 f"n={params.n}, p={self.p} overflow the exact float64 product")
         self.constants: CodeConstants = build_constants(params, self.field)
         self.pcm = ParityCheckMatrix(params, self.constants)
-        # Plans cached besides encode_plan: one decode plan for the last
-        # erasure pattern, so a file decoded chunk by chunk plans once; and
-        # the tables of repair plans that depend on the host rack alone.
+        # Kept besides encode_plan and syndrome_product: the decode plan of
+        # the last erasure pattern (decode_plan), and the tables of repair
+        # plans that depend on the host rack alone.
         self._decode_plan: _Plan | None = None
         self._repair_layouts: dict[int, tuple] = {}
 
@@ -142,53 +146,44 @@ class Codec:
 
         Its program is the known nodes' product (ParityCheckMatrix.product),
         whose call takes every node's vectors and uses the known ones, then
-        two steps per level in ascending zero-digit count, whose coordinates
-        are positions lo to hi of the level-major order.  The first gathers
-        the right-hand side at those coordinates and the unknown racks'
-        aggregates of the level before at their digit siblings, and maps them
-        by [-V^-1 | -V^-1 times the sibling coefficients] to the level's
-        solution, an (r, hi - lo) block.  The second weighs that block into
-        the unknown racks' aggregates, a (racks, hi - lo) block after it; the
-        last level has none.  The output reads the solution in natural order.
+        one step per level in ascending zero-digit count, whose coordinates
+        are positions lo to hi of the level-major order.  It gathers the
+        right-hand side at those coordinates and each unknown node's solution
+        of the levels before at the coordinates' digit siblings, and maps them
+        by [-V^-1 | -V^-1 times the nodes' weighed sibling coefficients] to
+        the level's solution, an (r, hi - lo) block.  The output reads the
+        solution in natural order.
         """
-        params, pcm, p, n, dtype = self.params, self.pcm, self.p, self.params.n, self.pcm.dtype
-        r, alpha, s1 = params.r, params.alpha, params.s_bar - 1
-        pairs = [params.node_pair(i) for i in unknowns]
+        params, pcm, p, n = self.params, self.pcm, self.p, self.params.n
+        r, alpha = params.r, params.alpha
         try:
             inverse = linalg.vandermonde_solve(
-                [self.constants.locators[e][g] for e, g in pairs], np.eye(r, dtype=np.int64), p)
+                [self.constants.locators[e][g] for e, g in map(params.node_pair, unknowns)],
+                np.eye(r, dtype=np.int64), p)
         except SingularMatrixError as exc:  # locators are distinct by construction
             raise InternalError("erasure system singular; constants are broken") from exc
         negated = -inverse % p
-        racks = sorted({e for e, _ in pairs}) if s1 else []
-        weights = np.zeros((len(racks), r), dtype=np.int64)
-        for slot, (e, g) in enumerate(pairs):
-            if e in racks:
-                weights[racks.index(e), slot] = pcm.diag[params.rack_residue(e), e, g]
         known = pcm.product([i for i in range(n) if i not in unknowns])
         # held[q, j], past the known product's rows: unknown q's solution at
-        # level-major position j for q < r, else rack racks[q - r]'s aggregate.
-        order, bounds, held = pcm.level_blocks(np.arange(alpha), r + len(racks))
+        # level-major position j.
+        order, bounds, held = pcm.level_blocks(np.arange(alpha), r)
         held += known.rows
-        # One table of the unknown racks' sibling terms over the level-major
-        # order, cut by level; rows of racks with no term in a level drop out.
-        gather, sibling_coef = pcm.sibling_table(racks, order, order)
-        gather = np.concatenate([[0], held[r:].ravel()])[gather]
+        # One table of the unknowns' sibling terms over the level-major
+        # order, cut by level; rows with no term in a level drop out.
+        gather, sibling_coef = pcm.node_siblings(unknowns, order, order)
+        gather = np.concatenate([[0], held.ravel()])[gather]
         sibling_coef = negated @ sibling_coef % p
-        steps, aggregate = list(known.steps), linalg.split(weights, n, dtype)
+        steps = list(known.steps)
         for lo, hi in zip(bounds, bounds[1:]):
             used = gather[:, lo:hi].any(axis=1)
             steps.append(linalg.step(
                 np.vstack([known.output[:, order[lo:hi]], gather[used, lo:hi]]),
-                linalg.split(np.hstack([negated, sibling_coef[:, used]]), n, dtype), held[0, lo]))
-            if racks and hi < alpha:
-                steps.append(linalg.step(held[:r, lo:hi], aggregate, held[r, lo]))
+                pcm.split(np.hstack([negated, sibling_coef[:, used]])), held[0, lo]))
         natural = np.empty((r, alpha), dtype=np.intp)
-        natural[:, order] = held[:r]
-        program = linalg.Program(p, known.rows + (r + len(racks)) * alpha, steps, known.first,
-                                 natural, known.inputs)
-        return _Plan(tuple(unknowns), program,
-                     max(1, _CHUNK_SYMBOLS // max(n * alpha, program.widest)))
+        natural[:, order] = held
+        program = linalg.Program(p, known.rows + r * alpha, steps, known.first, natural,
+                                 known.inputs)
+        return _Plan(tuple(unknowns), program, max(n * alpha, program.widest))
 
     def _solve(self, plan: _Plan, vectors: np.ndarray):
         """Per chunk of at most plan.chunk stripes, (lo, hi, values): the
@@ -233,44 +228,57 @@ class Codec:
         (r*alpha[, w]); zero iff each stripe is a codeword."""
         params = self.params
         vectors = self._reduce(vectors)
-        product = self.pcm.product(range(params.n))
-        residual = product(self._stripes(vectors, params.n, "vectors")).astype(np.int64)
-        return residual.reshape((params.r * params.alpha,) + vectors.shape[2:])
+        residual = self.syndrome_product(self._stripes(vectors, params.n, "vectors"))
+        return residual.astype(np.int64).reshape((params.r * params.alpha,) + vectors.shape[2:])
+
+    @functools.cached_property
+    def syndrome_product(self) -> linalg.Program:
+        """Every node's column groups, summed (ParityCheckMatrix.product),
+        built on first use and kept, as encode_plan is."""
+        return self.pcm.product(range(self.params.n))
 
     # -- erasure decoding ------------------------------------------------------
 
     def decode_batch(self, vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
         """decode_into on a new int64 copy of vectors, which may hold any
         integers; returns the copy."""
-        restored = np.array(self._reduce(vectors), dtype=np.int64)  # never the caller's
-        return self.decode_into(restored, present)
+        # _reduce returns only unsigned input as is, which this converts.
+        return self.decode_into(np.asarray(self._reduce(vectors), dtype=np.int64), present)
 
-    def decode_into(self, vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
-        """Write the missing nodes of vectors, (n, alpha[, w]) symbols in
-        [0, p) of a dtype that holds p - 1, in place; returns vectors.
-        present, shape (n,), is False at each missing node, at most r of
-        them.  A missing node's rows may hold any value of the dtype: the
-        known product may stage them with the present nodes around them, but
-        weighs them by zero, and they are overwritten."""
+    def decode_plan(self, present: np.ndarray) -> _Plan | None:
+        """The solve for the erasure present, shape (n,), False at each
+        missing node, at most r; None if none is.  The missing nodes are
+        padded with the smallest present ones to r unknowns.  The last plan
+        is kept, so a file decoded chunk by chunk plans once."""
         params = self.params
-        stripes = self._stripes(vectors, params.n, "vectors")
         present = np.asarray(present, dtype=bool)
         if present.shape != (params.n,):
             raise ValueError(f"present shape {present.shape} is not {(params.n,)}")
         missing = [i for i in range(params.n) if not present[i]]
-        if not missing:
-            return vectors
         if len(missing) > params.r:
             raise ValueError(
                 f"{len(missing)} nodes missing, more than r={params.r}")
-        # Pad with the smallest present nodes so the sub-system is square; the
-        # unique solution restores their known values alongside the missing ones.
+        if not missing:
+            return None
         pad = [i for i in range(params.n) if present[i]][:params.r - len(missing)]
         unknowns = tuple(sorted(missing + pad))
         if self._decode_plan is None or self._decode_plan.unknowns != unknowns:
             self._decode_plan = self._plan(list(unknowns))
-        slots = [(i, unknowns.index(i)) for i in missing]
-        for lo, hi, values in self._solve(self._decode_plan, stripes):
+        return self._decode_plan
+
+    def decode_into(self, vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
+        """Write the missing nodes of vectors, (n, alpha[, w]) symbols in
+        [0, p) of a dtype that holds p - 1, in place; returns vectors.
+        present is decode_plan's mask.  A missing node's rows may hold any
+        value of the dtype: the known product may stage them with the present
+        nodes around them, but does not read them, and they are
+        overwritten."""
+        stripes = self._stripes(vectors, self.params.n, "vectors")
+        plan = self.decode_plan(present)
+        if plan is None:
+            return vectors
+        slots = [(i, slot) for slot, i in enumerate(plan.unknowns) if not present[i]]
+        for lo, hi, values in self._solve(plan, stripes):
             for i, slot in slots:
                 stripes[i, :, lo:hi] = values[slot]
         return vectors

@@ -14,12 +14,13 @@ digits of every coordinate, computed once.  The level order, the zero-digit
 rows and their digit siblings are read off it; no other module expands digits.
 
 Summed over a set of nodes, the column groups act on their vectors as a
-linalg.Program of two steps (ParityCheckMatrix.product): one forms the
-locator^residue-weighted rack aggregates, and one gathers the vectors and
-each aggregate at the rows' digit siblings and weighs them by the diagonals
-and the extra-point powers.  Every Program of the code, the codec's and
-repair's too, runs in ParityCheckMatrix.dtype, linalg.exact_float(n, p),
-float32 or float64.
+linalg.Program of one step (ParityCheckMatrix.product): it gathers each
+node's vector and the node's own digit siblings, and weighs them by the
+diagonals and by locator^residue(e) times the extra-point powers
+(node_siblings).  No rack aggregate is formed; those belong to the repair
+protocol.  Every Program of the code, the codec's and repair's too, runs in
+ParityCheckMatrix.dtype, linalg.exact_float(n, p), float32 or float64, and
+its products are cut at linalg.capacity(p, dtype) terms.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import InternalError
 from .field import FieldCtx
-from .linalg import Program, exact_float, split, step
+from .linalg import Program, capacity, exact_float, split, step
 from .params import CodeParams
 
 
@@ -146,6 +147,10 @@ class ParityCheckMatrix:
     def p(self) -> int:
         return self.constants.field.p
 
+    def split(self, coef) -> tuple:
+        """linalg.split of coef in dtype, at dtype's capacity over GF(p)."""
+        return split(coef, capacity(self.p, self.dtype), self.dtype)
+
     def level_blocks(self, coords, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """order, coords' positions by ascending zero-digit count (stably);
         bounds, with positions bounds[i] to bounds[i + 1] of order one level;
@@ -160,17 +165,18 @@ class ParityCheckMatrix:
                                + np.arange(count)[:, None] * sizes)
 
     def sibling_table(self, racks, targets, sources) -> tuple[np.ndarray, np.ndarray]:
-        """The listed racks' off-diagonal terms at the target coordinates, as
-        one gather and one product.
+        """The off-diagonal terms of the listed racks at the target
+        coordinates, as one gather and one product.
 
         Row (i, v) of index, for rack racks[i] and sibling value v = 1 ..
         s_bar - 1, holds per target coordinate a the row 1 + i*len(sources) +
         j, where sources[j] is a with rack i's digit raised from 0 to v, or 0
         where that digit of a is not zero.  Gathered from rows whose row 0 is
-        zero and whose rows 1 + i*len(sources) + j are rack i's aggregate at
-        sources[j], it yields every sibling term.  coef[t, (i, v)] is
-        sibling_coef[residue(racks[i]), t, v - 1], so racks that share a
-        residue add into the same rows inside the product.
+        zero and whose rows 1 + i*len(sources) + j hold entry i at sources[j]
+        (a rack's aggregate in repair, a node in node_siblings), it yields
+        every sibling term.  coef[t, (i, v)] is sibling_coef[residue(racks[i]),
+        t, v - 1], so entries that share a residue add into the same rows
+        inside the product.  A rack may be listed more than once.
         """
         params = self.params
         racks = np.asarray(racks, dtype=np.intp)
@@ -188,41 +194,45 @@ class ParityCheckMatrix:
         coef = self.sibling_coef[residue].transpose(1, 0, 2).reshape(params.r, -1)
         return index.reshape(-1, len(targets)), coef
 
+    def node_siblings(self, nodes, targets, sources) -> tuple[np.ndarray, np.ndarray]:
+        """sibling_table of each listed node's own rack, one entry per node,
+        with node (e, g)'s columns weighed by locator^residue(e): gathered
+        from rows whose rows 1 + i*len(sources) + j are node nodes[i] at
+        sources[j], it yields every off-diagonal term of the nodes' column
+        groups at the targets."""
+        params = self.params
+        racks, slots = np.divmod(np.asarray(nodes, dtype=np.intp), params.u)
+        index, coef = self.sibling_table(racks, targets, sources)
+        weights = self.diag[racks % (params.u - params.u0), racks, slots]
+        return index, coef * np.repeat(weights, params.s_bar - 1) % self.p
+
     def product(self, nodes) -> Program:
         """The column groups of the given node indices, summed, as a Program.
 
         Called on vectors (n', alpha, w) indexed by node, symbols in [0, p),
         it returns H[:, nodes] @ vectors[nodes], (r, alpha, w) in [0, p), a
         work array.  Its source holds the zero row, the vectors of the node
-        range inputs, the listed racks' aggregates, and the product (rows
-        output).  Nodes of the range that are not listed get zero columns.
-        The first step weighs each listed rack's vectors by locator^residue(e)
-        into its aggregate, as repair helpers do; the second maps the vectors
-        and the aggregates at the rows' digit siblings (sibling_table) by
-        [locator_j^t | the sibling coefficients] to the r*alpha parity-check
-        rows.  With s_bar = 1 no rack is listed.
+        range inputs, and the product (rows output); nodes of the range that
+        are not listed are staged but not read.  Its one step gathers, per
+        coordinate, each listed node's vector and the node at the
+        coordinate's digit siblings (node_siblings), and maps them by
+        [locator_j^t | the weighed sibling coefficients] to the r*alpha
+        parity-check rows.  With s_bar = 1 there are no siblings.
         """
         params, alpha = self.params, self.params.alpha
         nodes = np.asarray(nodes, dtype=np.int64)
         span = np.arange(nodes.min(), nodes.max() + 1)
-        listed = np.zeros(span.size, dtype=bool)
-        listed[nodes - span[0]] = True
-        racks, slots = np.divmod(span, params.u)
-        residues = [params.rack_residue(e) for e in racks]
-        known = np.unique(nodes // params.u) if params.s_bar > 1 else racks[:0]
-        weights = np.where((racks == known[:, None]) & listed,
-                           self.diag[residues, racks, slots], 0)
+        listed = np.isin(span, nodes)
+        racks, slots = np.divmod(span[listed], params.u)
         coords = np.arange(alpha)
-        gather, coef = self.sibling_table(known, coords, coords)
+        gather, coef = self.node_siblings(span, coords, coords)
+        siblings = np.repeat(listed, params.s_bar - 1)
         vectors = 1 + np.arange(span.size * alpha).reshape(span.size, alpha)
-        out = 1 + vectors.size + known.size * alpha
-        n, dtype = params.n, self.dtype
-        steps = [step(vectors, split(weights, n, dtype), 1 + vectors.size)] if known.size else []
-        steps.append(step(np.vstack([vectors, np.where(gather > 0, gather + vectors.size, 0)]),
-                          split(np.hstack([np.where(listed, self.diag[:, racks, slots], 0), coef]),
-                                n, dtype), out))
-        rows = params.r * alpha
-        return Program(self.p, out + rows, steps, 1, out + np.arange(rows).reshape(params.r, alpha),
+        out, rows = 1 + vectors.size, params.r * alpha
+        ranges = self.split(np.hstack([self.diag[:, racks, slots], coef[:, siblings]]))
+        return Program(self.p, out + rows,
+                       [step(np.vstack([vectors[listed], gather[siblings]]), ranges, out)],
+                       1, out + np.arange(rows).reshape(params.r, alpha),
                        slice(int(span[0]), int(span[-1]) + 1))
 
     def dense_node(self, e: int, g: int) -> np.ndarray:

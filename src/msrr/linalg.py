@@ -14,13 +14,15 @@ stay far inside int64.
 Encode, decode and repair are each a Program: a sequence of Steps over one
 plan-owned source array.  A step gathers rows of the source, takes one exact
 product and folds it into signed residues (Fold), written back into the
-source for later steps to gather.  split cuts each product into column
-ranges that keep every sum within n terms of at most (p - 1)^2, and
-exact_float picks the narrowest float that holds such sums exactly:
-float32 where n * (p - 1)^2 + p < 2^24, as at the benchmark codes' fields
-(p = 257 and 271), else float64, which holds integers below 2^53.  It is
-the one place that decides; coefficients are built in its type and work
-arrays follow them.
+source for later steps to gather.  Every term of a product is at most
+(p - 1)^2, and split cuts each product into column ranges that keep every
+sum within capacity(p, dtype) such terms: 255 in float32 at p = 257, 230 at
+p = 271, the bound of delayed modular reduction (Dumas, Giorgi and Pernet,
+FFLAS-FFPACK).  exact_float picks the narrowest float whose capacity holds
+the n terms of a node-by-node sum: float32 where n * (p - 1)^2 + p < 2^24,
+as at the benchmark codes' fields (p = 257 and 271), else float64, which
+holds integers below 2^53.  It is the one place that decides; coefficients
+are built in its type and work arrays follow them.
 """
 
 from __future__ import annotations
@@ -103,12 +105,19 @@ def vandermonde_solve(points, moments, p: int) -> np.ndarray:
     return np.array(lagrange, dtype=np.int64) @ moments % p
 
 
+def capacity(p: int, dtype: type) -> int:
+    """The most terms of at most (p - 1)^2 that one sum holds exactly in
+    dtype: floor((2^24 - p - 1) / (p - 1)^2) in float32, whose Fold needs
+    every sum below 2^24 - p, and floor((2^53 - 1) / (p - 1)^2) in float64."""
+    top = 2**24 - p - 1 if np.dtype(dtype) == np.float32 else 2**53 - 1
+    return top // (p - 1) ** 2
+
+
 def exact_float(n: int, p: int) -> type:
-    """The float type of every Program over GF(p) whose sums hold at most n
-    terms of at most (p - 1)^2: float32 when n * (p - 1)^2 + p < 2^24, so
-    that its 24-bit significand holds each sum and each of Fold's
-    intermediates, else float64 (Codec requires n * (p - 1)^2 < 2^53)."""
-    return np.float32 if n * (p - 1) ** 2 + p < 2**24 else np.float64
+    """The float type of every Program over GF(p) of a code of n nodes:
+    float32 when its capacity holds n terms, n * (p - 1)^2 + p < 2^24, else
+    float64 (Codec requires n * (p - 1)^2 < 2^53)."""
+    return np.float32 if capacity(p, np.float32) >= n else np.float64
 
 
 class Fold:
@@ -117,9 +126,9 @@ class Fold:
     t = 24 or 53.
 
     fold(a, scratch) replaces a by a - q*p with q = rint(a * (1/p)).  A
-    Program's a is an integer with |a| <= n * (p - 1)^2, which exact_float's
-    bound keeps below 2^24 - p in float32 and Codec's below 2^53 in float64;
-    p > n >= 4, so p >= 5.  Then the result is congruent to a with |result|
+    Program's a is an integer of at most capacity(p, dtype) terms of at most
+    (p - 1)^2, below 2^24 - p in float32 and below 2^53 in float64; p > n >=
+    4, so p >= 5.  Then the result is congruent to a with |result|
     <= p/2 + 2 <= p - 1: 1/p and the product each round by a relative 2^-t
     at most (1/p in float32 by a hair more, as it is rounded from float64,
     which the margin of p below 2^24 absorbs), so a * (1/p) is off from a/p
@@ -159,20 +168,20 @@ class Fold:
         return a
 
 
-def split(coef, n: int, dtype: type = np.float64) -> tuple:
+def split(coef, terms: int, dtype: type = np.float64) -> tuple:
     """coef's column ranges, (lo, hi, coef[:, lo:hi] as dtype), cut greedily:
-    no row holds more than n nonzero coefficients in the first range, or
-    more than n - 1 in a later one, which is added to the folded sum of the
-    ranges before it, a term of its own.  dtype is the Program's float type,
-    exact_float(n, p)."""
+    no row holds more than terms nonzero coefficients in the first range, or
+    more than terms - 1 in a later one, which is added to the folded sum of
+    the ranges before it, a term of its own.  dtype is the Program's float
+    type and terms at most capacity(p, dtype)."""
     nonzero = np.asarray(coef) != 0
-    if nonzero.sum(axis=1).max(initial=0) <= n:  # the common case, cheaply
+    if nonzero.sum(axis=1).max(initial=0) <= terms:  # the common case, cheaply
         return ((0, nonzero.shape[1], np.ascontiguousarray(coef, dtype=dtype)),)
     counts = np.cumsum(nonzero, axis=1)
     edges = [0]
     while edges[-1] < counts.shape[1]:
         lo = edges[-1]
-        over = (counts - (counts[:, lo - 1:lo] if lo else 0) > n - bool(lo)).any(axis=0)
+        over = (counts - (counts[:, lo - 1:lo] if lo else 0) > terms - bool(lo)).any(axis=0)
         edges.append(int(over.argmax()) if over.any() else counts.shape[1])
     return tuple((lo, hi, np.ascontiguousarray(coef[:, lo:hi], dtype=dtype))
                  for lo, hi in zip(edges, edges[1:]))
@@ -231,16 +240,16 @@ class Program:
     """Steps over one source array of rows rows, one column per stripe,
     whose row 0 stays zero: the row a gather reads for an absent term.  The
     source, every work array and the folds are of the steps' coefficient
-    type, exact_float(n, p) as split built them.
+    type, as split built them.
 
     run stages vectors[inputs], symbols in [0, p), in the rows from first on
     and runs steps[start:stop]; a call runs the rest once steps[:start] ran
     at width w and returns the output rows, output.shape + (w,), in [0, p).
     Every operand is a symbol or a signed residue and every coefficient is
     in [0, p), so each term is at most (p - 1)^2, and split keeps each sum
-    within n of them.  Work arrays are bound per width w and kept from call
-    to call, so results are overwritten by the next call and a Program is
-    not for concurrent use.
+    within capacity(p, dtype) of them.  Work arrays are bound per width w
+    and kept from call to call, so results are overwritten by the next call
+    and a Program is not for concurrent use.
     """
 
     def __init__(self, p: int, rows: int, steps, first: int, output: np.ndarray,

@@ -32,10 +32,11 @@ _CHUNK_SYMBOLS; apply_plan(plan, vectors) runs the same steps in memory.
 
 Arithmetic is exact in floats, as in the codec: every term is a coefficient
 in [0, p) times a symbol or a signed residue (linalg.Fold), so at most
-(p - 1)^2, and linalg.split keeps every sum within n nonzero terms.  The
-program runs in ParityCheckMatrix.dtype, linalg.exact_float(n, p): float32
-where n * (p - 1)^2 + p < 2^24, else float64 under Codec's bound
-n * (p - 1)^2 < 2^53.  Values move into [0, p) once, on output.
+(p - 1)^2, and linalg.split keeps every sum within linalg.capacity(p,
+dtype) nonzero terms.  The program runs in ParityCheckMatrix.dtype,
+linalg.exact_float(n, p): float32 where n * (p - 1)^2 + p < 2^24, else
+float64 under Codec's bound n * (p - 1)^2 < 2^53.  Values move into [0, p)
+once, on output.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class RepairPlan:
         base = kept + (u - 1) * params.alpha
         steps = [linalg.Step(*selected[:2], messages[e], 1 + i * beta)
                  for i, e in enumerate(helpers)]
-        ranges = linalg.split(coef, params.n, codec.pcm.dtype)
+        ranges = codec.pcm.split(coef)
         steps += [linalg.step(index[:, lo:hi], ranges, base + r_bar * lo)
                   for lo, hi in zip(bounds, bounds[1:])]
         program = linalg.Program(p, base + r_bar * beta, steps, kept, host)
@@ -265,7 +266,7 @@ def _layout(codec: Codec, e_star: int) -> tuple:
     # rows fit, as beta <= alpha and r_bar >= 1), and weighed by messages[e]
     # for rack e.  A split's ranges hold for any of its rows.
     selected = linalg.step(kept + np.arange(u * beta).reshape(u, beta), (), 0)
-    weights = linalg.split(pcm.diag[params.rack_residue(e_star)], params.n, pcm.dtype)
+    weights = pcm.split(pcm.diag[params.rack_residue(e_star)])
     messages = [tuple((lo, hi, c[e:e + 1]) for lo, hi, c in weights) for e in range(params.n_bar)]
     return (order, bounds, solved, host, side, survived, racks,
             pcm.sibling_table(racks, targets, targets)[0], selected, messages)

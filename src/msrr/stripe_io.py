@@ -8,20 +8,24 @@ one (identity embedding), which requires p >= 257; the payload is zero-padded
 to whole stripes and the original length plus a checksum live in the manifest.
 
 encode_file, decode_file and repair_shard stream chunks of stripes whose
-widest per-stripe array holds about _CHUNK_SYMBOLS symbols: a codeword's
-n*alpha for encode_file and decode_file, the repair plan's rows for
-repair_shard, which never holds a codeword.  A job opens each shard once, as
-a raw descriptor (os.preadv, os.write), and keeps it to the end; past half
-the soft open-file limit the newest is closed first (_Descriptors).  So
-neither memory nor open files grow with the file or with n.  encode_file and
+widest per-stripe array holds about _CHUNK_SYMBOLS symbols: the rows of the
+plan each runs, so that a file chunk is one call of the plan's program.  A
+codec plan's rows are a codeword's n*alpha, or its widest gather if wider; a
+repair plan's never hold a codeword.  A job opens each shard once, as a raw
+descriptor (os.preadv, os.write), and keeps it to the end; past half the
+soft open-file limit the newest is closed first (_Descriptors).  So neither
+memory nor open files grow with the file or with n.  encode_file and
 decode_file hash the payload as it passes, and keep one chunk array of every
-node's stripes, laid out as the shards store them.  repair_shard opens only
-the shards the protocol reads, the helper racks' and the host rack's
-survivors, and keeps one rack's chunk array; each helper rack's message goes
-straight into one repair plan, applied to each chunk.  Each block read, a
-helper rack, the survivors or a decode chunk, is checked for symbols >= p
-once.  decode_file and repair_shard write through a temporary file beside
-their output (_replacing), so the output is either the old file or the new.
+node's stripes, laid out as the shards store them.  decode_file casts each
+data node into the payload once, from its block or, if lost, from the
+solve's values, checking it below 256; parity and pad unknowns are never
+copied out.  repair_shard opens only the shards the protocol reads, the
+helper racks' and the host rack's survivors, and keeps one rack's chunk
+array; each helper rack's message goes straight into one repair plan,
+applied to each chunk.  Each block read, a helper rack, the survivors or a
+decode chunk, is checked for symbols >= p once.  decode_file and
+repair_shard write through a temporary file beside their output
+(_replacing), so the output is either the old file or the new.
 """
 
 from __future__ import annotations
@@ -308,7 +312,7 @@ def encode_file(input_path, out_dir, params: CodeParams,
     out_dir = Path(out_dir)
     dtype = _symbol_dtype(symbol_width_bytes(codec.p))
     digest, length, stripes = hashlib.sha256(), 0, 0
-    chunk = _stripes_per_chunk(params)
+    chunk = _stripes_per_chunk(params, codec.encode_plan.rows)
     buffer = bytearray(chunk * params.k * params.alpha)
     # Each node's stripes as its shard stores them, (chunk, alpha), for the
     # whole file: encode_batch writes into the transposed view.
@@ -370,30 +374,40 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
             + ", ".join(shard_name(e, g) for e, g in missing))
     codec = codec_for_manifest(manifest)
     dtype = _symbol_dtype(manifest.symbol_width_bytes)
-    alpha, per_stripe = params.alpha, params.k * params.alpha
+    k, alpha, per_stripe = params.k, params.alpha, params.k * params.alpha
     remaining = manifest.original_file_length_bytes
     if manifest.stripe_count * per_stripe < remaining:
         raise ShardFormatError(
             f"{manifest.stripe_count * per_stripe} symbols cannot cover "
             f"{remaining} payload bytes")
     expected = manifest.stripe_count * alpha * manifest.symbol_width_bytes
-    chunk = _stripes_per_chunk(params)
+    # Only a lost data node needs the solve, and of its values only the lost
+    # data nodes' are read, never the parity or pad unknowns'.
+    plan = None if present[:k].all() else codec.decode_plan(present)
+    solved = {i: plan.unknowns.index(i) for i in range(k) if not present[i]}
+    chunk = _stripes_per_chunk(params, plan.rows if plan else None)
     digest = hashlib.sha256()
     known = np.flatnonzero(present)
     _check_sizes([paths[i] for i in known], expected)
     # Each node's stripes as its shard stores them, (chunk, alpha), for the
-    # whole file; missing nodes' rows, zero until the first decode, are
-    # written by the decode.
+    # whole file, and the payload, (chunk, k, alpha) bytes: each data node is
+    # cast into it from its block or from the solve's values.
     nodes = np.zeros((params.n, chunk, alpha), dtype=dtype)
+    payload = np.empty((chunk, k, alpha), dtype=np.uint8)
     with _replacing(output) as sink, _Descriptors(os.O_RDONLY) as shards:
         for start in range(0, manifest.stripe_count, chunk):
             width = min(chunk, manifest.stripe_count - start)
             _read_block(shards, paths, nodes[:, :width], start, manifest.p, known)
-            vectors = codec.decode_into(nodes[:, :width].transpose(0, 2, 1), present)
-            payload = symbols_to_bytes(vectors[:params.k], min(width * per_stripe, remaining))
-            remaining -= len(payload)
-            digest.update(payload)
-            sink.write(payload)
+            values = plan.program(nodes[:, :width].transpose(0, 2, 1)) if solved else None
+            for i in range(k):
+                symbols = values[solved[i]].T if i in solved else nodes[i, :width]
+                if symbols.max() >= 256:
+                    raise ShardFormatError("symbol outside byte range; not a byte payload")
+                payload[:width, i] = symbols
+            view = memoryview(payload[:width]).cast("B")[:remaining]
+            remaining -= len(view)
+            digest.update(view)
+            sink.write(view)
         if digest.hexdigest() != manifest.checksum_sha256:
             raise ShardFormatError("decoded payload fails the manifest checksum")
     return manifest, manifest.original_file_length_bytes, missing

@@ -98,12 +98,51 @@ def test_decode_refuses_a_mask_that_is_not_n_booleans(p1_codec):
 
 def test_a_missing_nodes_rows_may_hold_anything(p1_codec):
     # With node 5 lost, the known product stages nodes 3 to 7 as one run,
-    # node 5 among them, and weighs it by zero.
+    # node 5 among them, and does not read it.
     vectors = random_stripe(p1_codec, seed=15, stripes=2)
     zeroed, present = erase(p1_codec.params, vectors, [(2, 1)])
     zeroed[5] = 7777
     assert np.array_equal(p1_codec.decode_into(zeroed, present), vectors)
     assert p1_codec._decode_plan.program.inputs == slice(3, 8)
+
+
+def test_syndrome_calls_share_one_product(monkeypatch):
+    # The all-node product is built on the first call and kept, as
+    # encode_plan is; its residual is copied out of the work array.
+    codec = Codec(CodeParams.from_total_k(8, 3, 12, 6), min_field=257)
+    bad = random_stripe(codec, seed=31, stripes=2)
+    bad[3, 4, 1] = (bad[3, 4, 1] + 1) % codec.p
+    built, product = [], codec.pcm.product
+    monkeypatch.setattr(codec.pcm, "product", lambda nodes: built.append(nodes) or product(nodes))
+    first = codec.syndrome_batch(bad)
+    program = codec.syndrome_product
+    second = codec.syndrome_batch(bad)
+    assert len(built) == 1 and codec.syndrome_product is program
+    assert np.array_equal(first, second) and first[:, 1].any() and not first[:, 0].any()
+
+
+def test_an_int64_decode_copies_its_input_once():
+    # 200 stripes of (8,3,12,6) in int64 are 0.99 MiB.  With the plan and its
+    # work arrays built by a first call, a second call holds one reduced
+    # copy of the input, which it returns, besides the caller's array.
+    codec = Codec(CodeParams.from_total_k(8, 3, 12, 6))
+    params = codec.params
+    vectors = random_stripe(codec, seed=32, stripes=200)
+    zeroed, present = erase(params, vectors, params.nodes()[:params.r])
+    assert zeroed.dtype == np.int64
+    codec.decode_batch(zeroed, present)
+    tracemalloc.start()
+    try:
+        restored = codec.decode_batch(zeroed, present)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(restored, vectors)
+    assert zeroed.nbytes <= peak < 1.5 * zeroed.nbytes
+    unsigned = zeroed.astype(np.uint16)
+    restored = codec.decode_batch(unsigned, present)
+    assert restored.dtype == np.int64 and np.array_equal(restored, vectors)
+    assert np.array_equal(unsigned, zeroed)  # never the caller's array
 
 
 @settings(deadline=None, max_examples=25)
@@ -631,14 +670,36 @@ def _every_step(codec):
 @pytest.mark.parametrize("params", EXACTNESS_CODES.values(), ids=EXACTNESS_CODES.keys())
 def test_every_product_sums_at_most_n_terms_per_row(params):
     # A product's column ranges cover its columns in order.  No row of the
-    # first range holds more than n nonzero coefficients; a later range is
-    # added to a folded sum, one more term, so it holds at most n - 1.
-    for step in _every_step(Codec(params)):
-        edges = [lo for lo, _, _ in step.ranges] + [step.ranges[-1][1]]
-        assert edges[0] == 0 and edges[-1] == step.shape[0]
-        for later, (lo, hi, coef) in enumerate(step.ranges):
-            assert hi > lo == edges[later] and coef.shape[1] == hi - lo
-            assert np.count_nonzero(coef, axis=1).max(initial=0) <= params.n - bool(later)
+    # first range holds more nonzero coefficients than the capacity of its
+    # float type at p, linalg.capacity; a later range is added to a folded
+    # sum, one more term, so it holds one fewer.  The capacity replaced the
+    # n-term cut: at the codec's own field it is far above n, and at the
+    # largest p of the float64 bound it is n itself.
+    for field in (None, _field_at_the_bound(params)):
+        codec = Codec(params, field=field)
+        terms = linalg.capacity(codec.p, codec.pcm.dtype)
+        assert terms > params.n if field is None else terms == params.n
+        for step in _every_step(codec):
+            edges = [lo for lo, _, _ in step.ranges] + [step.ranges[-1][1]]
+            assert edges[0] == 0 and edges[-1] == step.shape[0]
+            for later, (lo, hi, coef) in enumerate(step.ranges):
+                assert hi > lo == edges[later] and coef.shape[1] == hi - lo
+                assert np.count_nonzero(coef, axis=1).max(initial=0) <= terms - bool(later)
+
+
+@pytest.mark.parametrize("racks,per_rack,k,helpers,p", [(6, 2, 6, 4, 257), (8, 3, 12, 6, 271)])
+def test_the_shard_file_codes_solve_in_one_product_per_level(racks, per_rack, k, helpers, p):
+    # The known nodes' product gathers each node's own digit siblings, and a
+    # level gathers the unknowns' solved siblings, so neither forms a rack
+    # aggregate: encode, and decode of the r data nodes, are the product and
+    # one step per level, m + 1 levels, each one range within the capacity.
+    params = CodeParams.from_total_k(racks, per_rack, k, helpers)
+    codec = Codec(params, min_field=257)
+    assert codec.p == p and params.r == params.k
+    for plan in (codec.encode_plan, codec.decode_plan(np.arange(params.n) >= params.r)):
+        steps = plan.program.steps
+        assert len(steps) == 1 + params.m + 1 == 5
+        assert [len(step.ranges) for step in steps] == [1] * 5
 
 
 def test_exactness_bound_counts_every_node():

@@ -207,3 +207,20 @@ def test_an_odd_sum_past_2_24_runs_exactly_past_the_float32_bound():
     assert program(linalg.exact_float(n, p))(symbols).tolist() == [[total % p]]
     assert linalg.exact_float(n, p) is np.float64
     assert program(np.float32)(symbols).tolist() != [[total % p]]
+
+
+@pytest.mark.parametrize("terms,ranges", [(255, 1), (256, 2)])
+def test_a_float32_sum_at_p_257_holds_255_terms_of_256_squared(terms, ranges):
+    # floor((2^24 - p - 1) / (p - 1)^2) = 255 at p = 257: 255 terms of 256^2
+    # are one range, and a 256th starts a second, added to the first's
+    # folded sum.  Either way the program's result is exact.
+    p, dtype = 257, np.float32
+    assert linalg.capacity(p, dtype) == 255 and linalg.capacity(p, np.float64) == (2**53 - 1) >> 16
+    coef = np.full((2, terms), p - 1)
+    symbols = np.full((terms, 3), p - 1)
+    cut = linalg.split(coef, linalg.capacity(p, dtype), dtype)
+    assert [hi - lo for lo, hi, _ in cut] == [255, 1][:ranges]
+    step = linalg.step(1 + np.arange(terms)[:, None], cut, 1 + terms)
+    program = linalg.Program(p, 3 + terms, [step], 1, 1 + terms + np.arange(2)[:, None])
+    assert program.dtype == dtype
+    assert program(symbols).tolist() == [[[terms * 256**2 % p] * 3]] * 2

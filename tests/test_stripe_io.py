@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msrr import Codec, CodeParams, stripe_io
+from msrr import Codec, CodeParams, linalg, stripe_io
 from msrr.codec import _CHUNK_SYMBOLS
 from msrr.errors import ParameterError, RepairRefusedError, ShardFormatError, SymbolMappingError
 from msrr.repair import RepairJob, RepairPlan
@@ -734,3 +735,74 @@ def test_encoded_files_are_frozen(tmp_path, code):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in out.iterdir()}
     assert digests == GOLDEN_FILES[code]
+
+
+def test_decode_refuses_a_data_symbol_outside_the_byte_range(tmp_path):
+    # 256 < p = 257 passes the shard's symbol check, but no byte maps to it:
+    # read from a present data shard, and solved from a parity shard that
+    # was changed after encoding.
+    _, out, _ = _encode_tmp(tmp_path, os.urandom(200))
+    restored = tmp_path / "restored.bin"
+    path = out / shard_name(1, 1)
+    original = path.read_bytes()
+    path.write_bytes(original[:6] + (256).to_bytes(2, "little") + original[8:])
+    with pytest.raises(ShardFormatError, match="^symbol outside byte range; not a byte payload$"):
+        decode_file(out, restored)
+    assert not restored.exists()
+    # 480 bytes of (6,2,6,4) with node (0, 0) lost: offset d added to parity
+    # node (3, 0)'s first symbol shifts the solved payload linearly, so one d
+    # of the 256 solves a data symbol to 256 and every other fails the
+    # checksum.
+    params = CodeParams.from_total_k(6, 2, 6, 4)
+    src, out = tmp_path / "in480.bin", tmp_path / "shards480"
+    src.write_bytes(bytes(range(240)) * 2)
+    encode_file(src, out, params)
+    (out / shard_name(0, 0)).unlink()
+    path = out / shard_name(3, 0)
+    original = path.read_bytes()
+    first, refusals = int.from_bytes(original[:2], "little"), collections.Counter()
+    for d in range(1, 257):
+        path.write_bytes(((first + d) % 257).to_bytes(2, "little") + original[2:])
+        with pytest.raises(ShardFormatError) as err:
+            decode_file(out, restored)
+        refusals[str(err.value)] += 1
+    assert refusals == {"symbol outside byte range; not a byte payload": 1,
+                        "decoded payload fails the manifest checksum": 255}
+    assert not restored.exists()
+
+
+def test_file_chunks_are_cut_by_the_plan(tmp_path, monkeypatch):
+    # On (8,3,12,6) a solve's widest gather, 36 rows of 27 coordinates per
+    # stripe, passes a codeword's n*alpha = 648 symbols.  encode_file and
+    # decode_file cut their chunks by the plan's rows, so each file chunk is
+    # one call of the plan's program and none leaves a tail for a second.
+    params = CodeParams.from_total_k(8, 3, 12, 6)
+    codec = Codec(params, min_field=257)
+    plan = codec.encode_plan
+    assert plan.rows == 36 * 27 > params.n * params.alpha
+    widths, call = [], linalg.Program.__call__
+
+    def counted(self, vectors, start=0):
+        widths.append(vectors.shape[-1])
+        return call(self, vectors, start)
+
+    monkeypatch.setattr(linalg.Program, "__call__", counted)
+    payload = os.urandom(2 * plan.chunk * params.k * params.alpha + 1)
+    src, out = tmp_path / "in.bin", tmp_path / "shards"
+    src.write_bytes(payload)
+    encode_file(src, out, params)
+    assert widths == [plan.chunk, plan.chunk, 1]
+    # Every data node lost; then fewer than r nodes, data and parity mixed,
+    # so that the solve pads with present nodes.
+    for lost in (params.nodes()[:params.r], [(0, 1), (2, 2), (5, 0), (7, 2)]):
+        present = np.ones(params.n, dtype=bool)
+        present[[params.node_index(e, g) for e, g in lost]] = False
+        assert codec.decode_plan(present).rows == plan.rows
+        directory = tmp_path / f"lost{len(lost)}"
+        shutil.copytree(out, directory)
+        for e, g in lost:
+            (directory / shard_name(e, g)).unlink()
+        widths.clear()
+        decode_file(directory, tmp_path / "restored.bin")
+        assert widths == [plan.chunk, plan.chunk, 1]
+        assert (tmp_path / "restored.bin").read_bytes() == payload
