@@ -15,18 +15,20 @@ right-hand side needs only values solved at the level before.  The locators
 are distinct, so each system is invertible.
 
 The solve is level-major: the coordinates are ordered by level, once per
-plan.  The known nodes move to the right-hand side in one exact product
-(ParityCheckMatrix.product), which gathers each known node at its own digit
-siblings.  The unknowns' off-diagonal terms are read the same way: each
-unknown node's solution of the levels before, at the digit siblings, weighed
-by locator^residue times the extra-point powers.  So a level is one gather,
-of the right-hand side at the level's coordinates and of those siblings,
-and one product with [-V^-1 | -V^-1 times the weighed sibling
-coefficients]; no rack aggregate is formed, as those are repair's helper
-messages.  The whole solve is one linalg.Program of such
-gather-product-fold steps, one per level after the known product, over one
-source array that the plan owns and reuses from chunk to chunk and call to
-call; natural coordinate order comes back once per chunk, on output.
+plan, and each coordinate's right-hand side is needed by its own level
+alone.  So a level is one gather and one exact product
+(ParityCheckMatrix.product, which builds every codec program): at the
+level's coordinates it gathers each known node's vector, the known nodes at
+their digit siblings, and each unknown node's solution of the levels before
+at its digit siblings, and maps them by -V^-1 times [the known diagonals |
+the weighed sibling coefficients], reduced mod p once per plan.  A sibling
+row with no term in the level is not gathered.  No rack aggregate is
+formed, as those are repair's helper messages.  The whole solve is one
+linalg.Program of m + 1 such gather-product-fold steps over one source
+array that the plan owns and reuses from chunk to chunk and call to call;
+natural coordinate order comes back once per chunk, on output.  The
+syndrome is the same program over every node, with no unknowns and the
+identity in place of -V^-1.
 
 Arithmetic is exact in floats.  Sums are folded into signed residues,
 a - rint(a/p)*p, which have |r| <= p/2 + 2 <= p - 1 (linalg.Fold), so every
@@ -142,48 +144,20 @@ class Codec:
         return np.asarray(a, dtype=np.int64) % self.p
 
     def _plan(self, unknowns: list[int]) -> _Plan:
-        """The solve for r unknown node indices, ascending.
-
-        Its program is the known nodes' product (ParityCheckMatrix.product),
-        whose call takes every node's vectors and uses the known ones, then
-        one step per level in ascending zero-digit count, whose coordinates
-        are positions lo to hi of the level-major order.  It gathers the
-        right-hand side at those coordinates and each unknown node's solution
-        of the levels before at the coordinates' digit siblings, and maps them
-        by [-V^-1 | -V^-1 times the nodes' weighed sibling coefficients] to
-        the level's solution, an (r, hi - lo) block.  The output reads the
-        solution in natural order.
-        """
-        params, pcm, p, n = self.params, self.pcm, self.p, self.params.n
-        r, alpha = params.r, params.alpha
+        """The solve for r unknown node indices, ascending: the known nodes'
+        product (ParityCheckMatrix.product) solved for the unknowns, with
+        -V^-1 as its left factor, one step per level; its call takes every
+        node's vectors and uses the known ones."""
+        params, p = self.params, self.p
         try:
             inverse = linalg.vandermonde_solve(
                 [self.constants.locators[e][g] for e, g in map(params.node_pair, unknowns)],
-                np.eye(r, dtype=np.int64), p)
+                np.eye(params.r, dtype=np.int64), p)
         except SingularMatrixError as exc:  # locators are distinct by construction
             raise InternalError("erasure system singular; constants are broken") from exc
-        negated = -inverse % p
-        known = pcm.product([i for i in range(n) if i not in unknowns])
-        # held[q, j], past the known product's rows: unknown q's solution at
-        # level-major position j.
-        order, bounds, held = pcm.level_blocks(np.arange(alpha), r)
-        held += known.rows
-        # One table of the unknowns' sibling terms over the level-major
-        # order, cut by level; rows with no term in a level drop out.
-        gather, sibling_coef = pcm.node_siblings(unknowns, order, order)
-        gather = np.concatenate([[0], held.ravel()])[gather]
-        sibling_coef = negated @ sibling_coef % p
-        steps = list(known.steps)
-        for lo, hi in zip(bounds, bounds[1:]):
-            used = gather[:, lo:hi].any(axis=1)
-            steps.append(linalg.step(
-                np.vstack([known.output[:, order[lo:hi]], gather[used, lo:hi]]),
-                pcm.split(np.hstack([negated, sibling_coef[:, used]])), held[0, lo]))
-        natural = np.empty((r, alpha), dtype=np.intp)
-        natural[:, order] = held
-        program = linalg.Program(p, known.rows + r * alpha, steps, known.first, natural,
-                                 known.inputs)
-        return _Plan(tuple(unknowns), program, max(n * alpha, program.widest))
+        program = self.pcm.product([i for i in range(params.n) if i not in unknowns],
+                                   unknowns, -inverse % p)
+        return _Plan(tuple(unknowns), program, max(params.n * params.alpha, program.widest))
 
     def _solve(self, plan: _Plan, vectors: np.ndarray):
         """Per chunk of at most plan.chunk stripes, (lo, hi, values): the
@@ -270,7 +244,7 @@ class Codec:
         """Write the missing nodes of vectors, (n, alpha[, w]) symbols in
         [0, p) of a dtype that holds p - 1, in place; returns vectors.
         present is decode_plan's mask.  A missing node's rows may hold any
-        value of the dtype: the known product may stage them with the present
+        value of the dtype: the plan's program may stage them with the present
         nodes around them, but does not read them, and they are
         overwritten."""
         stripes = self._stripes(vectors, self.params.n, "vectors")

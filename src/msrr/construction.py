@@ -13,11 +13,13 @@ Positions come from the digit table, ParityCheckMatrix.digits: the base-s_bar
 digits of every coordinate, computed once.  The level order, the zero-digit
 rows and their digit siblings are read off it; no other module expands digits.
 
-Summed over a set of nodes, the column groups act on their vectors as a
-linalg.Program of one step (ParityCheckMatrix.product): it gathers each
-node's vector and the node's own digit siblings, and weighs them by the
-diagonals and by locator^residue(e) times the extra-point powers
-(node_siblings).  No rack aggregate is formed; those belong to the repair
+Summed over a set of nodes, and solved for the unknown ones, the column
+groups act on the nodes' vectors as a linalg.Program of one step per level
+(ParityCheckMatrix.product), the encode, decode and syndrome programs alike:
+at the level's coordinates it gathers each node's vector and the nodes at
+their digit siblings, and weighs them by the diagonals and by
+locator^residue(e) times the extra-point powers (node_siblings), times a
+left factor.  No rack aggregate is formed; those belong to the repair
 protocol.  Every Program of the code, the codec's and repair's too, runs in
 ParityCheckMatrix.dtype, linalg.exact_float(n, p), float32 or float64, and
 its products are cut at linalg.capacity(p, dtype) terms.
@@ -206,34 +208,47 @@ class ParityCheckMatrix:
         weights = self.diag[racks % (params.u - params.u0), racks, slots]
         return index, coef * np.repeat(weights, params.s_bar - 1) % self.p
 
-    def product(self, nodes) -> Program:
-        """The column groups of the given node indices, summed, as a Program.
+    def product(self, nodes, unknowns=(), left=None) -> Program:
+        """The column groups of the listed node indices, summed and solved
+        for the unknown ones, as a Program of one step per level.
 
         Called on vectors (n', alpha, w) indexed by node, symbols in [0, p),
-        it returns H[:, nodes] @ vectors[nodes], (r, alpha, w) in [0, p), a
-        work array.  Its source holds the zero row, the vectors of the node
-        range inputs, and the product (rows output); nodes of the range that
-        are not listed are staged but not read.  Its one step gathers, per
-        coordinate, each listed node's vector and the node at the
-        coordinate's digit siblings (node_siblings), and maps them by
-        [locator_j^t | the weighed sibling coefficients] to the r*alpha
-        parity-check rows.  With s_bar = 1 there are no siblings.
+        it returns y, (r, alpha, w) in [0, p), a work array, such that at
+        every coordinate y = left @ (H[:, nodes] @ vectors[nodes] + the
+        off-diagonal terms of H[:, unknowns] @ y), left an r x r matrix over
+        GF(p), the identity by default.  With no unknowns that is
+        H[:, nodes] @ vectors[nodes]; with left = -V^-1, V the unknowns'
+        diagonal columns, y is the unknowns' solution.  Its source holds the
+        zero row, the vectors of the node range inputs (nodes of the range
+        that are not listed are staged but not read), and y in level-major
+        blocks.  The step of a level, in ascending zero-digit count, gathers
+        at the level's coordinates each listed node's vector, and the listed
+        and unknown nodes at their digit siblings (node_siblings; an
+        unknown's siblings lie a level down, solved), dropping each sibling
+        row with no term in the level; it maps them by left @ [locator_j^t |
+        the weighed sibling coefficients], reduced mod p once.
         """
-        params, alpha = self.params, self.params.alpha
-        nodes = np.asarray(nodes, dtype=np.int64)
-        span = np.arange(nodes.min(), nodes.max() + 1)
-        listed = np.isin(span, nodes)
-        racks, slots = np.divmod(span[listed], params.u)
-        coords = np.arange(alpha)
-        gather, coef = self.node_siblings(span, coords, coords)
-        siblings = np.repeat(listed, params.s_bar - 1)
-        vectors = 1 + np.arange(span.size * alpha).reshape(span.size, alpha)
-        out, rows = 1 + vectors.size, params.r * alpha
-        ranges = self.split(np.hstack([self.diag[:, racks, slots], coef[:, siblings]]))
-        return Program(self.p, out + rows,
-                       [step(np.vstack([vectors[listed], gather[siblings]]), ranges, out)],
-                       1, out + np.arange(rows).reshape(params.r, alpha),
-                       slice(int(span[0]), int(span[-1]) + 1))
+        params, p, alpha = self.params, self.p, self.params.alpha
+        nodes = np.asarray(nodes, dtype=np.intp)
+        first, last = int(nodes.min()), int(nodes.max())
+        order, bounds, held = self.level_blocks(np.arange(alpha), params.r)
+        held += 1 + (last + 1 - first) * alpha
+        # rows[i, j]: the source row of node i at level-major position j, or
+        # the zero row for a node that is neither listed nor unknown.
+        rows = np.zeros((params.n, alpha), dtype=np.intp)
+        rows[nodes] = 1 + (nodes[:, None] - first) * alpha + order
+        rows[list(unknowns)] = held[:len(unknowns)]
+        index, coef = self.node_siblings(range(params.n), order, order)
+        gather = np.vstack([rows[nodes], np.concatenate([[0], rows.ravel()])[index]])
+        coef = np.hstack([self.diag.reshape(params.r, -1)[:, nodes], coef])
+        coef = coef if left is None else left @ coef % p
+        used = np.logical_or.reduceat(gather != 0, bounds[:-1], axis=1).T
+        natural = np.empty_like(held)
+        natural[:, order] = held
+        return Program(p, held.max() + 1,
+                       [step(gather[keep, lo:hi], self.split(coef[:, keep]), held[0, lo])
+                        for lo, hi, keep in zip(bounds, bounds[1:], used)],
+                       1, natural, slice(first, last + 1))
 
     def dense_node(self, e: int, g: int) -> np.ndarray:
         """Materialize column group (e, g) as a dense (r*alpha, alpha) matrix."""

@@ -175,17 +175,6 @@ def bytes_to_symbols(payload, codec: Codec) -> np.ndarray:
     return data.reshape(-1, params.k, params.alpha).transpose(1, 2, 0)
 
 
-def symbols_to_bytes(data: np.ndarray, length: int) -> bytes:
-    """Inverse of bytes_to_symbols, truncating the padding."""
-    flat = np.ascontiguousarray(data.transpose(2, 0, 1)).reshape(-1)
-    if flat.size < length:
-        raise ShardFormatError(
-            f"{flat.size} symbols cannot cover {length} payload bytes")
-    if np.any(flat >= 256):
-        raise ShardFormatError("symbol outside byte range; not a byte payload")
-    return flat[:length].astype(np.uint8).tobytes()
-
-
 def _stripes_per_chunk(params: CodeParams, rows: int | None = None) -> int:
     """The stripes per chunk of rows symbols each, by default a codeword's."""
     return max(1, _CHUNK_SYMBOLS // (rows or params.n * params.alpha))

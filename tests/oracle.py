@@ -7,7 +7,8 @@ group with a node vector in int64.  The library solves through Vandermonde
 systems in level order and applies column groups together through float64
 products; only apply_node reads ParityCheckMatrix's tables, diag and
 off_diagonal.  read_shards loads a whole shard directory at once, where the
-library streams it chunk by chunk.
+library streams it chunk by chunk, and symbols_to_bytes maps symbols back
+to payload bytes.
 """
 
 from __future__ import annotations
@@ -187,6 +188,18 @@ def apply_node(pcm, e: int, g: int, vec) -> np.ndarray:
 
 
 # -- shard directories, whole -----------------------------------------------------
+
+def symbols_to_bytes(data: np.ndarray, length: int) -> bytes:
+    """Inverse of stripe_io.bytes_to_symbols: data, (k, alpha, stripes), as
+    the payload's first length bytes, stripe by stripe; refuses a symbol
+    outside the byte range or too few symbols."""
+    flat = np.asarray(data).transpose(2, 0, 1).ravel()
+    if flat.size < length:
+        raise ValueError(f"{flat.size} symbols cannot cover {length} payload bytes")
+    if (flat >= 256).any():
+        raise ValueError("symbol outside byte range; not a byte payload")
+    return flat[:length].astype(np.uint8).tobytes()
+
 
 def read_shards(directory):
     """Load a stripe directory.

@@ -97,8 +97,8 @@ def test_decode_refuses_a_mask_that_is_not_n_booleans(p1_codec):
 
 
 def test_a_missing_nodes_rows_may_hold_anything(p1_codec):
-    # With node 5 lost, the known product stages nodes 3 to 7 as one run,
-    # node 5 among them, and does not read it.
+    # With node 5 lost, the plan stages nodes 3 to 7 as one run, node 5
+    # among them, and does not read it.
     vectors = random_stripe(p1_codec, seed=15, stripes=2)
     zeroed, present = erase(p1_codec.params, vectors, [(2, 1)])
     zeroed[5] = 7777
@@ -689,17 +689,79 @@ def test_every_product_sums_at_most_n_terms_per_row(params):
 
 @pytest.mark.parametrize("racks,per_rack,k,helpers,p", [(6, 2, 6, 4, 257), (8, 3, 12, 6, 271)])
 def test_the_shard_file_codes_solve_in_one_product_per_level(racks, per_rack, k, helpers, p):
-    # The known nodes' product gathers each node's own digit siblings, and a
-    # level gathers the unknowns' solved siblings, so neither forms a rack
-    # aggregate: encode, and decode of the r data nodes, are the product and
-    # one step per level, m + 1 levels, each one range within the capacity.
+    # Each level gathers the known nodes, their digit siblings and the
+    # unknowns' solved siblings at its own coordinates, so there is no
+    # separate known product and no rack aggregate: encode, and decode of the
+    # r data nodes, are one step per level, m + 1 levels, each one range
+    # within the capacity.
     params = CodeParams.from_total_k(racks, per_rack, k, helpers)
     codec = Codec(params, min_field=257)
     assert codec.p == p and params.r == params.k
     for plan in (codec.encode_plan, codec.decode_plan(np.arange(params.n) >= params.r)):
         steps = plan.program.steps
-        assert len(steps) == 1 + params.m + 1 == 5
-        assert [len(step.ranges) for step in steps] == [1] * 5
+        assert len(steps) == params.m + 1 == 4
+        assert [len(step.ranges) for step in steps] == [1] * 4
+
+
+def _gathers(plan):
+    """Each step of plan's program with its gathered source rows, (K, M)."""
+    for step in plan.program.steps:
+        index = step.index
+        if isinstance(index, slice):
+            index = np.arange(index.start, index.stop)
+        yield step, np.reshape(index, step.shape)
+
+
+def _plan_counts(plan):
+    """Per stripe: the multiply-adds of the plan's products, the outputs its
+    folds reduce, the rows it gathers and how many of those are the zero
+    row."""
+    madds = folds = gathered = zeros = 0
+    for step, index in _gathers(plan):
+        for lo, hi, coef in step.ranges:
+            madds += coef.shape[0] * (hi - lo) * step.shape[1]
+            folds += coef.shape[0] * step.shape[1]
+        gathered += index.size
+        zeros += int(np.count_nonzero(index == 0))
+    return madds, folds, gathered, zeros
+
+
+# The padded mixed erasure of test_file_chunks_are_cut_by_the_plan on
+# (8,3,12,6); on the other codes, one data node and one parity node.
+MIXED_ERASURES = {(8, 3, 12, 6): [(0, 1), (2, 2), (5, 0), (7, 2)]}
+
+# (multiply-adds, folded outputs, gathered rows, zero-row entries) per stripe
+# of the encode plan and of the decode plan of the first r nodes.
+LEVEL_STEP_COUNTS = {(6, 2, 6, 4): (792, 48, 132, 36), (8, 3, 12, 6): (14832, 324, 1236, 480)}
+
+
+@pytest.mark.parametrize("params", [P1, P2, P3, CodeParams.from_total_k(6, 2, 6, 4),
+                                    CodeParams.from_total_k(8, 3, 12, 6)],
+                         ids=["p1", "p2", "p3", "6264", "83126"])
+def test_each_level_is_one_step_that_gathers_only_rows_with_terms(params):
+    # The encode plan and decode plans of the first r, the last r, a spread
+    # erasure and a padded mixed erasure are m + 1 level steps of one range.
+    # A step gathers the n - r known vectors, then sibling rows, each with a
+    # term at some coordinate of its level; every output is folded once.
+    codec = Codec(params, min_field=257)
+    n, r, u = params.n, params.r, params.u
+    code = (params.n_bar, u, params.k, params.d_bar)
+    spread = sorted([e * u + g for g in range(u) for e in range(params.n_bar)][:r])
+    mixed = [params.node_index(e, g) for e, g in MIXED_ERASURES.get(code, [])] or [1, n - 1]
+    present = np.ones(n, dtype=bool)
+    present[mixed] = False
+    plans = [codec.encode_plan, codec.decode_plan(present)]
+    plans += [codec._plan(list(nodes)) for nodes in (range(r), range(n - r, n), spread)]
+    assert len(plans[1].unknowns) == r > len(mixed)
+    for plan in plans:
+        assert len(plan.program.steps) == params.m + 1, plan.unknowns
+        for step, index in _gathers(plan):
+            assert len(step.ranges) == 1, plan.unknowns
+            assert index[:n - r].all() and index[n - r:].any(axis=1).all(), plan.unknowns
+        madds, folds, gathered, _ = _plan_counts(plan)
+        assert (madds, folds) == (r * gathered, r * params.alpha), plan.unknowns
+    if code in LEVEL_STEP_COUNTS:
+        assert _plan_counts(plans[0]) == _plan_counts(plans[2]) == LEVEL_STEP_COUNTS[code]
 
 
 def test_exactness_bound_counts_every_node():

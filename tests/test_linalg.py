@@ -117,6 +117,32 @@ def test_vandermonde_solve_matches_dense_gf257(seed, size):
     assert np.array_equal(fast, dense)
 
 
+def _largest_float64_prime(n):
+    """The largest prime p with n * (p - 1)^2 < 2^53, Codec's bound."""
+    p = math.isqrt((2**53 - 1) // n) + 1
+    while not (n * (p - 1) ** 2 < 2**53 and is_prime(p)):
+        p -= 1
+    return p
+
+
+@pytest.mark.parametrize("p", [257, 271, 4099, _largest_float64_prime(24)])
+def test_vandermonde_solve_matches_dense_at_the_codec_fields(p):
+    # Random point sets of every size the grid codes solve, 1 to 12 points,
+    # at the shard files' fields, at p = 4099 and at the largest prime that
+    # an n = 24 code accepts; moments are the identity, as the codec and
+    # repair plans pass, and a random block.
+    rng = np.random.default_rng(p)
+    for size in range(1, 13):
+        for _ in range(3):
+            points = list(dict.fromkeys(rng.integers(0, p, size=4 * size).tolist()))[:size]
+            dense = inverse(power_moment_matrix(points, p), p)
+            assert np.array_equal(
+                linalg.vandermonde_solve(points, np.eye(size, dtype=np.int64), p), dense)
+            moments = rng.integers(0, p, size=(size, 3))
+            assert np.array_equal(linalg.vandermonde_solve(points, moments, p),
+                                  dense @ moments % p)
+
+
 def test_vandermonde_solve_batched_moments():
     rng = np.random.default_rng(2)
     points = [1, 2, 4]

@@ -24,11 +24,10 @@ from msrr.stripe_io import (
     repair_shard,
     shard_name,
     symbol_width_bytes,
-    symbols_to_bytes,
     write_one_shard,
 )
 
-from oracle import read_shards
+from oracle import read_shards, symbols_to_bytes
 
 PARAMS = CodeParams.from_total_k(4, 2, 4, 3)
 
@@ -772,14 +771,15 @@ def test_decode_refuses_a_data_symbol_outside_the_byte_range(tmp_path):
 
 
 def test_file_chunks_are_cut_by_the_plan(tmp_path, monkeypatch):
-    # On (8,3,12,6) a solve's widest gather, 36 rows of 27 coordinates per
-    # stripe, passes a codeword's n*alpha = 648 symbols.  encode_file and
-    # decode_file cut their chunks by the plan's rows, so each file chunk is
-    # one call of the plan's program and none leaves a tail for a second.
+    # On (8,3,12,6) a solve's widest gather, the level of 12 coordinates
+    # whose step gathers 60 rows per stripe, passes a codeword's n*alpha =
+    # 648 symbols.  encode_file and decode_file cut their chunks by the
+    # plan's rows, so each file chunk is one call of the plan's program and
+    # none leaves a tail for a second.
     params = CodeParams.from_total_k(8, 3, 12, 6)
     codec = Codec(params, min_field=257)
     plan = codec.encode_plan
-    assert plan.rows == 36 * 27 > params.n * params.alpha
+    assert plan.rows == 60 * 12 > params.n * params.alpha
     widths, call = [], linalg.Program.__call__
 
     def counted(self, vectors, start=0):
