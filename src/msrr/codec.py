@@ -43,6 +43,13 @@ verify_mds certifies full rank of each r-subset's column groups from the
 same level order, read off the sparse tables ParityCheckMatrix.off_diagonal
 and diag, and from distinct Vandermonde diagonal columns; only where the
 certificate fails is a dense column group built and eliminated.
+
+What is shared and what is not: a code's tables, the ParityCheckMatrix with
+the level order and sibling table that every plan reads, are built once per
+process (construction.code_tables), read-only, and shared by every Codec of
+the code in any thread.  A Codec's plans, encode_plan, the last decode plan
+and syndrome_product, and their work arrays are its own, so a Codec serves
+one thread at a time.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .construction import CodeConstants, ParityCheckMatrix, build_constants
+from .construction import CodeConstants, ParityCheckMatrix, code_tables
 from .errors import InternalError, ParameterError, SingularMatrixError
 from .field import FieldCtx
 from .params import CodeParams
@@ -102,8 +109,10 @@ class _Plan:
 class Codec:
     """Encoder/decoder for one concrete code over one field.
 
-    A Codec keeps its plans' work arrays from call to call, so it is not for
-    concurrent use; give each thread its own.
+    The code's tables, pcm and constants, come from construction.code_tables:
+    built once per process, read-only and shared by every Codec of the code.
+    A Codec keeps its own plans and their work arrays from call to call, so
+    it is not for concurrent use; give each thread its own.
     """
 
     def __init__(self, params: CodeParams, field: FieldCtx | None = None,
@@ -117,13 +126,11 @@ class Codec:
         if params.n * (self.p - 1) ** 2 >= 2**53:
             raise InternalError(
                 f"n={params.n}, p={self.p} overflow the exact float64 product")
-        self.constants: CodeConstants = build_constants(params, self.field)
-        self.pcm = ParityCheckMatrix(params, self.constants)
+        self.pcm: ParityCheckMatrix = code_tables(params, self.field)
+        self.constants: CodeConstants = self.pcm.constants
         # Kept besides encode_plan and syndrome_product: the decode plan of
-        # the last erasure pattern (decode_plan), and the tables of repair
-        # plans that depend on the host rack alone.
+        # the last erasure pattern (decode_plan).
         self._decode_plan: _Plan | None = None
-        self._repair_layouts: dict[int, tuple] = {}
 
     @property
     def p(self) -> int:

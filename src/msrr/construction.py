@@ -23,10 +23,18 @@ left factor.  No rack aggregate is formed; those belong to the repair
 protocol.  Every Program of the code, the codec's and repair's too, runs in
 ParityCheckMatrix.dtype, linalg.exact_float(n, p), float32 or float64, and
 its products are cut at linalg.capacity(p, dtype) terms.
+
+All of this is a pure function of (params, field), so code_tables builds it
+once per process and keeps it: the constants, the ParityCheckMatrix with the
+level order and sibling table that every product reads, and each host
+rack's repair tables (repair_layouts).  Every array in them is read-only, so
+any Codec in any thread may share them; the plans built from them, and
+their work arrays, belong to one Codec.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +96,26 @@ def build_constants(params: CodeParams, field: FieldCtx) -> CodeConstants:
         extra_points=tuple(extra))
 
 
+def read_only(tables):
+    """tables, with every array in it, or in its tuples and lists, made
+    read-only."""
+    if isinstance(tables, np.ndarray):
+        tables.flags.writeable = False
+    elif isinstance(tables, (tuple, list)):
+        for item in tables:
+            read_only(item)
+    return tables
+
+
 class ParityCheckMatrix:
     """The r*alpha x n*alpha parity-check system in sparse block form.
 
-    Depends only on (params, p); rebuilding yields identical contents.
-    Immutable after construction.  dtype is the float type that the code's
-    Programs run in, exact_float(n, p); their coefficients are built in it.
+    Depends only on (params, p); rebuilding yields identical contents, and
+    code_tables keeps one per code.  Every array of it is read-only.
+    repair_layouts is all that is added after construction: each host
+    rack's repair tables, built by repair on first use, read-only too.
+    dtype is the float type that the code's Programs run in,
+    exact_float(n, p); their coefficients are built in it.
     """
 
     def __init__(self, params: CodeParams, constants: CodeConstants):
@@ -144,6 +166,12 @@ class ParityCheckMatrix:
         blocks = np.arange(r)[:, None]
         self.sibling_coef = np.where(blocks % u == np.arange(u - params.u0)[:, None, None],
                                      extra_pow[blocks[:, 0] // u], 0)
+        # What every product reads: level_blocks of all alpha coordinates
+        # for r rows, and every node's sibling table over that order.
+        self.order, self.bounds, self.block = self.level_blocks(np.arange(params.alpha), r)
+        self.siblings = self.node_siblings(range(params.n), self.order, self.order)
+        read_only(tuple(vars(self).values()))
+        self.repair_layouts: dict[int, tuple] = {}
 
     @property
     def p(self) -> int:
@@ -229,16 +257,16 @@ class ParityCheckMatrix:
         the weighed sibling coefficients], reduced mod p once.
         """
         params, p, alpha = self.params, self.p, self.params.alpha
+        order, bounds = self.order, self.bounds
         nodes = np.asarray(nodes, dtype=np.intp)
         first, last = int(nodes.min()), int(nodes.max())
-        order, bounds, held = self.level_blocks(np.arange(alpha), params.r)
-        held += 1 + (last + 1 - first) * alpha
+        held = self.block + (1 + (last + 1 - first) * alpha)
         # rows[i, j]: the source row of node i at level-major position j, or
         # the zero row for a node that is neither listed nor unknown.
         rows = np.zeros((params.n, alpha), dtype=np.intp)
         rows[nodes] = 1 + (nodes[:, None] - first) * alpha + order
         rows[list(unknowns)] = held[:len(unknowns)]
-        index, coef = self.node_siblings(range(params.n), order, order)
+        index, coef = self.siblings
         gather = np.vstack([rows[nodes], np.concatenate([[0], rows.ravel()])[index]])
         coef = np.hstack([self.diag.reshape(params.r, -1)[:, nodes], coef])
         coef = coef if left is None else left @ coef % p
@@ -261,3 +289,12 @@ class ParityCheckMatrix:
         rows, cols, values = self.off_diagonal[e]
         block[rows[:, None], cols] = values[g]
         return block
+
+
+@functools.lru_cache(maxsize=8)
+def code_tables(params: CodeParams, field: FieldCtx) -> ParityCheckMatrix:
+    """The ParityCheckMatrix of params over field, with its constants, built
+    on first use and kept for the process, with the repair tables it
+    gathers: the one cache of a code's tables, bounded to the 8 codes used
+    last.  Clearing it (code_tables.cache_clear) drops them all."""
+    return ParityCheckMatrix(params, build_constants(params, field))

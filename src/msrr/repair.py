@@ -17,14 +17,18 @@ survivors, so reading beyond the allowed beta symbols per helper node is
 structurally impossible.
 
 The engine is a plan and an apply, and the plan is its whole interface.
-RepairPlan.create builds, once per codec and job, everything that depends on
-the job alone, as one linalg.Program whose work arrays the plan keeps from
-chunk to chunk.  helper_message(plan, rack_vectors, e) runs the step that
-writes helper rack e's message into the plan's rows; an apply then runs
-each level as one step: a gather, one exact product and a fold.  The level
-products peel the survivors out of the host aggregate as they solve it, so
-they yield the failed node, which moves into natural coordinate order once,
-on output.  The level order and the correction gather are read off
+What depends on the host rack alone, its level order, gathers and power
+tables (_Layout), is built once per process and host rack and kept,
+read-only, with the code's tables (construction.code_tables), so every
+Codec of the code in any thread shares it.  RepairPlan.create only
+assembles a job's gather index and coefficients from it, as one
+linalg.Program whose work arrays the plan keeps from chunk to chunk, so a
+plan serves one thread at a time.  helper_message(plan, rack_vectors, e)
+runs the step that writes helper rack e's message into the plan's rows;
+an apply then runs each level as one step: a gather, one exact product and
+a fold.  The level products peel the survivors out of the host aggregate as
+they solve it, so they yield the failed node, which moves into natural
+coordinate order once, on output.  The level order and the correction gather are read off
 ParityCheckMatrix (level_blocks, sibling_table), as the codec's are.
 stripe_io.repair_shard applies one plan to a shard directory in chunks whose
 widest array, RepairPlan.rows symbols per stripe, holds about
@@ -42,11 +46,13 @@ once, on output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .codec import Codec
+from .construction import ParityCheckMatrix, read_only
 from .errors import InternalError, SingularMatrixError
 from .params import CodeParams, is_int
 
@@ -169,19 +175,19 @@ class RepairPlan:
         u, beta, d_bar, r_bar = params.u, params.beta, params.d_bar, params.r_bar
         e_star, g_star, s_bar = job.e_star, job.g_star, params.s_bar
         res_star = params.rack_residue(e_star)
-        if e_star not in codec._repair_layouts:
-            codec._repair_layouts[e_star] = _layout(codec, e_star)
-        order, bounds, solved, host, side, survived, racks, corrections, selected, messages = \
-            codec._repair_layouts[e_star]
+        layouts = codec.pcm.repair_layouts
+        if e_star not in layouts:
+            layouts[e_star] = read_only(_layout(codec.pcm, e_star))
+        layout = layouts[e_star]
         helpers = list(job.helpers)
         others = [e for e in range(params.n_bar) if e != e_star and e not in job.helpers]
         # source[e, j] is the source row of rack e's aggregate at position j,
         # the zero row for the host, whose aggregate no level reads.
         source = np.zeros((params.n_bar, beta), dtype=np.intp)
-        source[helpers] = 1 + np.arange(d_bar)[:, None] * beta + order
-        source[others] = solved[s_bar:]
-        index = np.vstack([source[helpers], survived,
-                           np.concatenate([[0], source[racks].ravel()])[corrections]])
+        source[helpers] = layout.messages_at
+        source[others] = layout.solved[s_bar:]
+        index = np.vstack([layout.messages_at, layout.survived,
+                           np.concatenate([[0], source[layout.racks].ravel()])[layout.corrections]])
 
         # A row's moments are minus its helper aggregates at rack-point powers
         # minus its summed corrections at extra-point powers; the points'
@@ -194,8 +200,7 @@ class RepairPlan:
             lagrange = linalg.vandermonde_solve(points, np.eye(r_bar, dtype=np.int64), p)
         except SingularMatrixError as exc:  # points are distinct by construction
             raise InternalError("repair system singular; constants are broken") from exc
-        weighted = [consts.rack_points[e] for e in job.helpers] + list(consts.extra_points)
-        weights = np.array([[pow(x, i, p) for x in weighted] for i in range(r_bar)])
+        weights = np.hstack([layout.powers[:, helpers], layout.powers[:, params.n_bar:]])
         step = -(lagrange @ weights) % p
         # The host aggregate is sum_g locator_g^res_star * node_g, so the
         # failed node is inverse times it plus the survivors weighed by peel.
@@ -206,18 +211,19 @@ class RepairPlan:
         peel[np.arange(s_bar), :, np.arange(s_bar)] = [
             -inverse * int(scale) % p for g, scale in enumerate(scales) if g != g_star]
         coef = np.hstack([step[:, :d_bar], peel.reshape(r_bar, -1)]
-                         + [step[:, d_bar:]] * len(racks))
+                         + [step[:, d_bar:]] * len(layout.racks))
         kept = 1 + d_bar * beta
         base = kept + (u - 1) * params.alpha
-        steps = [linalg.Step(*selected[:2], messages[e], 1 + i * beta)
+        steps = [linalg.Step(*layout.selected[:2], layout.messages[e], 1 + i * beta)
                  for i, e in enumerate(helpers)]
         ranges = codec.pcm.split(coef)
         steps += [linalg.step(index[:, lo:hi], ranges, base + r_bar * lo)
-                  for lo, hi in zip(bounds, bounds[1:])]
-        program = linalg.Program(p, base + r_bar * beta, steps, kept, host)
+                  for lo, hi in zip(layout.bounds, layout.bounds[1:])]
+        program = linalg.Program(p, base + r_bar * beta, steps, kept, layout.host)
         place = s_bar ** params.rack_digit(e_star)
         view = (u, params.alpha // (s_bar * place), s_bar, place)
-        return cls(job, program, side, view, max(program.rows, program.widest, u * params.alpha))
+        return cls(job, program, layout.side, view,
+                   max(program.rows, program.widest, u * params.alpha))
 
     def __call__(self, survivors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Recover the failed node over a chunk of w stripes from the helper
@@ -239,14 +245,36 @@ class RepairPlan:
         return out
 
 
-def _layout(codec: Codec, e_star: int) -> tuple:
+class _Layout(NamedTuple):
     """The tables of a RepairPlan that depend on the failed node's rack
-    alone, which the codec keeps.  order and bounds are pcm.level_blocks of
-    the zero-digit rows, and solved[q, j] the source row of a level
-    solution's row q at position j.  corrections is pcm.sibling_table's
-    index of the racks of the host's residue over that order.  selected is
-    a message step's gather and messages[e] its column ranges for rack e."""
-    params, pcm = codec.params, codec.pcm
+    alone, which the code's tables keep (pcm.repair_layouts).  The
+    zero-digit rows are taken in their pcm.level_blocks order, whose levels
+    bounds delimits; solved[q, j] is the source row of a level solution's
+    row q at position j, and host and side read those rows back in
+    coordinate order.  messages_at[i] holds the i-th helper's message rows,
+    1 + i*beta + the order; survived the survivors' rows at each position's
+    s_bar digit siblings; racks the other racks of the host's residue, and
+    corrections pcm.sibling_table's index of them over the order.  selected
+    is a message step's gather and messages[e] its column ranges for rack
+    e.  powers[i, x] is rack point x, or extra point x - n_bar, to the i-th
+    power, for i < r_bar."""
+
+    bounds: np.ndarray
+    solved: np.ndarray
+    host: np.ndarray
+    side: np.ndarray
+    survived: np.ndarray
+    racks: np.ndarray
+    corrections: np.ndarray
+    selected: linalg.Step
+    messages: list
+    messages_at: np.ndarray
+    powers: np.ndarray
+
+
+def _layout(pcm: ParityCheckMatrix, e_star: int) -> _Layout:
+    """Host rack e_star's _Layout."""
+    params, consts, p = pcm.params, pcm.constants, pcm.p
     u, alpha, s_bar, beta = params.u, params.alpha, params.s_bar, params.beta
     kept, tau = 1 + params.d_bar * params.beta, params.rack_digit(e_star)
     rows = pcm.zero_rows[tau]
@@ -268,8 +296,13 @@ def _layout(codec: Codec, e_star: int) -> tuple:
     selected = linalg.step(kept + np.arange(u * beta).reshape(u, beta), (), 0)
     weights = pcm.split(pcm.diag[params.rack_residue(e_star)])
     messages = [tuple((lo, hi, c[e:e + 1]) for lo, hi, c in weights) for e in range(params.n_bar)]
-    return (order, bounds, solved, host, side, survived, racks,
-            pcm.sibling_table(racks, targets, targets)[0], selected, messages)
+    points = np.array(consts.rack_points + consts.extra_points, dtype=np.int64)
+    powers = np.ones((params.r_bar, points.size), dtype=np.int64)
+    for i in range(1, params.r_bar):
+        powers[i] = powers[i - 1] * points % p
+    return _Layout(bounds, solved, host, side, survived, racks,
+                   pcm.sibling_table(racks, targets, targets)[0], selected, messages,
+                   1 + np.arange(params.d_bar)[:, None] * beta + order, powers)
 
 
 def apply_plan(plan: RepairPlan, vectors: np.ndarray) -> np.ndarray:

@@ -26,6 +26,10 @@ applied to each chunk.  Each block read, a helper rack, the survivors or a
 decode chunk, is checked for symbols >= p once.  decode_file and
 repair_shard write through a temporary file beside their output
 (_replacing), so the output is either the old file or the new.
+
+decode_file and repair_shard stat each shard once, for its presence and its
+size.  Manifest.validate and the codec take the code's constants and tables
+from construction.code_tables, so a process builds them once per code.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import _CHUNK_SYMBOLS, Codec
-from .construction import build_constants
+from .construction import code_tables
 from .errors import ParameterError, RepairRefusedError, ShardFormatError, SymbolMappingError
 from .field import FieldCtx
 from .params import CodeParams, is_int
@@ -131,7 +135,7 @@ class Manifest:
             raise ShardFormatError(
                 f"manifest unity_root {self.unity_root} does not match "
                 f"the canonical value {field.unity_root}")
-        if build_constants(params, field).extra_points != self.extra_points:
+        if code_tables(params, field).constants.extra_points != self.extra_points:
             raise ShardFormatError("manifest extra_points are not canonical")
         if self.symbol_width_bytes != symbol_width_bytes(self.p):
             raise ShardFormatError(
@@ -201,10 +205,21 @@ def _check_symbols(values: np.ndarray, name: str, p: int, first: int) -> None:
             f"at offset {(first + bad) * values.itemsize}")
 
 
-def _check_sizes(paths, expected: int) -> None:
-    """Refuse a shard file whose size is not expected bytes."""
+def _shard_sizes(paths) -> dict[Path, int | None]:
+    """Each shard file's size by path, from one os.stat each; None where the
+    file is missing."""
+    sizes = {}
     for path in paths:
-        size = path.stat().st_size
+        try:
+            sizes[path] = os.stat(path).st_size
+        except (FileNotFoundError, NotADirectoryError):
+            sizes[path] = None
+    return sizes
+
+
+def _check_sizes(sizes: dict[Path, int], expected: int) -> None:
+    """Refuse a shard file whose size, by path, is not expected bytes."""
+    for path, size in sizes.items():
         if size != expected:
             raise ShardFormatError(f"{path.name}: {size} bytes, expected {expected}")
 
@@ -290,7 +305,10 @@ def read_manifest(directory) -> Manifest:
 
 
 def codec_for_manifest(manifest: Manifest) -> Codec:
-    return Codec(manifest.params, FieldCtx.create(manifest.p, manifest.u))
+    """The manifest's codec, over the field that validate found canonical,
+    so that it takes the tables validate built (code_tables)."""
+    return Codec(manifest.params, FieldCtx(p=manifest.p, primitive_root=manifest.primitive_root,
+                                           unity_root=manifest.unity_root, u=manifest.u))
 
 
 def encode_file(input_path, out_dir, params: CodeParams,
@@ -355,7 +373,8 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
     manifest = read_manifest(directory)
     params = manifest.params
     paths = [directory / shard_name(e, g) for e, g in params.nodes()]
-    present = np.array([path.exists() for path in paths])
+    sizes = _shard_sizes(paths)
+    present = np.array([sizes[path] is not None for path in paths])
     missing = [params.node_pair(i) for i in range(params.n) if not present[i]]
     if len(missing) > params.r:
         raise ShardFormatError(
@@ -377,7 +396,7 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
     chunk = _stripes_per_chunk(params, plan.rows if plan else None)
     digest = hashlib.sha256()
     known = np.flatnonzero(present)
-    _check_sizes([paths[i] for i in known], expected)
+    _check_sizes({paths[i]: sizes[paths[i]] for i in known}, expected)
     # Each node's stripes as its shard stores them, (chunk, alpha), for the
     # whole file, and the payload, (chunk, k, alpha) bytes: each data node is
     # cast into it from its block or from the solve's values.
@@ -423,7 +442,8 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
     params = manifest.params
     u, alpha = params.u, params.alpha
     paths = [directory / shard_name(*node) for node in params.nodes()]
-    present = [path.exists() for path in paths]
+    sizes = _shard_sizes(paths)
+    present = [sizes[path] is not None for path in paths]
     if helpers is None:
         complete = [h for h in range(params.n_bar)
                     if h != e and all(present[h * u:(h + 1) * u])]
@@ -450,7 +470,8 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
         raise RepairRefusedError(
             f"other shards missing: {', '.join(absent)}; choose complete racks "
             f"with --helpers, or run decode")
-    _check_sizes([path for rack in racks for path in rack] + survivors,
+    read = [path for rack in racks for path in rack] + survivors
+    _check_sizes({path: sizes[path] for path in read},
                  manifest.stripe_count * alpha * manifest.symbol_width_bytes)
 
     codec = codec_for_manifest(manifest)

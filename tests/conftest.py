@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from msrr import CodeParams, Codec, helper_message
+from msrr.construction import code_tables
 from msrr.repair import RepairPlan
 
 # Desk-scale codes used throughout the suite.
@@ -16,6 +17,15 @@ ADMISSIBLE_CODES = [
     CodeParams(n_bar=n_bar, u=u, u0=u0, k_bar=k_bar, d_bar=d_bar)
     for u in (2, 3) for n_bar in range(2, 7) for u0 in range(u)
     for k_bar in range(1, n_bar) for d_bar in range(k_bar, n_bar)]
+
+
+@pytest.fixture(autouse=True)
+def fresh_code_tables():
+    """Each test starts and ends with an empty code table cache, so a table
+    that a test patches, or builds under a patch, never reaches another."""
+    code_tables.cache_clear()
+    yield
+    code_tables.cache_clear()
 
 
 @pytest.fixture(scope="session")

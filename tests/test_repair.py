@@ -250,11 +250,11 @@ def test_a_wrong_message_weight_fails_verify_and_repair(capsys, monkeypatch):
     # Helper rack 1's message step weighs its nodes twice over.  verify and
     # repair_from_stripe run the plan's message step, as repair_shard does,
     # so both must miss every node that rack 1 helps repair.
-    def doubled(codec, e_star):
-        *tables, messages = _layout(codec, e_star)
-        messages = list(messages)
-        messages[1] = tuple((lo, hi, 2 * c % codec.p) for lo, hi, c in messages[1])
-        return (*tables, messages)
+    def doubled(pcm, e_star):
+        layout = _layout(pcm, e_star)
+        messages = list(layout.messages)
+        messages[1] = tuple((lo, hi, 2 * c % pcm.p) for lo, hi, c in messages[1])
+        return layout._replace(messages=messages)
 
     monkeypatch.setattr("msrr.repair._layout", doubled)
     assert main(["verify", "--racks", "6", "--nodes-per-rack", "2", "--k", "6",

@@ -170,6 +170,26 @@ def test_shard_wrong_length_rejected(tmp_path):
             read()
 
 
+def test_decode_and_repair_stat_each_shard_once(tmp_path, monkeypatch):
+    # One os.stat per shard tells a job both whether the shard is present
+    # and whether its size is right.
+    _, out, _ = _encode_tmp(tmp_path, os.urandom(3000))
+    (out / shard_name(1, 0)).unlink()
+    stats, stat = collections.Counter(), os.stat
+
+    def counted(path, *args, **kwargs):
+        stats[os.fspath(path)] += 1
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", counted)
+    shards = {os.fspath(out / shard_name(e, g)) for e, g in PARAMS.nodes()}
+    for job in (lambda: decode_file(out, tmp_path / "restored.bin"),
+                lambda: repair_shard(out, 1, 0)):
+        stats.clear()
+        job()
+        assert {path: stats[path] for path in shards} == dict.fromkeys(shards, 1)
+
+
 def test_manifest_validation_rejects_tampering(tmp_path):
     _, out, _ = _encode_tmp(tmp_path, bytes(64))
     manifest_path = out / "manifest.json"
