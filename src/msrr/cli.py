@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
     repair_failures = []
     w, p, k, alpha = STRIPES_PER_VERIFY_JOB, codec.p, params.k, params.alpha
     jobs = _repair_jobs(params, args.mode, args.samples, rng)
-    batch = max(1, codec.encode_plan.chunk // w)
+    batch = max(1, codec._plan(range(k, params.n)).chunk // w)
     # Each job and then its data are drawn in turn, as one job at a time
     # draws them; one encode_batch takes up to one chunk of jobs' stripes.
     while drawn := [(job, _draw(rng, p, k * alpha * w).reshape(k, alpha, w))

@@ -5,60 +5,29 @@ determine it.  encode_batch, syndrome_batch, decode_batch and decode_into
 take stripes as arrays only, one as (n, alpha) symbols or w of them as
 (n, alpha, w), and decode takes an erasure as a presence mask of n
 booleans, False at each missing node.  Each refuses any other shape, and
-decode any other mask shape.  Data occupies the
-lexicographically first k nodes; encoding is decoding with the r parity nodes
-erased.  Off its diagonal, parity-check row a of a column group refers only
+decode any other mask shape.  Data occupies the lexicographically first k
+nodes; encoding is decoding with the r parity nodes erased.  Off its diagonal, parity-check row a of a column group refers only
 to digit siblings of a with one fewer zero digit.  So with the coordinates
 taken level by level in ascending zero-digit count, each coordinate is an
 r x r Vandermonde system V[t, j] = locator_j^t in the r unknown nodes, whose
 right-hand side needs only values solved at the level before.  The locators
 are distinct, so each system is invertible.
 
-The solve is level-major: the coordinates are ordered by level, once per
-plan, and each coordinate's right-hand side is needed by its own level
-alone.  So a level is one gather and one exact product
-(ParityCheckMatrix.product, which builds every codec program): at the
-level's coordinates it gathers each known node's vector, the known nodes at
-their digit siblings, and each unknown node's solution of the levels before
-at its digit siblings, and maps them by -V^-1 times [the known diagonals |
-the weighed sibling coefficients], reduced mod p once per plan.  A sibling
-row with no term in the level is not gathered.  No rack aggregate is
-formed, as those are repair's helper messages.  The whole solve is one
-linalg.Program of m + 1 such gather-product-fold steps over one source
-array that the plan owns and reuses from chunk to chunk and call to call;
-natural coordinate order comes back once per chunk, on output.  The
-syndrome is the same program over every node, with no unknowns and the
-identity in place of -V^-1.
-
-Arithmetic is exact in floats.  Sums are folded into signed residues,
-a - rint(a/p)*p, which have |r| <= p/2 + 2 <= p - 1 (linalg.Fold), so every
-product term is at most (p - 1)^2.  linalg.split cuts each product, by its
-coefficients, into column ranges folded one after another, so that no row
-sums more than linalg.capacity(p, dtype) nonzero terms, a folded sum
-counting as one: 255 in float32 at p = 257.  linalg.exact_float runs the
-whole solve in float32 where n * (p - 1)^2 + p < 2^24, as at the benchmark
-codes' fields (p = 257 and 271), and in float64 otherwise, where Codec
-requires n * (p - 1)^2 < 2^53.  Values move into [0, p) once, on output.
-verify_mds certifies full rank of each r-subset's column groups from the
-same level order, read off the sparse tables ParityCheckMatrix.off_diagonal
-and diag, and from distinct Vandermonde diagonal columns; only where the
-certificate fails is a dense column group built and eliminated.
-
-What is shared and what is not: a code's tables, the ParityCheckMatrix with
-the level order and sibling table that every plan reads, are built once per
-process (construction.code_tables), read-only, and shared by every Codec of
-the code in any thread.  A Codec's plans, encode_plan, the last decode plan
-and syndrome_product, and their work arrays are its own, so a Codec serves
-one thread at a time.
+The solve is level-major, one linalg.Program of m + 1 gather-product-fold
+steps, one per level, that ParityCheckMatrix.product builds with -V^-1 as
+its left factor, exact in floats as linalg sets out; natural coordinate
+order comes back once per chunk, on output.  The syndrome is the same
+program over every node, with no unknowns and the identity in place of
+-V^-1.  A solve's steps are shared and its work arrays are the Codec's own,
+by the construction module's sharing rule.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -88,13 +57,14 @@ SWEEP_CAP = 100_000
 # The stripes per chunk of a solve, and of a file pass, are chosen so that
 # no work array exceeds about this many symbols.
 _CHUNK_SYMBOLS = 1 << 17
+_PLANS_KEPT = 3   # the most solves whose Programs, and work arrays, a Codec keeps
 
 
 @dataclass(eq=False)
 class _Plan:
-    """The level-major solve for r unknown nodes, ascending, as one Program
-    (see Codec._plan).  rows, the widest per-stripe array of a solve (a
-    codeword or the program's widest gather), sizes its chunks."""
+    """The solve for r unknown nodes, ascending, or none for the syndrome,
+    as one Program (Codec._tables).  rows, the widest per-stripe array of a
+    solve (a codeword or the program's widest gather), sizes its chunks."""
 
     unknowns: tuple[int, ...]
     program: linalg.Program
@@ -109,38 +79,27 @@ class _Plan:
 class Codec:
     """Encoder/decoder for one concrete code over one field.
 
-    The code's tables, pcm and constants, come from construction.code_tables:
-    built once per process, read-only and shared by every Codec of the code.
-    A Codec keeps its own plans and their work arrays from call to call, so
-    it is not for concurrent use; give each thread its own.
+    Its tables, pcm and constants, and its solves' steps (pcm.plans) are
+    shared (construction.code_tables).  It keeps the Programs of its last
+    _PLANS_KEPT solves, and their work arrays, so it serves one thread at a
+    time; give each thread its own.
     """
 
     def __init__(self, params: CodeParams, field: FieldCtx | None = None,
                  min_field: int = 0):
         self.params = params
         self.field = field if field is not None else FieldCtx.for_code(params, min_field)
-        # Every product here is a linalg.Program step of terms at most
-        # (p - 1)^2, cut at linalg.capacity(p, dtype) terms per sum.  The
-        # steps run in linalg.exact_float(n, p), float32 where n * (p - 1)^2
-        # + p < 2^24, else float64, whose capacity this keeps at n or more.
+        # The steps' float64 capacity, linalg.capacity, must hold n terms.
         if params.n * (self.p - 1) ** 2 >= 2**53:
             raise InternalError(
                 f"n={params.n}, p={self.p} overflow the exact float64 product")
         self.pcm: ParityCheckMatrix = code_tables(params, self.field)
         self.constants: CodeConstants = self.pcm.constants
-        # Kept besides encode_plan and syndrome_product: the decode plan of
-        # the last erasure pattern (decode_plan).
-        self._decode_plan: _Plan | None = None
+        self._plans: dict[tuple[int, ...], _Plan] = {}
 
     @property
     def p(self) -> int:
         return self.field.p
-
-    @functools.cached_property
-    def encode_plan(self) -> _Plan:
-        """The solve for the r parity nodes, planned on first use; encode_batch
-        runs it once per chunk of encode_plan.chunk stripes."""
-        return self._plan(list(range(self.params.k, self.params.n)))
 
     def _reduce(self, a) -> np.ndarray:
         """a as symbols in [0, p); unsigned input already below p is returned
@@ -150,21 +109,34 @@ class Codec:
             return a
         return np.asarray(a, dtype=np.int64) % self.p
 
-    def _plan(self, unknowns: list[int]) -> _Plan:
-        """The solve for r unknown node indices, ascending: the known nodes'
-        product (ParityCheckMatrix.product) solved for the unknowns, with
-        -V^-1 as its left factor, one step per level; its call takes every
-        node's vectors and uses the known ones."""
-        params, p = self.params, self.p
-        try:
-            inverse = linalg.vandermonde_solve(
-                [self.constants.locators[e][g] for e, g in map(params.node_pair, unknowns)],
-                np.eye(params.r, dtype=np.int64), p)
-        except SingularMatrixError as exc:  # locators are distinct by construction
-            raise InternalError("erasure system singular; constants are broken") from exc
+    def _plan(self, unknowns) -> _Plan:
+        """The solve for unknowns, r node indices ascending (the parity nodes'
+        is the encode) or none (the syndrome): shared tables (pcm.plans) and
+        a Program of this Codec's own, kept with its last _PLANS_KEPT."""
+        unknowns = tuple(unknowns)
+        plan = self._plans.pop(unknowns, None)
+        if plan is None:
+            tables = self.pcm.plans.get(unknowns, lambda: self._tables(unknowns))
+            plan = replace(tables, program=tables.program.fresh())
+        self._plans[unknowns] = plan
+        if len(self._plans) > _PLANS_KEPT:
+            del self._plans[next(iter(self._plans))]
+        return plan
+
+    def _tables(self, unknowns: tuple[int, ...]) -> _Plan:
+        """_plan's tables: the known nodes' product solved for the unknowns,
+        -V^-1 its left factor; its call takes every node's vectors."""
+        params, p, left = self.params, self.p, None
+        if unknowns:
+            try:
+                left = -linalg.vandermonde_solve(
+                    [self.constants.locators[e][g] for e, g in map(params.node_pair, unknowns)],
+                    np.eye(params.r, dtype=np.int64), p) % p
+            except SingularMatrixError as exc:  # locators are distinct by construction
+                raise InternalError("erasure system singular; constants are broken") from exc
         program = self.pcm.product([i for i in range(params.n) if i not in unknowns],
-                                   unknowns, -inverse % p)
-        return _Plan(tuple(unknowns), program, max(params.n * params.alpha, program.widest))
+                                   unknowns, left)
+        return _Plan(unknowns, program, max(params.n * params.alpha, program.widest))
 
     def _solve(self, plan: _Plan, vectors: np.ndarray):
         """Per chunk of at most plan.chunk stripes, (lo, hi, values): the
@@ -198,7 +170,7 @@ class Codec:
             out = np.empty((params.n,) + data.shape[1:], dtype=np.int64)
         data, stripes = self._stripes(data, params.k, "data"), self._stripes(out, params.n, "out")
         stripes[:params.k] = data
-        for lo, hi, values in self._solve(self.encode_plan, data):
+        for lo, hi, values in self._solve(self._plan(range(params.k, params.n)), data):
             stripes[params.k:, :, lo:hi] = values
         return out
 
@@ -209,14 +181,8 @@ class Codec:
         (r*alpha[, w]); zero iff each stripe is a codeword."""
         params = self.params
         vectors = self._reduce(vectors)
-        residual = self.syndrome_product(self._stripes(vectors, params.n, "vectors"))
+        residual = self._plan(()).program(self._stripes(vectors, params.n, "vectors"))
         return residual.astype(np.int64).reshape((params.r * params.alpha,) + vectors.shape[2:])
-
-    @functools.cached_property
-    def syndrome_product(self) -> linalg.Program:
-        """Every node's column groups, summed (ParityCheckMatrix.product),
-        built on first use and kept, as encode_plan is."""
-        return self.pcm.product(range(self.params.n))
 
     # -- erasure decoding ------------------------------------------------------
 
@@ -229,8 +195,8 @@ class Codec:
     def decode_plan(self, present: np.ndarray) -> _Plan | None:
         """The solve for the erasure present, shape (n,), False at each
         missing node, at most r; None if none is.  The missing nodes are
-        padded with the smallest present ones to r unknowns.  The last plan
-        is kept, so a file decoded chunk by chunk plans once."""
+        padded with the smallest present ones to r unknowns.  A chunked
+        decode binds its Program once per width (_plan)."""
         params = self.params
         present = np.asarray(present, dtype=bool)
         if present.shape != (params.n,):
@@ -242,10 +208,7 @@ class Codec:
         if not missing:
             return None
         pad = [i for i in range(params.n) if present[i]][:params.r - len(missing)]
-        unknowns = tuple(sorted(missing + pad))
-        if self._decode_plan is None or self._decode_plan.unknowns != unknowns:
-            self._decode_plan = self._plan(list(unknowns))
-        return self._decode_plan
+        return self._plan(sorted(missing + pad))
 
     def decode_into(self, vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
         """Write the missing nodes of vectors, (n, alpha[, w]) symbols in

@@ -15,26 +15,25 @@ rows and their digit siblings are read off it; no other module expands digits.
 
 Summed over a set of nodes, and solved for the unknown ones, the column
 groups act on the nodes' vectors as a linalg.Program of one step per level
-(ParityCheckMatrix.product), the encode, decode and syndrome programs alike:
-at the level's coordinates it gathers each node's vector and the nodes at
-their digit siblings, and weighs them by the diagonals and by
-locator^residue(e) times the extra-point powers (node_siblings), times a
-left factor.  No rack aggregate is formed; those belong to the repair
-protocol.  Every Program of the code, the codec's and repair's too, runs in
-ParityCheckMatrix.dtype, linalg.exact_float(n, p), float32 or float64, and
-its products are cut at linalg.capacity(p, dtype) terms.
+(ParityCheckMatrix.product), the encode, decode and syndrome programs alike;
+no rack aggregate is formed, as those belong to the repair protocol.  Every
+Program of the code, repair's too, runs in ParityCheckMatrix.dtype,
+linalg.exact_float(n, p), and its products are cut at linalg.capacity(p,
+dtype) terms.
 
-All of this is a pure function of (params, field), so code_tables builds it
-once per process and keeps it: the constants, the ParityCheckMatrix with the
-level order and sibling table that every product reads, and each host
-rack's repair tables (repair_layouts).  Every array in them is read-only, so
-any Codec in any thread may share them; the plans built from them, and
-their work arrays, belong to one Codec.
+The sharing rule: what is a pure function of the code is built once per
+process, read-only, and shared by every Codec in any thread; only work arrays
+belong to one plan (a linalg.Program.fresh), which serves one thread at a
+time.  code_tables keeps, per (params, field), the constants, the
+ParityCheckMatrix, each host rack's repair tables (repair_layouts) and every
+plan's steps (plans): a solve's by its unknowns, a job's by the RepairJob.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,24 +95,60 @@ def build_constants(params: CodeParams, field: FieldCtx) -> CodeConstants:
         extra_points=tuple(extra))
 
 
-def read_only(tables):
-    """tables, with every array in it, or in its tuples and lists, made
-    read-only."""
-    if isinstance(tables, np.ndarray):
-        tables.flags.writeable = False
-    elif isinstance(tables, (tuple, list)):
-        for item in tables:
-            read_only(item)
-    return tables
+def read_only(tables) -> int:
+    """Make every array in tables, its tuples, lists and objects' attributes
+    read-only, and return their bytes; tables must hold no cycle."""
+    size, stack = 0, [tables]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (int, slice, type)):  # the most common leaves first
+            continue
+        if isinstance(item, np.ndarray):
+            item.setflags(write=False)
+            size += item.nbytes
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return size
+
+
+# The most plans, and bytes of their arrays, that one code's PlanCache keeps.
+PLAN_ENTRIES, PLAN_BYTES = 256, 2 << 20
+
+
+class PlanCache:
+    """Plan tables by key: get(key, build) returns key's, or else build()'s,
+    kept read-only in entries, key to (tables, bytes of their arrays), the
+    least recently used dropped first past PLAN_ENTRIES entries or
+    PLAN_BYTES bytes.  Thread-safe."""
+
+    def __init__(self):
+        self.lock, self.entries, self.nbytes = threading.Lock(), OrderedDict(), 0
+
+    def get(self, key, build):
+        with self.lock:
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                return self.entries[key][0]
+        tables = build()
+        size = read_only(tables)
+        with self.lock:
+            if key not in self.entries:
+                self.entries[key], self.nbytes = (tables, size), self.nbytes + size
+            while len(self.entries) > 1 and (len(self.entries) > PLAN_ENTRIES
+                                             or self.nbytes > PLAN_BYTES):
+                self.nbytes -= self.entries.popitem(last=False)[1][1]
+        return tables
 
 
 class ParityCheckMatrix:
     """The r*alpha x n*alpha parity-check system in sparse block form.
 
     Depends only on (params, p); rebuilding yields identical contents, and
-    code_tables keeps one per code.  Every array of it is read-only.
-    repair_layouts is all that is added after construction: each host
-    rack's repair tables, built by repair on first use, read-only too.
+    code_tables keeps one per code.  Every array of it is read-only.  All
+    that is added after construction is read-only too, and built on first
+    use: each host rack's repair tables, repair_layouts, and plans.
     dtype is the float type that the code's Programs run in,
     exact_float(n, p); their coefficients are built in it.
     """
@@ -172,6 +207,7 @@ class ParityCheckMatrix:
         self.siblings = self.node_siblings(range(params.n), self.order, self.order)
         read_only(tuple(vars(self).values()))
         self.repair_layouts: dict[int, tuple] = {}
+        self.plans = PlanCache()
 
     @property
     def p(self) -> int:

@@ -27,6 +27,7 @@ are built in its type and work arrays follow them.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import NamedTuple
 
@@ -248,8 +249,8 @@ class Program:
     Every operand is a symbol or a signed residue and every coefficient is
     in [0, p), so each term is at most (p - 1)^2, and split keeps each sum
     within capacity(p, dtype) of them.  Work arrays are bound per width w
-    and kept from call to call, so results are overwritten by the next call
-    and a Program is not for concurrent use.
+    and kept from call to call, so results are overwritten by the next call:
+    a Program is not for concurrent use, but fresh ones over its tables are.
     """
 
     def __init__(self, p: int, rows: int, steps, first: int, output: np.ndarray,
@@ -267,6 +268,12 @@ class Program:
                             + [len(s.ranges[0][2]) * s.shape[1] for s in self.steps])
         self._output = _rows(self.output)
         self._store, self._width = {}, None
+
+    def fresh(self) -> Program:
+        """A Program over these same tables with work arrays of its own."""
+        program = copy.copy(self)
+        program._store, program._width = {}, None
+        return program
 
     def _array(self, name: str, size: int) -> np.ndarray:
         """A flat work array of size, replaced only when size outgrows it, so

@@ -16,36 +16,27 @@ Lagrange matrix.  The engine only ever sees helper messages and host-rack
 survivors, so reading beyond the allowed beta symbols per helper node is
 structurally impossible.
 
-The engine is a plan and an apply, and the plan is its whole interface.
-What depends on the host rack alone, its level order, gathers and power
-tables (_Layout), is built once per process and host rack and kept,
-read-only, with the code's tables (construction.code_tables), so every
-Codec of the code in any thread shares it.  RepairPlan.create only
-assembles a job's gather index and coefficients from it, as one
-linalg.Program whose work arrays the plan keeps from chunk to chunk, so a
-plan serves one thread at a time.  helper_message(plan, rack_vectors, e)
-runs the step that writes helper rack e's message into the plan's rows;
-an apply then runs each level as one step: a gather, one exact product and
-a fold.  The level products peel the survivors out of the host aggregate as
-they solve it, so they yield the failed node, which moves into natural
-coordinate order once, on output.  The level order and the correction gather are read off
+The engine is a plan and an apply, and the plan is its whole interface.  The
+host rack's level order, gathers and power tables (_Layout) and a job's
+gather index and coefficients, one linalg.Program, are shared by the
+construction module's sharing rule; RepairPlan.create adds work arrays of
+the plan's own.  helper_message(plan, rack_vectors, e) runs the step that
+writes helper rack e's message into the plan's rows; an apply then runs each
+level as one step: a gather, one exact product and a fold.  The level
+products peel the survivors out of the host aggregate as they solve it, so
+they yield the failed node, which moves into natural coordinate order once,
+on output.  The level order and the correction gather are read off
 ParityCheckMatrix (level_blocks, sibling_table), as the codec's are.
 stripe_io.repair_shard applies one plan to a shard directory in chunks whose
 widest array, RepairPlan.rows symbols per stripe, holds about
 _CHUNK_SYMBOLS; apply_plan(plan, vectors) runs the same steps in memory.
-
-Arithmetic is exact in floats, as in the codec: every term is a coefficient
-in [0, p) times a symbol or a signed residue (linalg.Fold), so at most
-(p - 1)^2, and linalg.split keeps every sum within linalg.capacity(p,
-dtype) nonzero terms.  The program runs in ParityCheckMatrix.dtype,
-linalg.exact_float(n, p): float32 where n * (p - 1)^2 + p < 2^24, else
-float64 under Codec's bound n * (p - 1)^2 < 2^53.  Values move into [0, p)
-once, on output.
+Arithmetic is exact in floats, in ParityCheckMatrix.dtype, as in the codec
+(linalg); values move into [0, p) once, on output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -159,8 +150,8 @@ class RepairPlan:
     output reads the failed node at each coordinate; side holds the source
     rows of the non-helper aggregates per zero-digit row.  rows, the widest
     per-stripe array of a repair (the source, a level's gather or a rack's
-    u nodes), sizes chunks.  Work arrays are kept from call to call, so a
-    plan is not for concurrent use.
+    u nodes), sizes chunks.  Only the program's work arrays are the plan's
+    own (create), so a plan is not for concurrent use.
     """
 
     job: RepairJob
@@ -171,14 +162,20 @@ class RepairPlan:
 
     @classmethod
     def create(cls, codec: Codec, job: RepairJob) -> "RepairPlan":
-        params, p, consts = codec.params, codec.p, codec.constants
+        """job's plan: shared tables (codec.pcm.plans) and own work arrays."""
+        plan = codec.pcm.plans.get(job, lambda: cls._tables(codec.pcm, job))
+        return replace(plan, program=plan.program.fresh())
+
+    @classmethod
+    def _tables(cls, pcm: ParityCheckMatrix, job: RepairJob) -> "RepairPlan":
+        params, p, consts = pcm.params, pcm.p, pcm.constants
         u, beta, d_bar, r_bar = params.u, params.beta, params.d_bar, params.r_bar
         e_star, g_star, s_bar = job.e_star, job.g_star, params.s_bar
         res_star = params.rack_residue(e_star)
-        layouts = codec.pcm.repair_layouts
-        if e_star not in layouts:
-            layouts[e_star] = read_only(_layout(codec.pcm, e_star))
-        layout = layouts[e_star]
+        if e_star not in pcm.repair_layouts:
+            read_only(layout := _layout(pcm, e_star))
+            pcm.repair_layouts[e_star] = layout
+        layout = pcm.repair_layouts[e_star]
         helpers = list(job.helpers)
         others = [e for e in range(params.n_bar) if e != e_star and e not in job.helpers]
         # source[e, j] is the source row of rack e's aggregate at position j,
@@ -204,7 +201,7 @@ class RepairPlan:
         step = -(lagrange @ weights) % p
         # The host aggregate is sum_g locator_g^res_star * node_g, so the
         # failed node is inverse times it plus the survivors weighed by peel.
-        scales = codec.pcm.diag[res_star, e_star]
+        scales = pcm.diag[res_star, e_star]
         inverse = pow(int(scales[g_star]), p - 2, p)
         step[:s_bar] = step[:s_bar] * inverse % p
         peel = np.zeros((r_bar, u - 1, s_bar), dtype=np.int64)
@@ -216,7 +213,7 @@ class RepairPlan:
         base = kept + (u - 1) * params.alpha
         steps = [linalg.Step(*layout.selected[:2], layout.messages[e], 1 + i * beta)
                  for i, e in enumerate(helpers)]
-        ranges = codec.pcm.split(coef)
+        ranges = pcm.split(coef)
         steps += [linalg.step(index[:, lo:hi], ranges, base + r_bar * lo)
                   for lo, hi in zip(layout.bounds, layout.bounds[1:])]
         program = linalg.Program(p, base + r_bar * beta, steps, kept, layout.host)

@@ -25,11 +25,8 @@ array; each helper rack's message goes straight into one repair plan,
 applied to each chunk.  Each block read, a helper rack, the survivors or a
 decode chunk, is checked for symbols >= p once.  decode_file and
 repair_shard write through a temporary file beside their output
-(_replacing), so the output is either the old file or the new.
-
-decode_file and repair_shard stat each shard once, for its presence and its
-size.  Manifest.validate and the codec take the code's constants and tables
-from construction.code_tables, so a process builds them once per code.
+(_replacing), so the output is either the old file or the new, and stat
+each shard once.  Tables and plans are shared by the construction module's rule.
 """
 
 from __future__ import annotations
@@ -319,7 +316,7 @@ def encode_file(input_path, out_dir, params: CodeParams,
     out_dir = Path(out_dir)
     dtype = _symbol_dtype(symbol_width_bytes(codec.p))
     digest, length, stripes = hashlib.sha256(), 0, 0
-    chunk = _stripes_per_chunk(params, codec.encode_plan.rows)
+    chunk = _stripes_per_chunk(params, codec._plan(range(params.k, params.n)).rows)
     buffer = bytearray(chunk * params.k * params.alpha)
     # Each node's stripes as its shard stores them, (chunk, alpha), for the
     # whole file: encode_batch writes into the transposed view.

@@ -103,21 +103,22 @@ def test_a_missing_nodes_rows_may_hold_anything(p1_codec):
     zeroed, present = erase(p1_codec.params, vectors, [(2, 1)])
     zeroed[5] = 7777
     assert np.array_equal(p1_codec.decode_into(zeroed, present), vectors)
-    assert p1_codec._decode_plan.program.inputs == slice(3, 8)
+    assert p1_codec.decode_plan(present).program.inputs == slice(3, 8)
 
 
 def test_syndrome_calls_share_one_product(monkeypatch):
-    # The all-node product is built on the first call and kept, as
-    # encode_plan is; its residual is copied out of the work array.
+    # The all-node product is built on the first call and kept, as the
+    # encode solve is; its residual is copied out of the work array.
     codec = Codec(CodeParams.from_total_k(8, 3, 12, 6), min_field=257)
     bad = random_stripe(codec, seed=31, stripes=2)
     bad[3, 4, 1] = (bad[3, 4, 1] + 1) % codec.p
     built, product = [], codec.pcm.product
-    monkeypatch.setattr(codec.pcm, "product", lambda nodes: built.append(nodes) or product(nodes))
+    monkeypatch.setattr(codec.pcm, "product",
+                        lambda nodes, *args: built.append(nodes) or product(nodes, *args))
     first = codec.syndrome_batch(bad)
-    program = codec.syndrome_product
+    program = codec._plan(()).program
     second = codec.syndrome_batch(bad)
-    assert len(built) == 1 and codec.syndrome_product is program
+    assert len(built) == 1 and codec._plan(()).program is program
     assert np.array_equal(first, second) and first[:, 1].any() and not first[:, 0].any()
 
 
@@ -587,7 +588,8 @@ def test_right_hand_side_is_exact_at_the_largest_magnitudes(params, at):
     present = np.arange(n) >= r
     zeroed = np.where(present[:, None, None], stripe, 0)
     assert np.array_equal(codec.decode_batch(zeroed, present), stripe)
-    assert codec.encode_plan.program.dtype == codec._decode_plan.program.dtype == dtype
+    assert (codec._plan(range(k, n)).program.dtype == codec.decode_plan(present).program.dtype
+            == dtype)
 
 
 # The repair cases: each code at the float64 bound under its own name, and at
@@ -647,7 +649,8 @@ def test_the_shard_file_fields_pick_their_float_type(racks, per_rack, k, helpers
     codec = Codec(params, min_field=min_field)
     assert codec.p == p and codec.pcm.dtype is dtype
     job = RepairJob.create(params, 1, 1)
-    for program in (codec.encode_plan.program, codec._plan(list(range(params.r))).program,
+    for program in (codec._plan(range(params.k, params.n)).program,
+                    codec._plan(list(range(params.r))).program,
                     RepairPlan.create(codec, job).program):
         assert program.dtype == dtype
 
@@ -697,7 +700,8 @@ def test_the_shard_file_codes_solve_in_one_product_per_level(racks, per_rack, k,
     params = CodeParams.from_total_k(racks, per_rack, k, helpers)
     codec = Codec(params, min_field=257)
     assert codec.p == p and params.r == params.k
-    for plan in (codec.encode_plan, codec.decode_plan(np.arange(params.n) >= params.r)):
+    for plan in (codec._plan(range(params.k, params.n)),
+                 codec.decode_plan(np.arange(params.n) >= params.r)):
         steps = plan.program.steps
         assert len(steps) == params.m + 1 == 4
         assert [len(step.ranges) for step in steps] == [1] * 4
@@ -750,7 +754,7 @@ def test_each_level_is_one_step_that_gathers_only_rows_with_terms(params):
     mixed = [params.node_index(e, g) for e, g in MIXED_ERASURES.get(code, [])] or [1, n - 1]
     present = np.ones(n, dtype=bool)
     present[mixed] = False
-    plans = [codec.encode_plan, codec.decode_plan(present)]
+    plans = [codec._plan(range(params.k, n)), codec.decode_plan(present)]
     plans += [codec._plan(list(nodes)) for nodes in (range(r), range(n - r, n), spread)]
     assert len(plans[1].unknowns) == r > len(mixed)
     for plan in plans:
@@ -785,7 +789,7 @@ def test_spread_erasures_are_exact_at_the_largest_prime():
     present[[0, 3, 6, 9, 12, 15, 18, 21, 1, 4, 7, 10]] = False
     zeroed = np.where(present[:, None, None], stripe, 0)
     assert np.array_equal(codec.decode_batch(zeroed, present), stripe)
-    assert any(len(step.ranges) > 1 for step in codec._decode_plan.program.steps)
+    assert any(len(step.ranges) > 1 for step in codec.decode_plan(present).program.steps)
 
 
 # -- signed residues and work arrays ----------------------------------------------

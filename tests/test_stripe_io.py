@@ -538,16 +538,19 @@ def test_chunked_decode_plans_once(tmp_path, monkeypatch):
     _, out, _ = _encode_tmp(tmp_path, os.urandom(3 * per_chunk + 1))
     for e, g in [(0, 1), (3, 0)]:
         (out / shard_name(e, g)).unlink()
-    plans, original = [], Codec._plan
+    plans, programs, original, fresh = [], [], Codec._tables, linalg.Program.fresh
 
     def counted(self, unknowns):
         plans.append(unknowns)
         return original(self, unknowns)
 
-    monkeypatch.setattr(Codec, "_plan", counted)
-    decode_file(out, tmp_path / "restored.bin")
-    # Missing nodes 1 and 6, padded with the smallest present nodes 0 and 2.
-    assert plans == [[0, 1, 2, 6]]
+    monkeypatch.setattr(Codec, "_tables", counted)
+    monkeypatch.setattr(linalg.Program, "fresh", lambda self: programs.append(self) or fresh(self))
+    for _ in range(2):
+        decode_file(out, tmp_path / "restored.bin")
+    # Missing nodes 1 and 6, padded with the smallest present nodes 0 and 2:
+    # one plan's tables, and one Program over them per decode.
+    assert plans == [(0, 1, 2, 6)] and len(programs) == 2
 
 
 # Encodes an 80-shard code under a 64-file limit, then repairs node (0, 0) or
@@ -798,7 +801,7 @@ def test_file_chunks_are_cut_by_the_plan(tmp_path, monkeypatch):
     # none leaves a tail for a second.
     params = CodeParams.from_total_k(8, 3, 12, 6)
     codec = Codec(params, min_field=257)
-    plan = codec.encode_plan
+    plan = codec._plan(range(params.k, params.n))
     assert plan.rows == 60 * 12 > params.n * params.alpha
     widths, call = [], linalg.Program.__call__
 
