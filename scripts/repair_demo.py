@@ -54,17 +54,18 @@ def main():
         original = target.read_bytes()
         target.unlink()
         started = time.monotonic()
-        _, transcript, _ = repair_shard(tmp / "shards2", 0, 0)
+        _, job, _ = repair_shard(tmp / "shards2", 0, 0)
         identical = target.read_bytes() == original
-        width = manifest.symbol_width_bytes
-        print(f"repair: {transcript.cross_rack_symbols} cross-rack symbols/stripe "
-              f"({transcript.cross_rack_symbols * transcript.stripe_count * width} bytes total), "
-              f"{transcript.intra_rack_symbols} intra-rack symbols/stripe, "
+        costs, width = params.repair_symbols(), manifest.symbol_width_bytes
+        cross = costs["cross_rack_symbols"]
+        print(f"repair: node (0, 0) from helper racks {list(job.helpers)}, "
+              f"{cross} cross-rack symbols/stripe "
+              f"({cross * manifest.stripe_count * width} bytes total), "
+              f"{costs['intra_rack_symbols']} intra-rack symbols/stripe, "
               f"byte_identical={identical}, {time.monotonic() - started:.2f}s")
         naive = (params.k - params.u + 1) * params.alpha
-        print(f"traffic vs naive decode: {transcript.cross_rack_symbols} vs "
-              f"{naive} symbols per stripe "
-              f"({transcript.cross_rack_symbols / naive:.2f}x)")
+        print(f"traffic vs naive decode: {cross} vs {naive} symbols per stripe "
+              f"({cross / naive:.2f}x)")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ def rows(max_racks: int, max_u: int):
                             p = find_field(u, params.n)
                         except ParameterError:
                             continue
-                        cross = params.d_bar * params.beta
+                        cross = params.repair_symbols()["cross_rack_symbols"]
                         naive = (params.k - u + 1) * params.alpha
                         yield (n_bar, u, u0, params.k, d_bar, params.alpha,
                                params.s_bar**n_bar, cross, naive,

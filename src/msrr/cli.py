@@ -18,12 +18,12 @@ import time
 
 import numpy as np
 
-from .codec import SWEEP_CAP, Codec
+from .codec import SWEEP_CAP, Codec, stripes_per_chunk
 from .construction import build_constants
 from .errors import MsrrError, ParameterError
 from .field import FieldCtx
 from .params import CodeParams
-from .repair import RepairJob, RepairPlan, RepairTranscript, apply_plan
+from .repair import RepairJob, RepairPlan, apply_plan
 from .stripe_io import decode_file, encode_file, repair_shard
 
 STRIPES_PER_VERIFY_JOB = 2
@@ -75,12 +75,12 @@ def _param_record(params: CodeParams, field: FieldCtx, constants) -> dict:
 def _cost_record(record: str, args) -> tuple[CodeParams, dict]:
     """Parameters plus the repair costs that plan and report both print."""
     params = _params(args)
-    field = FieldCtx.for_code(params, args.min_field)
+    field, costs = FieldCtx.for_code(params, args.min_field), params.repair_symbols()
     rec = {
         "record": record,
         **_param_record(params, field, build_constants(params, field)),
-        "cross_rack_repair_symbols": params.d_bar * params.beta,
-        "access_per_helper_rack": params.u * params.beta,
+        "cross_rack_repair_symbols": costs["cross_rack_symbols"],
+        "access_per_helper_rack": costs["accessed_symbols_per_helper_rack"],
         "alpha_one_rack_per_digit": params.s_bar**params.n_bar,
     }
     return params, rec
@@ -88,7 +88,7 @@ def _cost_record(record: str, args) -> tuple[CodeParams, dict]:
 
 def cmd_plan(args) -> int:
     params, rec = _cost_record("plan", args)
-    rec["intra_rack_repair_symbols"] = (params.u - 1) * params.alpha
+    rec["intra_rack_repair_symbols"] = params.repair_symbols()["intra_rack_symbols"]
     _emit([rec], args.pretty)
     return 0
 
@@ -139,19 +139,14 @@ def cmd_repair(args) -> int:
         except ValueError:
             raise ParameterError("bad_repair_job", "--helpers needs comma-separated "
                                  f"rack numbers, got {args.helpers!r}") from None
-    manifest, transcript, path = repair_shard(
+    manifest, job, path = repair_shard(
         args.in_dir, args.rack, args.node, helpers=helpers, force=args.force)
-    width = manifest.symbol_width_bytes
+    costs = manifest.params.repair_symbols()
     rec = {
         "record": "repair", "rack": args.rack, "node": args.node,
-        "helpers": list(transcript.job.helpers),
-        "stripes": transcript.stripe_count,
-        "cross_rack_symbols": transcript.cross_rack_symbols,
-        "cross_rack_bytes": transcript.cross_rack_symbols
-        * transcript.stripe_count * width,
-        "intra_rack_symbols": transcript.intra_rack_symbols,
-        "accessed_symbols_per_helper_rack":
-            transcript.accessed_symbols_per_helper_rack,
+        "helpers": list(job.helpers), "stripes": manifest.stripe_count, **costs,
+        "cross_rack_bytes": costs["cross_rack_symbols"] * manifest.stripe_count
+        * manifest.symbol_width_bytes,
         "shard": str(path),
     }
     _emit([rec], args.pretty)
@@ -215,8 +210,8 @@ def cmd_verify(args) -> int:
     jobs_checked = 0
     repair_failures = []
     w, p, k, alpha = STRIPES_PER_VERIFY_JOB, codec.p, params.k, params.alpha
-    jobs = _repair_jobs(params, args.mode, args.samples, rng)
-    batch = max(1, codec._plan(range(k, params.n)).chunk // w)
+    jobs, costs = _repair_jobs(params, args.mode, args.samples, rng), params.repair_symbols()
+    batch = max(1, stripes_per_chunk(codec._plan(range(k, params.n)).rows) // w)
     # Each job and then its data are drawn in turn, as one job at a time
     # draws them; one encode_batch takes up to one chunk of jobs' stripes.
     while drawn := [(job, _draw(rng, p, k * alpha * w).reshape(k, alpha, w))
@@ -225,7 +220,6 @@ def cmd_verify(args) -> int:
         for slot, (job, _) in enumerate(drawn):
             stripes = vectors[:, :, slot * w:(slot + 1) * w]
             recovered = apply_plan(RepairPlan.create(codec, job), stripes)
-            transcript = RepairTranscript.of(params, job, w)
             target = params.node_index(job.e_star, job.g_star)
             ok = bool(np.array_equal(recovered, stripes[target]))
             jobs_checked += 1
@@ -233,12 +227,7 @@ def cmd_verify(args) -> int:
                 repair_failures.append(job)
             records.append({
                 "record": "repair_job", "rack": job.e_star, "node": job.g_star,
-                "helpers": list(job.helpers), "stripes": w,
-                "cross_rack_symbols": transcript.cross_rack_symbols,
-                "intra_rack_symbols": transcript.intra_rack_symbols,
-                "accessed_symbols_per_helper_rack":
-                    transcript.accessed_symbols_per_helper_rack,
-                "ok": ok,
+                "helpers": list(job.helpers), "stripes": w, **costs, "ok": ok,
             })
 
     ok = mds.ok and not repair_failures

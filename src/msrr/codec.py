@@ -1,17 +1,18 @@
 """Systematic encoding, syndrome computation, erasure decoding, MDS sweeps.
 
 A stripe is one codeword: n node vectors of alpha symbols, any k of which
-determine it.  encode_batch, syndrome_batch, decode_batch and decode_into
-take stripes as arrays only, one as (n, alpha) symbols or w of them as
-(n, alpha, w), and decode takes an erasure as a presence mask of n
-booleans, False at each missing node.  Each refuses any other shape, and
-decode any other mask shape.  Data occupies the lexicographically first k
-nodes; encoding is decoding with the r parity nodes erased.  Off its diagonal, parity-check row a of a column group refers only
-to digit siblings of a with one fewer zero digit.  So with the coordinates
-taken level by level in ascending zero-digit count, each coordinate is an
-r x r Vandermonde system V[t, j] = locator_j^t in the r unknown nodes, whose
-right-hand side needs only values solved at the level before.  The locators
-are distinct, so each system is invertible.
+determine it.  encode_batch, syndrome_batch and decode_batch take stripes
+as arrays only, one as (n, alpha) symbols or w of them as (n, alpha, w),
+and decode takes an erasure as a presence mask of n booleans, False at each
+missing node.  Each refuses any other shape, and decode any other mask
+shape.  Data occupies the lexicographically first k nodes; encoding is
+decoding with the r parity nodes erased.  Off its diagonal, parity-check
+row a of a column group refers only to digit siblings of a with one fewer
+zero digit.  So with the coordinates taken level by level in ascending
+zero-digit count, each coordinate is an r x r Vandermonde system V[t, j] =
+locator_j^t in the r unknown nodes, whose right-hand side needs only values
+solved at the level before.  The locators are distinct, so each system is
+invertible.
 
 The solve is level-major, one linalg.Program of m + 1 gather-product-fold
 steps, one per level, that ParityCheckMatrix.product builds with -V^-1 as
@@ -54,10 +55,16 @@ class MdsReport:
 # Most r-subsets, or repair jobs, that an exhaustive verify walks.
 SWEEP_CAP = 100_000
 
-# The stripes per chunk of a solve, and of a file pass, are chosen so that
-# no work array exceeds about this many symbols.
+# The stripes per chunk of a solve, of a file pass and of a repair are
+# chosen so that no work array exceeds about this many symbols.
 _CHUNK_SYMBOLS = 1 << 17
 _PLANS_KEPT = 3   # the most solves whose Programs, and work arrays, a Codec keeps
+
+
+def stripes_per_chunk(rows: int) -> int:
+    """The stripes per chunk of a plan whose widest per-stripe array is
+    rows symbols: a codec solve's, a file pass's or a repair's."""
+    return max(1, _CHUNK_SYMBOLS // rows)
 
 
 @dataclass(eq=False)
@@ -69,11 +76,6 @@ class _Plan:
     unknowns: tuple[int, ...]
     program: linalg.Program
     rows: int
-
-    @property
-    def chunk(self) -> int:
-        """The stripes per call of the program."""
-        return max(1, _CHUNK_SYMBOLS // self.rows)
 
 
 class Codec:
@@ -139,13 +141,14 @@ class Codec:
         return _Plan(unknowns, program, max(params.n * params.alpha, program.widest))
 
     def _solve(self, plan: _Plan, vectors: np.ndarray):
-        """Per chunk of at most plan.chunk stripes, (lo, hi, values): the
-        values of plan.unknowns at stripes lo to hi, (r, alpha, hi - lo) in
-        [0, p), from vectors[i], (n', alpha, w), of every other node i.
-        vectors holds symbols in [0, p); the values are a work array of the
-        plan, valid until the next chunk."""
-        for lo in range(0, vectors.shape[2], plan.chunk):
-            hi = min(lo + plan.chunk, vectors.shape[2])
+        """Per chunk of at most stripes_per_chunk(plan.rows) stripes, (lo,
+        hi, values): the values of plan.unknowns at stripes lo to hi, (r,
+        alpha, hi - lo) in [0, p), from vectors[i], (n', alpha, w), of every
+        other node i.  vectors holds symbols in [0, p); the values are a work
+        array of the plan, valid until the next chunk."""
+        chunk = stripes_per_chunk(plan.rows)
+        for lo in range(0, vectors.shape[2], chunk):
+            hi = min(lo + chunk, vectors.shape[2])
             yield lo, hi, plan.program(vectors[:, :, lo:hi])
 
     def _stripes(self, a: np.ndarray, nodes: int, name: str) -> np.ndarray:
@@ -187,10 +190,22 @@ class Codec:
     # -- erasure decoding ------------------------------------------------------
 
     def decode_batch(self, vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
-        """decode_into on a new int64 copy of vectors, which may hold any
-        integers; returns the copy."""
+        """vectors, (n, alpha[, w]) integers, with the missing nodes solved:
+        a new int64 array of symbols in [0, p).  present is decode_plan's
+        mask.  A missing node's rows may hold any value: the plan's program
+        may stage them with the present nodes around them, but does not read
+        them, and they are overwritten."""
         # _reduce returns only unsigned input as is, which this converts.
-        return self.decode_into(np.asarray(self._reduce(vectors), dtype=np.int64), present)
+        vectors = np.asarray(self._reduce(vectors), dtype=np.int64)
+        stripes = self._stripes(vectors, self.params.n, "vectors")
+        plan = self.decode_plan(present)
+        if plan is None:
+            return vectors
+        slots = [(i, slot) for slot, i in enumerate(plan.unknowns) if not present[i]]
+        for lo, hi, values in self._solve(plan, stripes):
+            for i, slot in slots:
+                stripes[i, :, lo:hi] = values[slot]
+        return vectors
 
     def decode_plan(self, present: np.ndarray) -> _Plan | None:
         """The solve for the erasure present, shape (n,), False at each
@@ -209,23 +224,6 @@ class Codec:
             return None
         pad = [i for i in range(params.n) if present[i]][:params.r - len(missing)]
         return self._plan(sorted(missing + pad))
-
-    def decode_into(self, vectors: np.ndarray, present: np.ndarray) -> np.ndarray:
-        """Write the missing nodes of vectors, (n, alpha[, w]) symbols in
-        [0, p) of a dtype that holds p - 1, in place; returns vectors.
-        present is decode_plan's mask.  A missing node's rows may hold any
-        value of the dtype: the plan's program may stage them with the present
-        nodes around them, but does not read them, and they are
-        overwritten."""
-        stripes = self._stripes(vectors, self.params.n, "vectors")
-        plan = self.decode_plan(present)
-        if plan is None:
-            return vectors
-        slots = [(i, slot) for slot, i in enumerate(plan.unknowns) if not present[i]]
-        for lo, hi, values in self._solve(plan, stripes):
-            for i, slot in slots:
-                stripes[i, :, lo:hi] = values[slot]
-        return vectors
 
     # -- MDS sweep ---------------------------------------------------------------
 

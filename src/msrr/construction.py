@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalError
+from .errors import InternalError, ParameterError
 from .field import FieldCtx
 from .linalg import Program, capacity, exact_float, split, step
 from .params import CodeParams
@@ -113,6 +113,11 @@ def read_only(tables) -> int:
     return size
 
 
+# The most symbols per node of a code whose tables are built.  The tables
+# grow with alpha: at alpha = 2^16, on 16 racks of 2 nodes with k = 3 and
+# 2 helper racks, they peak at about 420 MiB.
+MAX_ALPHA = 1 << 16
+
 # The most plans, and bytes of their arrays, that one code's PlanCache keeps.
 PLAN_ENTRIES, PLAN_BYTES = 256, 2 << 20
 
@@ -154,6 +159,9 @@ class ParityCheckMatrix:
     """
 
     def __init__(self, params: CodeParams, constants: CodeConstants):
+        if params.alpha > MAX_ALPHA:
+            raise ParameterError("alpha_too_large", f"alpha={params.alpha} exceeds "
+                                 f"{MAX_ALPHA}, the most whose tables are built")
         self.params = params
         self.constants = constants
         p = constants.field.p

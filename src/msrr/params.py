@@ -99,6 +99,14 @@ class CodeParams:
         """Symbols downloaded from each helper rack during a repair."""
         return self.alpha // self.s_bar
 
+    def repair_symbols(self) -> dict[str, int]:
+        """Per stripe of one node repair: the symbols that cross racks, beta
+        from each helper rack; those read in the host rack, its u - 1
+        survivors; and those read in each helper rack, beta per node."""
+        return {"cross_rack_symbols": self.d_bar * self.beta,
+                "intra_rack_symbols": (self.u - 1) * self.alpha,
+                "accessed_symbols_per_helper_rack": self.u * self.beta}
+
     # -- node indexing -----------------------------------------------------
 
     def node_index(self, e: int, g: int) -> int:

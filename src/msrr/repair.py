@@ -27,16 +27,16 @@ products peel the survivors out of the host aggregate as they solve it, so
 they yield the failed node, which moves into natural coordinate order once,
 on output.  The level order and the correction gather are read off
 ParityCheckMatrix (level_blocks, sibling_table), as the codec's are.
-stripe_io.repair_shard applies one plan to a shard directory in chunks whose
-widest array, RepairPlan.rows symbols per stripe, holds about
-_CHUNK_SYMBOLS; apply_plan(plan, vectors) runs the same steps in memory.
+stripe_io.repair_shard applies one plan to a shard directory in chunks of
+codec.stripes_per_chunk(RepairPlan.rows) stripes; apply_plan(plan, vectors)
+runs the same steps in memory.
 Arithmetic is exact in floats, in ParityCheckMatrix.dtype, as in the codec
 (linalg); values move into [0, p) once, on output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -74,37 +74,6 @@ class RepairJob:
             if not 0 <= e < params.n_bar or e == e_star:
                 raise ValueError(f"invalid helper rack {e}")
         return cls(e_star=e_star, g_star=g_star, helpers=helpers)
-
-
-@dataclass
-class RepairTranscript:
-    """Everything a repair produced, with exact symbol accounting.
-
-    Symbol counts are per stripe; stripe_count says how many stripes the
-    transcript covers when messages carried a batch axis.  repair_shard
-    streams the node to its shard file, and verify compares it in place, so
-    their transcripts carry the job and the accounting only: no messages, no
-    side aggregates, recovered None.
-    """
-
-    job: RepairJob
-    messages: dict[int, np.ndarray] = dc_field(default_factory=dict)
-    recovered: np.ndarray | None = None
-    side_aggregates: dict[int, np.ndarray] = dc_field(default_factory=dict)
-    cross_rack_symbols: int = 0
-    intra_rack_symbols: int = 0
-    accessed_symbols_per_helper_rack: int = 0
-    stripe_count: int = 1
-
-    @classmethod
-    def of(cls, params: CodeParams, job: RepairJob, stripe_count: int,
-           **results) -> "RepairTranscript":
-        """The job's per-stripe accounting over stripe_count stripes, with
-        whatever results the caller keeps."""
-        return cls(job=job, cross_rack_symbols=len(job.helpers) * params.beta,
-                   intra_rack_symbols=(params.u - 1) * params.alpha,
-                   accessed_symbols_per_helper_rack=params.u * params.beta,
-                   stripe_count=stripe_count, **results)
 
 
 def helper_message(plan: RepairPlan, rack_vectors: np.ndarray, e: int) -> np.ndarray:
@@ -147,8 +116,7 @@ class RepairPlan:
     non-helper aggregates at the rows.  They are step's helper columns, the
     survivors' peel weights and step's extra-point columns once per rack,
     and the failed-node rows of step are scaled by the peel's inverse.  The
-    output reads the failed node at each coordinate; side holds the source
-    rows of the non-helper aggregates per zero-digit row.  rows, the widest
+    output reads the failed node at each coordinate.  rows, the widest
     per-stripe array of a repair (the source, a level's gather or a rack's
     u nodes), sizes chunks.  Only the program's work arrays are the plan's
     own (create), so a plan is not for concurrent use.
@@ -156,7 +124,6 @@ class RepairPlan:
 
     job: RepairJob
     program: linalg.Program
-    side: np.ndarray
     view: tuple[int, int, int, int]
     rows: int
 
@@ -219,7 +186,7 @@ class RepairPlan:
         program = linalg.Program(p, base + r_bar * beta, steps, kept, layout.host)
         place = s_bar ** params.rack_digit(e_star)
         view = (u, params.alpha // (s_bar * place), s_bar, place)
-        return cls(job, program, layout.side, view,
+        return cls(job, program, view,
                    max(program.rows, program.widest, u * params.alpha))
 
     def __call__(self, survivors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -247,7 +214,7 @@ class _Layout(NamedTuple):
     alone, which the code's tables keep (pcm.repair_layouts).  The
     zero-digit rows are taken in their pcm.level_blocks order, whose levels
     bounds delimits; solved[q, j] is the source row of a level solution's
-    row q at position j, and host and side read those rows back in
+    row q at position j, and host reads the failed node's rows back in
     coordinate order.  messages_at[i] holds the i-th helper's message rows,
     1 + i*beta + the order; survived the survivors' rows at each position's
     s_bar digit siblings; racks the other racks of the host's residue, and
@@ -259,7 +226,6 @@ class _Layout(NamedTuple):
     bounds: np.ndarray
     solved: np.ndarray
     host: np.ndarray
-    side: np.ndarray
     survived: np.ndarray
     racks: np.ndarray
     corrections: np.ndarray
@@ -281,8 +247,6 @@ def _layout(pcm: ParityCheckMatrix, e_star: int) -> _Layout:
     siblings = targets + np.arange(s_bar)[:, None] * pcm.place[tau]
     host = np.empty(alpha, dtype=np.intp)
     host[siblings] = solved[:s_bar]
-    side = np.empty_like(solved[s_bar:])
-    side[:, order] = solved[s_bar:]
     survived = (kept + np.arange(u - 1)[:, None, None] * alpha + siblings).reshape(-1, beta)
     racks = np.array([e for e in range(params.n_bar) if e != e_star and
                       params.rack_residue(e) == params.rack_residue(e_star)], dtype=np.intp)
@@ -297,7 +261,7 @@ def _layout(pcm: ParityCheckMatrix, e_star: int) -> _Layout:
     powers = np.ones((params.r_bar, points.size), dtype=np.int64)
     for i in range(1, params.r_bar):
         powers[i] = powers[i - 1] * points % p
-    return _Layout(bounds, solved, host, side, survived, racks,
+    return _Layout(bounds, solved, host, survived, racks,
                    pcm.sibling_table(racks, targets, targets)[0], selected, messages,
                    1 + np.arange(params.d_bar)[:, None] * beta + order, powers)
 
@@ -311,23 +275,3 @@ def apply_plan(plan: RepairPlan, vectors: np.ndarray) -> np.ndarray:
     for e in job.helpers:
         helper_message(plan, vectors[e * u:(e + 1) * u], e)
     return plan(vectors[[job.e_star * u + g for g in range(u) if g != job.g_star]])
-
-
-def repair_from_stripe(codec: Codec, vectors: np.ndarray, job: RepairJob) -> RepairTranscript:
-    """Run the full protocol by apply_plan on vectors, (n, alpha) integers
-    of one stripe or (n, alpha, w) of w stripes, reduced mod p first; the
-    plan reads only the helper racks and the host rack's survivors.  The
-    transcript also holds what the plan's source keeps, the helper messages
-    and the non-helper racks' aggregates solved on the way; these and the
-    recovered node carry vectors' stripe axis, if any."""
-    params, beta = codec.params, codec.params.beta
-    vectors = codec._reduce(vectors)
-    tail, plan = vectors.shape[2:], RepairPlan.create(codec, job)
-    recovered = apply_plan(plan, codec._stripes(vectors, params.n, "vectors"))
-    source = (plan.program.source % codec.p).astype(np.int64)
-    source = source.reshape(source.shape[:1] + tail)
-    others = [e for e in range(params.n_bar) if e != job.e_star and e not in job.helpers]
-    return RepairTranscript.of(
-        params, job, recovered.shape[1], recovered=recovered.reshape((params.alpha,) + tail),
-        messages={e: source[1 + i * beta:1 + (i + 1) * beta] for i, e in enumerate(job.helpers)},
-        side_aggregates=dict(zip(others, source[plan.side])))

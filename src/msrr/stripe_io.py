@@ -7,26 +7,28 @@ whose width is derived from the field modulus.  Bytes map to symbols one to
 one (identity embedding), which requires p >= 257; the payload is zero-padded
 to whole stripes and the original length plus a checksum live in the manifest.
 
-encode_file, decode_file and repair_shard stream chunks of stripes whose
-widest per-stripe array holds about _CHUNK_SYMBOLS symbols: the rows of the
-plan each runs, so that a file chunk is one call of the plan's program.  A
-codec plan's rows are a codeword's n*alpha, or its widest gather if wider; a
-repair plan's never hold a codeword.  A job opens each shard once, as a raw
-descriptor (os.preadv, os.write), and keeps it to the end; past half the
-soft open-file limit the newest is closed first (_Descriptors).  So neither
+encode_file, decode_file and repair_shard stream chunks of
+codec.stripes_per_chunk(rows) stripes, rows those of the plan each runs, so
+that a file chunk is one call of the plan's program.  A codec plan's rows
+are a codeword's n*alpha, or its widest gather if wider; a repair plan's
+never hold a codeword.  A job opens each shard once, as a raw descriptor
+(os.preadv, os.write), and keeps it to the end; past half the soft
+open-file limit the newest is closed first (_Descriptors).  So neither
 memory nor open files grow with the file or with n.  encode_file and
 decode_file hash the payload as it passes, and keep one chunk array of every
 node's stripes, laid out as the shards store them.  decode_file casts each
 data node into the payload once, from its block or, if lost, from the
-solve's values, checking it below 256; parity and pad unknowns are never
-copied out.  repair_shard opens only the shards the protocol reads, the
-helper racks' and the host rack's survivors, and keeps one rack's chunk
-array; each helper rack's message goes straight into one repair plan,
-applied to each chunk.  Each block read, a helper rack, the survivors or a
-decode chunk, is checked for symbols >= p once.  decode_file and
-repair_shard write through a temporary file beside their output
-(_replacing), so the output is either the old file or the new, and stat
-each shard once.  Tables and plans are shared by the construction module's rule.
+solve's values, checking it below 256: a read symbol outside the byte range
+is named by its shard and offset, a solved one by its node and stripe.
+Parity and pad unknowns are never copied out.  repair_shard opens only the
+shards the protocol reads, the helper racks' and the host rack's survivors,
+and keeps one rack's chunk array; each helper rack's message goes straight
+into one repair plan, applied to each chunk.  Each block read, a helper
+rack, the survivors or a decode chunk, is checked for symbols >= p once.
+decode_file and repair_shard write through a temporary file beside their
+output (_replacing), so the output is either the old file or the new, and
+stat each shard once.  Tables and plans are shared by the construction
+module's rule.
 """
 
 from __future__ import annotations
@@ -42,12 +44,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import _CHUNK_SYMBOLS, Codec
+from .codec import Codec, stripes_per_chunk
 from .construction import code_tables
 from .errors import ParameterError, RepairRefusedError, ShardFormatError, SymbolMappingError
 from .field import FieldCtx
 from .params import CodeParams, is_int
-from .repair import RepairJob, RepairPlan, RepairTranscript, helper_message
+from .repair import RepairJob, RepairPlan, helper_message
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -176,11 +178,6 @@ def bytes_to_symbols(payload, codec: Codec) -> np.ndarray:
     return data.reshape(-1, params.k, params.alpha).transpose(1, 2, 0)
 
 
-def _stripes_per_chunk(params: CodeParams, rows: int | None = None) -> int:
-    """The stripes per chunk of rows symbols each, by default a codeword's."""
-    return max(1, _CHUNK_SYMBOLS // (rows or params.n * params.alpha))
-
-
 def _read_full(stream, buffer) -> int:
     """Fill buffer from stream as far as the stream goes; bytes read."""
     view, got = memoryview(buffer).cast("B"), 0
@@ -192,13 +189,15 @@ def _read_full(stream, buffer) -> int:
     return got
 
 
-def _check_symbols(values: np.ndarray, name: str, p: int, first: int) -> None:
+def _check_symbols(values: np.ndarray, name: str, p: int, first: int,
+                   what: str = "") -> None:
     """Refuse a symbol >= p, naming the shard and the symbol's byte offset;
-    values are the shard's symbols from symbol index first on."""
+    values are the shard's symbols from symbol index first on, and what
+    says what a symbol >= p is, by default '>= p=<p>'."""
     if values.size and values.max() >= p:
         bad = int(np.flatnonzero(values >= p)[0])
         raise ShardFormatError(
-            f"{name}: symbol {int(values.flat[bad])} >= p={p} "
+            f"{name}: symbol {int(values.flat[bad])} {what or f'>= p={p}'} "
             f"at offset {(first + bad) * values.itemsize}")
 
 
@@ -284,16 +283,6 @@ def _replacing(path: Path):
         raise
 
 
-def write_one_shard(directory, manifest: Manifest, e: int, g: int,
-                    node_vector: np.ndarray) -> Path:
-    """(Re)write a single node's shard; node_vector (alpha, stripes)."""
-    directory = Path(directory)
-    dtype = _symbol_dtype(manifest.symbol_width_bytes)
-    path = directory / shard_name(e, g)
-    path.write_bytes(np.ascontiguousarray(node_vector.T).astype(dtype).tobytes())
-    return path
-
-
 def read_manifest(directory) -> Manifest:
     path = Path(directory) / MANIFEST_NAME
     if not path.exists():
@@ -316,7 +305,7 @@ def encode_file(input_path, out_dir, params: CodeParams,
     out_dir = Path(out_dir)
     dtype = _symbol_dtype(symbol_width_bytes(codec.p))
     digest, length, stripes = hashlib.sha256(), 0, 0
-    chunk = _stripes_per_chunk(params, codec._plan(range(params.k, params.n)).rows)
+    chunk = stripes_per_chunk(codec._plan(range(params.k, params.n)).rows)
     buffer = bytearray(chunk * params.k * params.alpha)
     # Each node's stripes as its shard stores them, (chunk, alpha), for the
     # whole file: encode_batch writes into the transposed view.
@@ -390,7 +379,7 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
     # data nodes' are read, never the parity or pad unknowns'.
     plan = None if present[:k].all() else codec.decode_plan(present)
     solved = {i: plan.unknowns.index(i) for i in range(k) if not present[i]}
-    chunk = _stripes_per_chunk(params, plan.rows if plan else None)
+    chunk = stripes_per_chunk(plan.rows if plan else params.n * alpha)
     digest = hashlib.sha256()
     known = np.flatnonzero(present)
     _check_sizes({paths[i]: sizes[paths[i]] for i in known}, expected)
@@ -403,11 +392,17 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
         for start in range(0, manifest.stripe_count, chunk):
             width = min(chunk, manifest.stripe_count - start)
             _read_block(shards, paths, nodes[:, :width], start, manifest.p, known)
+            for i in known[known < k]:
+                _check_symbols(nodes[i, :width], paths[i].name, 256, start * alpha,
+                               "outside the byte range")
             values = plan.program(nodes[:, :width].transpose(0, 2, 1)) if solved else None
             for i in range(k):
                 symbols = values[solved[i]].T if i in solved else nodes[i, :width]
-                if symbols.max() >= 256:
-                    raise ShardFormatError("symbol outside byte range; not a byte payload")
+                if i in solved and symbols.max() >= 256:
+                    stripe = start + int(np.flatnonzero(symbols.max(axis=1) >= 256)[0])
+                    raise ShardFormatError(
+                        f"node {params.node_pair(i)}, lost and solved, has a symbol outside "
+                        f"the byte range at stripe {stripe}; not a byte payload")
                 payload[:width, i] = symbols
             view = memoryview(payload[:width]).cast("B")[:remaining]
             remaining -= len(view)
@@ -419,7 +414,7 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
 
 
 def repair_shard(in_dir, e: int, g: int, helpers=None,
-                 force: bool = False) -> tuple[Manifest, RepairTranscript, Path]:
+                 force: bool = False) -> tuple[Manifest, RepairJob, Path]:
     """Regenerate one shard file through the repair protocol, one chunk of
     stripes at a time.
 
@@ -431,8 +426,8 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
     opened, so shards of other racks may be missing or damaged.  The node goes
     to a temporary file beside the target, which replaces the target only
     once every chunk is written; on any failure no file is left and an
-    existing target keeps its bytes.  The transcript carries the job and the
-    symbol accounting (see RepairTranscript).
+    existing target keeps its bytes.  Returns (manifest, the job that ran,
+    the shard's path); params.repair_symbols() counts its symbols.
     """
     directory = Path(in_dir)
     manifest = read_manifest(directory)
@@ -474,7 +469,7 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
     codec = codec_for_manifest(manifest)
     plan = RepairPlan.create(codec, job)
     dtype = _symbol_dtype(manifest.symbol_width_bytes)
-    chunk = _stripes_per_chunk(params, plan.rows)
+    chunk = stripes_per_chunk(plan.rows)
     # One rack's stripes, then the survivors', and the node's, as the shards
     # store them: (u, chunk, alpha) and (chunk, alpha).
     nodes, node = np.empty((u, chunk, alpha), dtype=dtype), np.empty((chunk, alpha), dtype=dtype)
@@ -487,4 +482,4 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
             _read_block(shards, survivors, nodes[:u - 1, :width], start, manifest.p)
             plan(nodes[:u - 1, :width].transpose(0, 2, 1), out=node[:width].T)
             sink.write(node[:width])
-    return manifest, RepairTranscript.of(params, job, manifest.stripe_count), target
+    return manifest, job, target

@@ -1,9 +1,11 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from msrr import CodeParams, Codec, helper_message
 from msrr.construction import code_tables
-from msrr.repair import RepairPlan
+from msrr.repair import RepairPlan, apply_plan
 
 # Desk-scale codes used throughout the suite.
 P1 = CodeParams(n_bar=4, u=2, u0=0, k_bar=2, d_bar=3)   # p=11, alpha=4
@@ -70,3 +72,42 @@ def fresh_message(codec, rack, e, job):
     message = helper_message(RepairPlan.create(codec, job),
                              np.reshape(rack, (params.u, params.alpha, -1)), e)
     return (message % codec.p).astype(np.int64).reshape((params.beta,) + np.shape(rack)[2:])
+
+
+class Repaired(NamedTuple):
+    """What repair_from_stripe reads off a plan after its apply."""
+
+    recovered: np.ndarray
+    messages: dict
+    side_aggregates: dict
+
+    @property
+    def cross_rack_symbols(self) -> int:
+        """The symbols per stripe that crossed racks: the messages' rows."""
+        return sum(len(message) for message in self.messages.values())
+
+
+def repair_from_stripe(codec, vectors, job):
+    """Run job's plan by apply_plan on vectors, one stripe (n, alpha) or w of
+    them (n, alpha, w) of any integers, reduced mod p first.  Returns the
+    recovered node and what the plan's source holds after the apply: each
+    helper rack's message and each non-helper rack's aggregate, by rack, at
+    the zero-digit rows of the host rack's digit, all with vectors' stripe
+    axis, if any."""
+    params, pcm, p = codec.params, codec.pcm, codec.p
+    vectors = np.asarray(vectors, dtype=np.int64) % p
+    tail, plan = vectors.shape[2:], RepairPlan.create(codec, job)
+    recovered = apply_plan(plan, vectors if tail else vectors[..., None])
+    source = (plan.program.source % p).astype(np.int64)
+    source = source.reshape(source.shape[:1] + tail)
+    beta, tau = params.beta, params.rack_digit(job.e_star)
+    messages = {e: source[1 + i * beta:1 + (i + 1) * beta] for i, e in enumerate(job.helpers)}
+    # The non-helper aggregates' source rows follow the failed node's in each
+    # level block; read them back in zero-digit row order.
+    order = pcm.level_blocks(pcm.zero_rows[tau], params.r_bar)[0]
+    solved = pcm.repair_layouts[job.e_star].solved[params.s_bar:]
+    side = np.empty_like(solved)
+    side[:, order] = solved
+    others = [e for e in range(params.n_bar) if e != job.e_star and e not in job.helpers]
+    return Repaired(recovered.reshape((params.alpha,) + tail), messages,
+                    dict(zip(others, source[side])))

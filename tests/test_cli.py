@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from msrr import stripe_io
 from msrr.cli import _draw, main
+from msrr.construction import MAX_ALPHA, code_tables
 from msrr.stripe_io import shard_name
 
 P1_FLAGS = ["--racks", "4", "--nodes-per-rack", "2", "--k", "4", "--helpers", "3"]
@@ -245,6 +245,52 @@ def test_decode_with_more_than_r_missing_names_them(tmp_path, capsys, encoded_di
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("lost", [[], [(0, 0)]], ids=["none-lost", "node-0-0-lost"])
+def test_decode_names_the_shard_and_offset_of_a_data_symbol_outside_the_byte_range(
+        tmp_path, capsys, lost):
+    # 256 < p = 257 passes the shard's symbol check, but no byte maps to it.
+    # A read data shard is checked before the solve, so it is named whether
+    # or not node (0, 0) is lost and solved from it.
+    src, out = tmp_path / "payload.bin", tmp_path / "shards"
+    src.write_bytes(random.Random(5).randbytes(5000))
+    assert main(["encode", *P1_FLAGS, "--input", str(src), "--out", str(out)]) == 0
+    path = out / shard_name(0, 1)
+    blob = bytearray(path.read_bytes())
+    offset = (300 * 4 + 2) * 2  # stripe 300 of 313, symbol 2
+    blob[offset:offset + 2] = (256).to_bytes(2, "little")
+    path.write_bytes(bytes(blob))
+    for e, g in lost:
+        (out / shard_name(e, g)).unlink()
+    dest = tmp_path / "restored.bin"
+    assert main(["decode", "--in", str(out), "--output", str(dest)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: node_0_1.shard: symbol 256 outside the byte range at offset {offset}\n")
+    assert not dest.exists()
+
+
+ALPHA_TOO_LARGE = ["--racks", "40", "--nodes-per-rack", "2", "--k", "2", "--helpers", "39"]
+
+
+def test_a_code_past_max_alpha_is_refused_before_any_table_is_built(tmp_path, capsys):
+    # alpha = 39^20.  verify and encode refuse it as a parameter error, exit
+    # 2 with no traceback, and cache no tables; plan and report build none,
+    # so they still describe it.
+    alpha = 39 ** 20
+    src, out = tmp_path / "payload.bin", tmp_path / "shards"
+    src.write_bytes(b"x")
+    for argv in (["verify", *ALPHA_TOO_LARGE, "--mode", "sample", "--samples", "1"],
+                 ["encode", *ALPHA_TOO_LARGE, "--input", str(src), "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: alpha_too_large: alpha={alpha} exceeds "
+                                f"{MAX_ALPHA}, the most whose tables are built\n")
+    assert code_tables.cache_info().currsize == 0 and not out.exists()
+    for command in ("plan", "report"):
+        code, (rec,) = run(capsys, [command, *ALPHA_TOO_LARGE])
+        assert code == 0 and rec["alpha"] == alpha
+
+
 @pytest.mark.parametrize("field,value", [
     ("p", "257"), ("original_file_length_bytes", "5"), ("stripe_count", 1.5)])
 def test_decode_refuses_a_mistyped_manifest_field(tmp_path, capsys, encoded_dir,
@@ -409,7 +455,7 @@ def _plant_a_bad_symbol(path):
 
 @pytest.fixture()
 def small_chunks(monkeypatch):
-    monkeypatch.setattr(stripe_io, "_CHUNK_SYMBOLS", 16 * 12 * 8)
+    monkeypatch.setattr("msrr.codec._CHUNK_SYMBOLS", 16 * 12 * 8)
 
 
 def test_repair_never_opens_a_non_helper_rack(capsys, wide_dir, small_chunks):

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msrr import Codec, CodeParams, RepairJob, linalg, repair_from_stripe
+from msrr import Codec, CodeParams, RepairJob, linalg
+from msrr.codec import stripes_per_chunk
 from msrr.construction import ParityCheckMatrix
 from msrr.errors import InternalError, ParameterError
 from msrr.field import FieldCtx, find_primitive, find_unity_root, is_prime
 from msrr.linalg import Fold
 from msrr.repair import RepairPlan
 
-from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, erase, random_stripe
+from conftest import (ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, erase, random_stripe,
+                      repair_from_stripe)
 from oracle import apply_node, solve
 
 # Encoding the first standard basis vector (node (0,0), coordinate 0) of the
@@ -73,15 +75,14 @@ def test_syndrome_fires_on_any_perturbation(p1_codec):
 def test_the_array_calls_refuse_vectors_that_are_not_n_alpha(p1_codec):
     # The syndrome's product stages the first n nodes of its input into a
     # work array kept from call to call: 7 nodes would leave the 8th row of
-    # the last call behind, and 9 would drop one.  decode_into writes through
-    # a view, which a fourth axis could make a copy.
+    # the last call behind, and 9 would drop one.  decode_batch writes the
+    # solved nodes through a view, which a fourth axis could make a copy.
     vectors = random_stripe(p1_codec, seed=3, stripes=2)
     assert not p1_codec.syndrome_batch(vectors).any()
     present = np.arange(8) != 5
     for bad in (vectors[:7], np.concatenate([vectors, vectors[:1]]), vectors[:, :3],
                 vectors[:, :, 0].ravel(), vectors[..., None]):
-        for call in (p1_codec.syndrome_batch, lambda v: p1_codec.decode_batch(v, present),
-                     lambda v: p1_codec.decode_into(v.copy(), present)):
+        for call in (p1_codec.syndrome_batch, lambda v: p1_codec.decode_batch(v, present)):
             with pytest.raises(ValueError, match=r"vectors must be \(8, 4\) or \(8, 4, w\)"):
                 call(bad)
     assert np.array_equal(p1_codec.decode_batch(vectors, present), vectors)
@@ -98,11 +99,13 @@ def test_decode_refuses_a_mask_that_is_not_n_booleans(p1_codec):
 
 def test_a_missing_nodes_rows_may_hold_anything(p1_codec):
     # With node 5 lost, the plan stages nodes 3 to 7 as one run, node 5
-    # among them, and does not read it.
+    # among them, and does not read it: symbols of the field that are not
+    # node 5's, and integers outside it, decode alike.
     vectors = random_stripe(p1_codec, seed=15, stripes=2)
     zeroed, present = erase(p1_codec.params, vectors, [(2, 1)])
-    zeroed[5] = 7777
-    assert np.array_equal(p1_codec.decode_into(zeroed, present), vectors)
+    for junk in ((vectors[5] + 1) % p1_codec.p, 7777, -1):
+        zeroed[5] = junk
+        assert np.array_equal(p1_codec.decode_batch(zeroed, present), vectors)
     assert p1_codec.decode_plan(present).program.inputs == slice(3, 8)
 
 
@@ -517,7 +520,7 @@ def test_stripe_chunks_do_not_change_results(monkeypatch, p3_codec):
     # A one-symbol budget forces one stripe per chunk.
     monkeypatch.setattr("msrr.codec._CHUNK_SYMBOLS", 1)
     chunked = Codec(params)
-    assert chunked._plan(list(range(params.k, params.n))).chunk == 1
+    assert stripes_per_chunk(chunked._plan(list(range(params.k, params.n))).rows) == 1
     assert np.array_equal(chunked.encode_batch(vectors[:params.k]), vectors)
     assert np.array_equal(chunked.decode_batch(zeroed, present), vectors)
 
@@ -823,7 +826,7 @@ def test_signed_residues_at_their_edges(p, n):
 def test_results_never_alias_the_work_arrays():
     params = P3
     codec, rng = Codec(params), np.random.default_rng(22)
-    chunk = codec._plan(list(range(params.k, params.n))).chunk
+    chunk = stripes_per_chunk(codec._plan(list(range(params.k, params.n))).rows)
     widths = (2, chunk - 1, chunk + 5)
     batches = [rng.integers(0, codec.p, size=(params.k, params.alpha, w))
                for w in widths for _ in range(2)]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from msrr import CodeParams, Codec, ParityCheckMatrix, build_constants
-from msrr.errors import InternalError
+from msrr.construction import MAX_ALPHA
+from msrr.errors import InternalError, ParameterError
 from msrr.field import FieldCtx
 
 from conftest import ADMISSIBLE_CODES, P1, P1_DEGENERATE, P3
@@ -15,6 +16,18 @@ SMALL_ALPHA_CODES = [params for params in ADMISSIBLE_CODES if params.alpha <= 64
 
 def _pcm(params):
     return ParityCheckMatrix(params, build_constants(params, FieldCtx.for_code(params)))
+
+
+def test_tables_are_built_up_to_max_alpha_and_refused_past_it(monkeypatch):
+    # The CLI's alpha = 4096 smoke code, the widest the tests, CI and the
+    # benchmark use, is within the bound.
+    assert CodeParams.from_total_k(6, 3, 8, 5).alpha == 4096 <= MAX_ALPHA
+    monkeypatch.setattr("msrr.construction.MAX_ALPHA", P3.alpha)
+    assert _pcm(P3).params.alpha == 8
+    wider = CodeParams.from_total_k(6, 2, 6, 5)
+    with pytest.raises(ParameterError, match="^alpha_too_large: alpha=27 exceeds 8,") as err:
+        _pcm(wider)
+    assert err.value.code == "alpha_too_large"
 
 
 def test_p1_constants_frozen_values(p1_codec):

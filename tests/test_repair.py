@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msrr import Codec, CodeParams, RepairJob, helper_message, repair_from_stripe, stripe_io
+from msrr import Codec, CodeParams, RepairJob, helper_message
 from msrr.cli import main
+from msrr.codec import stripes_per_chunk
 from msrr.repair import RepairPlan, _layout, apply_plan
 
 from conftest import (ADMISSIBLE_CODES, P1, P1_DEGENERATE, P2, P3, erase, fresh_message,
-                      random_stripe)
+                      random_stripe, repair_from_stripe)
 from oracle import zero_digit_rows
 
 
@@ -136,13 +137,15 @@ def test_repair_recovers_every_node_with_every_helper_set(codec_fixture, request
     codec = request.getfixturevalue(codec_fixture)
     params = codec.params
     stripe = random_stripe(codec, seed=5)
+    assert params.repair_symbols() == {
+        "cross_rack_symbols": params.d_bar * params.beta,
+        "intra_rack_symbols": (params.u - 1) * params.alpha,
+        "accessed_symbols_per_helper_rack": params.u * params.beta}
     for job in all_jobs(params):
         transcript = repair_from_stripe(codec, stripe, job)
         assert np.array_equal(
             transcript.recovered, stripe[params.node_index(job.e_star, job.g_star)]), job
         assert transcript.cross_rack_symbols == params.d_bar * params.beta
-        assert transcript.intra_rack_symbols == (params.u - 1) * params.alpha
-        assert transcript.accessed_symbols_per_helper_rack == params.u * params.beta
         for e, msg in transcript.messages.items():
             assert msg.shape == (params.beta,)
 
@@ -195,7 +198,8 @@ def test_transcript_structure_is_shared_within_a_rack(p3_codec):
         plans = [RepairPlan.create(p3_codec, RepairJob.create(params, e_star, g))
                  for g in range(params.u)]
         assert len({plan.view for plan in plans}) == 1
-        assert len({(plan.side.tobytes(), tuple((s.shape, s.out) for s in plan.program.steps))
+        assert len({(plan.program.output.tobytes(),
+                     tuple((s.shape, s.out) for s in plan.program.steps))
                     for plan in plans}) == 1
 
 
@@ -205,7 +209,7 @@ def test_batched_repair_matches_per_stripe(p2_codec):
     vectors = random_stripe(p2_codec, seed=8, stripes=w)
     job = RepairJob.create(params, 2, 1)
     batch = repair_from_stripe(p2_codec, vectors, job)
-    assert batch.stripe_count == w
+    assert batch.recovered.shape == (params.alpha, w)
     assert batch.cross_rack_symbols == params.d_bar * params.beta
     target = params.node_index(job.e_star, job.g_star)
     assert np.array_equal(batch.recovered, vectors[target])
@@ -224,7 +228,7 @@ def test_every_array_call_takes_zero_stripes(p3_codec):
     assert p3_codec.decode_batch(*erase(params, vectors, [(0, 1), (3, 0)])).shape == vectors.shape
     assert apply_plan(RepairPlan.create(p3_codec, job), vectors).shape == (params.alpha, 0)
     transcript = repair_from_stripe(p3_codec, vectors, job)
-    assert transcript.recovered.shape == (params.alpha, 0) and transcript.stripe_count == 0
+    assert transcript.recovered.shape == (params.alpha, 0)
     assert [m.shape for m in transcript.messages.values()] == [(params.beta, 0)] * params.d_bar
     assert transcript.side_aggregates[5].shape == (params.beta, 0)
 
@@ -232,7 +236,8 @@ def test_every_array_call_takes_zero_stripes(p3_codec):
 @pytest.mark.parametrize("stripes", [0, slice(None)], ids=["one", "batch"])
 def test_the_message_path_takes_unreduced_symbols(p3_codec, stripes):
     # Vectors shifted by +p and by -p are congruent to the codeword but lie
-    # outside [0, p); repair_from_stripe reduces them before the message steps.
+    # outside [0, p); repair_from_stripe reduces them before the message steps,
+    # which, like the survivors' step, take symbols in [0, p) only.
     params, p, u = p3_codec.params, p3_codec.p, p3_codec.params.u
     vectors = random_stripe(p3_codec, seed=27, stripes=3)[:, :, stripes]
     job = RepairJob.create(params, 2, 1)
@@ -369,7 +374,7 @@ def _apply(plan, racks, survivors, out=None):
 def test_repair_results_never_alias_the_work_arrays(params):
     codec, rng = Codec(params), np.random.default_rng(23)
     job = RepairJob.create(params, 1, 1)
-    chunk = stripe_io._stripes_per_chunk(params)
+    chunk = stripes_per_chunk(params.n * params.alpha)
     batches = [codec.encode_batch(rng.integers(0, codec.p, size=(params.k, params.alpha, w)))
                for w in (2, chunk - 1, chunk + 5) for _ in range(2)]
     plan = RepairPlan.create(codec, job)
@@ -386,7 +391,7 @@ def test_repair_results_never_alias_the_work_arrays(params):
 def test_a_plan_apply_at_a_width_already_seen_allocates_no_work_arrays():
     params = CodeParams.from_total_k(6, 2, 6, 4)
     codec, job = Codec(params), RepairJob.create(params, 2, 1)
-    width = stripe_io._stripes_per_chunk(params)
+    width = stripes_per_chunk(params.n * params.alpha)
     racks, survivors = _plan_inputs(params, job, random_stripe(codec, seed=24, stripes=width))
     plan, out = RepairPlan.create(codec, job), np.empty((params.alpha, width), dtype=np.uint16)
     _apply(plan, racks, survivors, out)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msrr import Codec, CodeParams, linalg, stripe_io
-from msrr.codec import _CHUNK_SYMBOLS
-from msrr.errors import ParameterError, RepairRefusedError, ShardFormatError, SymbolMappingError
+from msrr import (Codec, CodeParams, ParameterError, RepairRefusedError, ShardFormatError,
+                  SymbolMappingError, linalg, stripe_io)
+from msrr.codec import _CHUNK_SYMBOLS, stripes_per_chunk
 from msrr.repair import RepairJob, RepairPlan
 from msrr.stripe_io import (
     Manifest,
@@ -24,10 +24,9 @@ from msrr.stripe_io import (
     repair_shard,
     shard_name,
     symbol_width_bytes,
-    write_one_shard,
 )
 
-from oracle import read_shards, symbols_to_bytes
+from oracle import read_shards, symbols_to_bytes, write_one_shard
 
 PARAMS = CodeParams.from_total_k(4, 2, 4, 3)
 
@@ -262,11 +261,10 @@ def test_repair_shard_round_trip(tmp_path):
     target = out / shard_name(1, 0)
     original = target.read_bytes()
     target.unlink()
-    manifest, transcript, path = repair_shard(out, 1, 0)
+    manifest, job, path = repair_shard(out, 1, 0)
     assert path == target
     assert target.read_bytes() == original
-    assert transcript.cross_rack_symbols == PARAMS.d_bar * PARAMS.beta
-    assert transcript.stripe_count == manifest.stripe_count
+    assert job == RepairJob.create(PARAMS, 1, 0, [0, 2, 3])
     # The directory decodes cleanly afterwards.
     _, _, missing = decode_file(out, tmp_path / "post.bin")
     assert missing == []
@@ -292,8 +290,8 @@ def test_repair_shard_with_explicit_helpers(tmp_path):
     target = out / shard_name(3, 1)
     original = target.read_bytes()
     target.unlink()
-    _, transcript, _ = repair_shard(out, 3, 1, helpers=[0, 1, 2])
-    assert transcript.job.helpers == (0, 1, 2)
+    _, job, _ = repair_shard(out, 3, 1, helpers=[0, 1, 2])
+    assert job.helpers == (0, 1, 2)
     assert target.read_bytes() == original
 
 
@@ -404,7 +402,7 @@ def test_chunk_boundaries_match_one_shot_encode(tmp_path, params):
 def test_chunk_boundaries_repair_every_node(tmp_path, monkeypatch, params):
     # Five stripes per chunk, so that every length below crosses its chunk
     # boundaries within a few hundred bytes; length 0 is the empty payload.
-    monkeypatch.setattr(stripe_io, "_CHUNK_SYMBOLS", 5 * params.n * params.alpha)
+    monkeypatch.setattr("msrr.codec._CHUNK_SYMBOLS", 5 * params.n * params.alpha)
     for case, length in enumerate(_chunk_lengths(params, 5)):
         payload = np.random.default_rng(case).integers(
             0, 256, size=length, dtype=np.uint8).tobytes()
@@ -415,10 +413,9 @@ def test_chunk_boundaries_repair_every_node(tmp_path, monkeypatch, params):
             path = out / shard_name(e, g)
             original = path.read_bytes()
             path.unlink()
-            _, transcript, _ = repair_shard(out, e, g)
+            _, job, _ = repair_shard(out, e, g)
             assert path.read_bytes() == original, (length, e, g)
-            assert transcript.stripe_count == manifest.stripe_count
-            assert transcript.cross_rack_symbols == params.d_bar * params.beta
+            assert job == RepairJob.create(params, e, g)
 
 
 def _plan_rows(params, e=0, g=0):
@@ -430,9 +427,9 @@ def _plan_rows(params, e=0, g=0):
 def test_repair_chunks_are_sized_by_the_plan(tmp_path, monkeypatch, params):
     # Five stripes per repair chunk, against one or two per codeword chunk.
     rows = {node: _plan_rows(params, *node) for node in params.nodes()}
-    monkeypatch.setattr(stripe_io, "_CHUNK_SYMBOLS", 5 * rows[0, 0])
-    chunk = stripe_io._stripes_per_chunk(params, rows[0, 0])
-    assert chunk == 5 and stripe_io._stripes_per_chunk(params) < 3
+    monkeypatch.setattr("msrr.codec._CHUNK_SYMBOLS", 5 * rows[0, 0])
+    chunk = stripes_per_chunk(rows[0, 0])
+    assert chunk == 5 and stripes_per_chunk(params.n * params.alpha) < 3
     calls, message = [], stripe_io.helper_message
 
     def counted(*args, **kwargs):
@@ -455,7 +452,7 @@ def test_repair_chunks_are_sized_by_the_plan(tmp_path, monkeypatch, params):
             calls.clear()
             repair_shard(out, e, g)
             assert path.read_bytes() == original, (length, e, g)
-            chunks = -(-manifest.stripe_count // stripe_io._stripes_per_chunk(params, rows[e, g]))
+            chunks = -(-manifest.stripe_count // stripes_per_chunk(rows[e, g]))
             assert len(calls) == params.d_bar * chunks, (length, e, g)
 
 
@@ -474,8 +471,8 @@ def _counting_shard_opens(monkeypatch):
 
 def test_each_shard_is_opened_once_per_job(tmp_path, monkeypatch):
     # 15 stripes: three repair chunks of 5 stripes, eight decode chunks of 2.
-    monkeypatch.setattr(stripe_io, "_CHUNK_SYMBOLS", 5 * _plan_rows(PARAMS, 1, 0))
-    assert stripe_io._stripes_per_chunk(PARAMS) == 2
+    monkeypatch.setattr("msrr.codec._CHUNK_SYMBOLS", 5 * _plan_rows(PARAMS, 1, 0))
+    assert stripes_per_chunk(PARAMS.n * PARAMS.alpha) == 2
     opens = _counting_shard_opens(monkeypatch)
     names = [shard_name(e, g) for e, g in PARAMS.nodes()]
     _, out, _ = _encode_tmp(tmp_path, os.urandom(15 * PARAMS.k * PARAMS.alpha))
@@ -501,7 +498,7 @@ def _open_descriptors():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_no_descriptor_leaks_on_success_or_failure(tmp_path, monkeypatch):
-    monkeypatch.setattr(stripe_io, "_CHUNK_SYMBOLS", 5 * _plan_rows(PARAMS, 1, 0))  # repair 5, decode 2
+    monkeypatch.setattr("msrr.codec._CHUNK_SYMBOLS", 5 * _plan_rows(PARAMS, 1, 0))  # repair 5, decode 2
     monkeypatch.setattr(stripe_io, "_check_sizes", lambda paths, expected: None)
     before = _open_descriptors()
     _, out, _ = _encode_tmp(tmp_path, os.urandom(15 * PARAMS.k * PARAMS.alpha))
@@ -599,13 +596,13 @@ def test_repair_beyond_the_open_file_limit(tmp_path):
 # limit, in chunks of 16 stripes, and prints how many shards it opened.
 OPEN_COUNT_SCRIPT = """
 import os, resource, sys
-from msrr import CodeParams, stripe_io
+from msrr import CodeParams, codec
 from msrr.stripe_io import decode_file, encode_file, shard_name
 resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
 work = sys.argv[1]
 shards = os.path.join(work, "shards")
 params = CodeParams.from_total_k(4, 20, 60, 3)
-stripe_io._CHUNK_SYMBOLS = 16 * params.n * params.alpha
+codec._CHUNK_SYMBOLS = 16 * params.n * params.alpha
 encode_file(os.path.join(work, "in.bin"), shards, params)
 for g in range(params.u):
     os.unlink(os.path.join(shards, shard_name(0, g)))
@@ -768,7 +765,8 @@ def test_decode_refuses_a_data_symbol_outside_the_byte_range(tmp_path):
     path = out / shard_name(1, 1)
     original = path.read_bytes()
     path.write_bytes(original[:6] + (256).to_bytes(2, "little") + original[8:])
-    with pytest.raises(ShardFormatError, match="^symbol outside byte range; not a byte payload$"):
+    with pytest.raises(ShardFormatError,
+                       match="^node_1_1.shard: symbol 256 outside the byte range at offset 6$"):
         decode_file(out, restored)
     assert not restored.exists()
     # 480 bytes of (6,2,6,4) with node (0, 0) lost: offset d added to parity
@@ -788,9 +786,34 @@ def test_decode_refuses_a_data_symbol_outside_the_byte_range(tmp_path):
         with pytest.raises(ShardFormatError) as err:
             decode_file(out, restored)
         refusals[str(err.value)] += 1
-    assert refusals == {"symbol outside byte range; not a byte payload": 1,
+    assert refusals == {"node (0, 0), lost and solved, has a symbol outside the byte "
+                        "range at stripe 0; not a byte payload": 1,
                         "decoded payload fails the manifest checksum": 255}
     assert not restored.exists()
+
+
+def test_decode_names_the_node_and_stripe_of_a_solved_symbol_outside_the_byte_range(tmp_path):
+    # Node (0, 0) lost: offset d added to parity node (2, 0)'s first symbol of
+    # stripe 200 shifts what the solve gives node (0, 0) at that stripe, so
+    # some d solves one of its symbols to 256.  Each such refusal names the
+    # node and the stripe; every other d fails the checksum.
+    src, out = tmp_path / "in.bin", tmp_path / "shards"
+    src.write_bytes(np.random.default_rng(9).integers(0, 256, 5000, dtype=np.uint8).tobytes())
+    encode_file(src, out, PARAMS)
+    (out / shard_name(0, 0)).unlink()
+    path, offset = out / shard_name(2, 0), 200 * PARAMS.alpha * 2
+    original = path.read_bytes()
+    first, refusals = int.from_bytes(original[offset:offset + 2], "little"), collections.Counter()
+    for d in range(1, 257):
+        symbol = ((first + d) % 257).to_bytes(2, "little")
+        path.write_bytes(original[:offset] + symbol + original[offset + 2:])
+        with pytest.raises(ShardFormatError) as err:
+            decode_file(out, tmp_path / "restored.bin")
+        refusals[str(err.value)] += 1
+    solved = ("node (0, 0), lost and solved, has a symbol outside the byte range at "
+              "stripe 200; not a byte payload")
+    assert set(refusals) == {solved, "decoded payload fails the manifest checksum"}
+    assert not (tmp_path / "restored.bin").exists()
 
 
 def test_file_chunks_are_cut_by_the_plan(tmp_path, monkeypatch):
@@ -810,11 +833,12 @@ def test_file_chunks_are_cut_by_the_plan(tmp_path, monkeypatch):
         return call(self, vectors, start)
 
     monkeypatch.setattr(linalg.Program, "__call__", counted)
-    payload = os.urandom(2 * plan.chunk * params.k * params.alpha + 1)
+    chunk = stripes_per_chunk(plan.rows)
+    payload = os.urandom(2 * chunk * params.k * params.alpha + 1)
     src, out = tmp_path / "in.bin", tmp_path / "shards"
     src.write_bytes(payload)
     encode_file(src, out, params)
-    assert widths == [plan.chunk, plan.chunk, 1]
+    assert widths == [chunk, chunk, 1]
     # Every data node lost; then fewer than r nodes, data and parity mixed,
     # so that the solve pads with present nodes.
     for lost in (params.nodes()[:params.r], [(0, 1), (2, 2), (5, 0), (7, 2)]):
@@ -827,5 +851,5 @@ def test_file_chunks_are_cut_by_the_plan(tmp_path, monkeypatch):
             (directory / shard_name(e, g)).unlink()
         widths.clear()
         decode_file(directory, tmp_path / "restored.bin")
-        assert widths == [plan.chunk, plan.chunk, 1]
+        assert widths == [chunk, chunk, 1]
         assert (tmp_path / "restored.bin").read_bytes() == payload
