@@ -239,13 +239,13 @@ class Codec:
         column b != a with level(b) >= level(a), so h is block lower
         triangular in level order; (b) each group has the same diagonal
         column at every coordinate; and (c) the r x r block of those columns
-        is invertible.  Rack e's u nodes share its entry positions,
-        pcm.off_diagonal[e]; (a) and (b) hold for them when each entry reads a
-        column of lower level than its row, so none lands on the diagonal,
-        which is pcm.diag's at every coordinate.  (c) holds when every column
-        is a Vandermonde column [x^t] and the x are distinct; otherwise
-        linalg.rank decides it.  A subset that fails, if only by an entry
-        valued 0, is the only one whose h is built, and its rank is
+        is invertible.  The off-diagonal entries are pcm.siblings, which
+        every product runs; (a) and (b) hold for a node when each entry that
+        reads it, even one valued 0, reads a column of lower level than its
+        row, so none lands on the diagonal, pcm.diag's.  (c) holds when
+        every column is a Vandermonde column [x^t] and the x are distinct;
+        otherwise linalg.rank decides it.  A subset that fails, if only by an
+        entry valued 0, is the only one whose h is built, and its rank is
         linalg.rank(h); so the report equals that of dense rank on any input.
         """
         params, p = self.params, self.p
@@ -264,9 +264,11 @@ class Codec:
         else:
             raise ValueError(f"unknown mode {mode!r}")
 
-        r, alpha, level = params.r, params.alpha, self.pcm.level
-        holds = np.repeat([bool((level[cols] < level[rows % alpha][:, None]).all())
-                           for rows, cols, _ in self.pcm.off_diagonal], params.u)
+        r, alpha, level = params.r, params.alpha, self.pcm.level[self.pcm.order]
+        index = self.pcm.siblings[0]   # 1 + i*alpha + j: node i at order position j
+        row, q = np.nonzero(index)
+        node, j = np.divmod(index[row, q] - 1, alpha)
+        holds = np.bincount(node[level[j] >= level[q]], minlength=params.n) == 0
         # Each node's diagonal column, as x if that is the Vandermonde column [x^t].
         columns, points = self.pcm.diag.reshape(r, params.n), []
         for column in columns.T.tolist():

@@ -6,9 +6,9 @@ group (e, g), block t carries locator^t on its diagonal; if t = residue(e)
 (mod u), each row whose rack-owned digit is zero also reads its s_bar - 1
 digit siblings, with values locator^residue(e) * extra_point^(t // u).  The
 factor extra_point^(t // u) is one power table for every rack, of which a
-rack's blocks read a prefix.  The same entries are listed flat per rack in
-off_diagonal, and ParityCheckMatrix.sibling_table lays them out for the
-products below.
+rack's blocks read a prefix.  ParityCheckMatrix.siblings, laid out by
+sibling_table, is the one table of those entries: the products below run
+it, and codec.verify_mds and dense_node read it.
 Positions come from the digit table, ParityCheckMatrix.digits: the base-s_bar
 digits of every coordinate, computed once.  The level order, the zero-digit
 rows and their digit siblings are read off it; no other module expands digits.
@@ -115,7 +115,7 @@ def read_only(tables) -> int:
 
 # The most symbols per node of a code whose tables are built.  The tables
 # grow with alpha: at alpha = 2^16, on 16 racks of 2 nodes with k = 3 and
-# 2 helper racks, they peak at about 420 MiB.
+# 2 helper racks, a fresh process that builds them peaks at about 112 MiB.
 MAX_ALPHA = 1 << 16
 
 # The most plans, and bytes of their arrays, that one code's PlanCache keeps.
@@ -183,36 +183,25 @@ class ParityCheckMatrix:
         self.digits = np.arange(params.alpha)[:, None] // self.place % s_bar
         # Zero-digit count per coordinate: the level order of every solve.
         self.level = np.count_nonzero(self.digits == 0, axis=1)
-        # Per digit position tau: the beta rows whose digit tau is zero, and,
-        # shape (s_bar - 1, beta), those rows with digit tau raised from 0 to v.
+        # Per digit position tau: the beta rows whose digit tau is zero.
         self.zero_rows = [np.flatnonzero(self.digits[:, tau] == 0)
                           for tau in range(params.m)]
-        self.sibling_cols = [rows + np.arange(1, s_bar)[:, None] * self.place[tau]
-                             for tau, rows in enumerate(self.zero_rows)]
-
-        # off_diagonal[e] = (rows, cols, values) lists rack e's entries flat:
-        # the blocks t = residue(e) + i*u, rows t*alpha + a for a in
-        # zero_rows[tau], shape (R,); the sibling columns each row reads,
-        # sibling_cols[tau], (R, s_bar - 1); and per node g the values
-        # locator^residue(e) * extra_pow[i, v-1], (u, R, s_bar - 1).
-        self.off_diagonal = []
-        for e in range(n_bar):
-            res, tau = params.rack_residue(e), params.rack_digit(e)
-            blocks, zero, cols = np.arange(res, r, u), self.zero_rows[tau], self.sibling_cols[tau]
-            self.off_diagonal.append((
-                (blocks[:, None] * params.alpha + zero).ravel(),
-                np.tile(cols.T, (blocks.size, 1)),
-                self.diag[res, e][:, None, None]
-                * np.repeat(extra_pow[blocks // u], zero.size, axis=0) % p))
         # Per residue res, (r, s_bar - 1): extra_pow[t // u] in the blocks t =
         # res (mod u), else 0, one prefix table for every rack of the residue.
         blocks = np.arange(r)[:, None]
         self.sibling_coef = np.where(blocks % u == np.arange(u - params.u0)[:, None, None],
                                      extra_pow[blocks[:, 0] // u], 0)
         # What every product reads: level_blocks of all alpha coordinates
-        # for r rows, and every node's sibling table over that order.
+        # for r rows, and siblings, the one table of the off-diagonal
+        # entries: sibling_table of each node's own rack over that order,
+        # node (e, g)'s coefficients weighed by locator^residue(e).  Its
+        # entry at order position q that reads node i at order position j
+        # holds 1 + i*alpha + j.
         self.order, self.bounds, self.block = self.level_blocks(np.arange(params.alpha), r)
-        self.siblings = self.node_siblings(range(params.n), self.order, self.order)
+        racks = np.arange(params.n) // u
+        index, coef = self.sibling_table(racks, self.order, self.order)
+        weights = self.diag.reshape(r, -1)[racks % (u - params.u0), np.arange(params.n)]
+        self.siblings = index, coef * np.repeat(weights, s_bar - 1) % p
         read_only(tuple(vars(self).values()))
         self.repair_layouts: dict[int, tuple] = {}
         self.plans = PlanCache()
@@ -247,7 +236,7 @@ class ParityCheckMatrix:
         j, where sources[j] is a with rack i's digit raised from 0 to v, or 0
         where that digit of a is not zero.  Gathered from rows whose row 0 is
         zero and whose rows 1 + i*len(sources) + j hold entry i at sources[j]
-        (a rack's aggregate in repair, a node in node_siblings), it yields
+        (a rack's aggregate in repair, a node in siblings), it yields
         every sibling term.  coef[t, (i, v)] is sibling_coef[residue(racks[i]),
         t, v - 1], so entries that share a residue add into the same rows
         inside the product.  A rack may be listed more than once.
@@ -268,18 +257,6 @@ class ParityCheckMatrix:
         coef = self.sibling_coef[residue].transpose(1, 0, 2).reshape(params.r, -1)
         return index.reshape(-1, len(targets)), coef
 
-    def node_siblings(self, nodes, targets, sources) -> tuple[np.ndarray, np.ndarray]:
-        """sibling_table of each listed node's own rack, one entry per node,
-        with node (e, g)'s columns weighed by locator^residue(e): gathered
-        from rows whose rows 1 + i*len(sources) + j are node nodes[i] at
-        sources[j], it yields every off-diagonal term of the nodes' column
-        groups at the targets."""
-        params = self.params
-        racks, slots = np.divmod(np.asarray(nodes, dtype=np.intp), params.u)
-        index, coef = self.sibling_table(racks, targets, sources)
-        weights = self.diag[racks % (params.u - params.u0), racks, slots]
-        return index, coef * np.repeat(weights, params.s_bar - 1) % self.p
-
     def product(self, nodes, unknowns=(), left=None) -> Program:
         """The column groups of the listed node indices, summed and solved
         for the unknown ones, as a Program of one step per level.
@@ -295,7 +272,7 @@ class ParityCheckMatrix:
         that are not listed are staged but not read), and y in level-major
         blocks.  The step of a level, in ascending zero-digit count, gathers
         at the level's coordinates each listed node's vector, and the listed
-        and unknown nodes at their digit siblings (node_siblings; an
+        and unknown nodes at their digit siblings (siblings; an
         unknown's siblings lie a level down, solved), dropping each sibling
         row with no term in the level; it maps them by left @ [locator_j^t |
         the weighed sibling coefficients], reduced mod p once.
@@ -323,16 +300,17 @@ class ParityCheckMatrix:
                        1, natural, slice(first, last + 1))
 
     def dense_node(self, e: int, g: int) -> np.ndarray:
-        """Materialize column group (e, g) as a dense (r*alpha, alpha) matrix."""
-        params = self.params
-        alpha = params.alpha
+        """Materialize column group (e, g) as a dense (r*alpha, alpha) matrix:
+        diag on the diagonal, plus coef[:, row] at (t, order[q], order[j])
+        for each entry (row, q) of siblings that reads the node at j."""
+        params, alpha, order = self.params, self.params.alpha, self.order
         block = np.zeros((params.r, alpha, alpha), dtype=np.int64)
-        idx = np.arange(alpha)
-        block[:, idx, idx] = self.diag[:, e, g, None]
-        block = block.reshape(params.r * alpha, alpha)
-        rows, cols, values = self.off_diagonal[e]
-        block[rows[:, None], cols] = values[g]
-        return block
+        block[:, np.arange(alpha), np.arange(alpha)] = self.diag[:, e, g, None]
+        index, coef = self.siblings
+        row, q = np.nonzero((index - 1) // alpha == params.node_index(e, g))
+        j = (index[row, q] - 1) % alpha
+        np.add.at(block, (slice(None), order[q], order[j]), coef[:, row])
+        return block.reshape(params.r * alpha, alpha) % self.p
 
 
 @functools.lru_cache(maxsize=8)

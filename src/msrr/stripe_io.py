@@ -201,23 +201,31 @@ def _check_symbols(values: np.ndarray, name: str, p: int, first: int,
             f"at offset {(first + bad) * values.itemsize}")
 
 
-def _shard_sizes(paths) -> dict[Path, int | None]:
-    """Each shard file's size by path, from one os.stat each; None where the
-    file is missing."""
-    sizes = {}
+def _stats(paths) -> dict[Path, os.stat_result | None]:
+    """Each file's os.stat by path, one each; None where the file is missing."""
+    stats = {}
     for path in paths:
         try:
-            sizes[path] = os.stat(path).st_size
+            stats[path] = os.stat(path)
         except (FileNotFoundError, NotADirectoryError):
-            sizes[path] = None
-    return sizes
+            stats[path] = None
+    return stats
 
 
-def _check_sizes(sizes: dict[Path, int], expected: int) -> None:
+def _stripe_path(path: Path, directory: Path, stats: dict) -> Path | None:
+    """The file of directory, a key of stats, that path names or is; else None."""
+    own, named = _stats([path])[path], path.parent.resolve() == directory.resolve()
+    for other, stat in stats.items():
+        if named and other.name == path.name or own and stat and os.path.samestat(own, stat):
+            return other
+    return None
+
+
+def _check_sizes(stats: dict[Path, os.stat_result], expected: int) -> None:
     """Refuse a shard file whose size, by path, is not expected bytes."""
-    for path, size in sizes.items():
-        if size != expected:
-            raise ShardFormatError(f"{path.name}: {size} bytes, expected {expected}")
+    for path, stat in stats.items():
+        if stat.st_size != expected:
+            raise ShardFormatError(f"{path.name}: {stat.st_size} bytes, expected {expected}")
 
 
 class _Descriptors(dict):
@@ -299,10 +307,15 @@ def codec_for_manifest(manifest: Manifest) -> Codec:
 
 def encode_file(input_path, out_dir, params: CodeParams,
                 min_field: int = 257) -> Manifest:
-    """Encode a file into a shard directory, one chunk of stripes at a time."""
+    """Encode a file into a shard directory, one chunk of stripes at a time;
+    an input that is its manifest or a shard file is refused before any write."""
     codec = Codec(params, min_field=min_field)
     _require_byte_field(codec.p)  # before any file is created
     out_dir = Path(out_dir)
+    paths = [out_dir / shard_name(e, g) for e, g in params.nodes()]
+    stats = _stats([out_dir / MANIFEST_NAME] + paths)
+    if output := _stripe_path(Path(input_path), out_dir, stats):
+        raise ParameterError("input_is_output", f"{input_path} is {output.name} of {out_dir}")
     dtype = _symbol_dtype(symbol_width_bytes(codec.p))
     digest, length, stripes = hashlib.sha256(), 0, 0
     chunk = stripes_per_chunk(codec._plan(range(params.k, params.n)).rows)
@@ -310,7 +323,6 @@ def encode_file(input_path, out_dir, params: CodeParams,
     # Each node's stripes as its shard stores them, (chunk, alpha), for the
     # whole file: encode_batch writes into the transposed view.
     nodes = np.empty((params.n, chunk, params.alpha), dtype=dtype)
-    paths = [out_dir / shard_name(e, g) for e, g in params.nodes()]
     with open(input_path, "rb") as source, _Descriptors(os.O_WRONLY | os.O_APPEND) as shards:
         out_dir.mkdir(parents=True, exist_ok=True)
         for path in paths:
@@ -352,15 +364,22 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
 
     The payload goes to a temporary file beside output_path, which replaces
     output_path only once the manifest checksum matches; on any failure no
-    file is left and an existing output_path keeps its bytes.  Returns
-    (manifest, payload length, nodes whose shards were missing).
+    file is left and an existing output_path keeps its bytes.  An
+    output_path that is a directory, is in none, or is in_dir's manifest or a
+    shard path, by name or by file, is refused before any shard is read.
+    Returns (manifest, payload length, nodes whose shards were missing).
     """
     directory, output = Path(in_dir), Path(output_path)
+    if output.is_dir() or not output.parent.is_dir():
+        raise ParameterError("bad_output",
+                             f"{output} is {'a' if output.is_dir() else 'in no'} directory")
     manifest = read_manifest(directory)
     params = manifest.params
     paths = [directory / shard_name(e, g) for e, g in params.nodes()]
-    sizes = _shard_sizes(paths)
-    present = np.array([sizes[path] is not None for path in paths])
+    stats = _stats([directory / MANIFEST_NAME] + paths)
+    if source := _stripe_path(output, directory, stats):
+        raise ParameterError("output_is_input", f"{output} is {source.name} of {directory}")
+    present = np.array([stats[path] is not None for path in paths])
     missing = [params.node_pair(i) for i in range(params.n) if not present[i]]
     if len(missing) > params.r:
         raise ShardFormatError(
@@ -382,7 +401,7 @@ def decode_file(in_dir, output_path) -> tuple[Manifest, int, list[tuple[int, int
     chunk = stripes_per_chunk(plan.rows if plan else params.n * alpha)
     digest = hashlib.sha256()
     known = np.flatnonzero(present)
-    _check_sizes({paths[i]: sizes[paths[i]] for i in known}, expected)
+    _check_sizes({paths[i]: stats[paths[i]] for i in known}, expected)
     # Each node's stripes as its shard stores them, (chunk, alpha), for the
     # whole file, and the payload, (chunk, k, alpha) bytes: each data node is
     # cast into it from its block or from the solve's values.
@@ -434,8 +453,8 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
     params = manifest.params
     u, alpha = params.u, params.alpha
     paths = [directory / shard_name(*node) for node in params.nodes()]
-    sizes = _shard_sizes(paths)
-    present = [sizes[path] is not None for path in paths]
+    stats = _stats(paths)
+    present = [stats[path] is not None for path in paths]
     if helpers is None:
         complete = [h for h in range(params.n_bar)
                     if h != e and all(present[h * u:(h + 1) * u])]
@@ -463,7 +482,7 @@ def repair_shard(in_dir, e: int, g: int, helpers=None,
             f"other shards missing: {', '.join(absent)}; choose complete racks "
             f"with --helpers, or run decode")
     read = [path for rack in racks for path in rack] + survivors
-    _check_sizes({path: sizes[path] for path in read},
+    _check_sizes({path: stats[path] for path in read},
                  manifest.stripe_count * alpha * manifest.symbol_width_bytes)
 
     codec = codec_for_manifest(manifest)

@@ -5,10 +5,10 @@ computed one coordinate at a time with Python integers, parity-check rows
 computed entry by entry from the code constants, and the product of one column
 group with a node vector in int64.  The library solves through Vandermonde
 systems in level order and applies column groups together through float64
-products; only apply_node reads ParityCheckMatrix's tables, diag and
-off_diagonal.  read_shards loads a whole shard directory at once, where the
-library streams it chunk by chunk, write_one_shard writes one node's shard
-whole, and symbols_to_bytes maps symbols back to payload bytes.
+products; apply_node sums row_entries, so no oracle reads a table that the
+library computes with.  read_shards loads a whole shard directory at once,
+where the library streams it chunk by chunk, write_one_shard writes one
+node's shard whole, and symbols_to_bytes maps symbols back to payload bytes.
 """
 
 from __future__ import annotations
@@ -171,19 +171,19 @@ def apply_node(pcm, e: int, g: int, vec) -> np.ndarray:
     """Column group (e, g) times a node vector, reduced mod p, in int64.
 
     vec has shape (alpha,) or (alpha, w) for w stacked stripes; the result
-    is (r*alpha,) or (r*alpha, w).  Reads pcm.diag and pcm.off_diagonal.
+    is (r*alpha,) or (r*alpha, w).  Sums the terms of row_entries.
     """
     params, p = pcm.params, pcm.p
     vec = np.asarray(vec, dtype=np.int64) % p
     if vec.shape[0] != params.alpha:
         raise ValueError(
             f"node vector has {vec.shape[0]} coordinates, expected {params.alpha}")
-    tail = vec.shape[1:]
-    ones = (1,) * len(tail)
-    out = (pcm.diag[:, e, g].reshape((-1, 1) + ones) * vec).reshape(
-        (params.r * params.alpha,) + tail)
-    rows, cols, values = pcm.off_diagonal[e]
-    out[rows] += (values[g].reshape(values.shape[1:] + ones) * vec[cols]).sum(axis=1)
+    alpha = params.alpha
+    rows, cols, coeffs = np.array([(t * alpha + a, col, coeff)
+                                   for t in range(params.r) for a in range(alpha)
+                                   for col, coeff in row_entries(pcm, t, e, g, a)]).T
+    out = np.zeros((params.r * alpha,) + vec.shape[1:], dtype=np.int64)
+    np.add.at(out, rows, coeffs.reshape((-1,) + (1,) * (vec.ndim - 1)) * vec[cols] % p)
     return out % p
 
 

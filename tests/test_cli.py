@@ -245,6 +245,59 @@ def test_decode_with_more_than_r_missing_names_them(tmp_path, capsys, encoded_di
     assert not dest.exists()
 
 
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def _path_to(kind, tmp_path, target):
+    """target itself, or a hard or symbolic link to it made in tmp_path."""
+    if kind == "hard link":
+        os.link(target, tmp_path / "hard.bin")
+        return tmp_path / "hard.bin"
+    if kind == "symbolic link":
+        (tmp_path / "soft.bin").symlink_to(target)
+        return tmp_path / "soft.bin"
+    return target
+
+
+@pytest.mark.parametrize("kind", ["path", "hard link", "symbolic link"])
+@pytest.mark.parametrize("target", ["node_1_0.shard", "manifest.json"])
+def test_encode_refuses_an_input_that_is_one_of_its_outputs(tmp_path, capsys, encoded_dir,
+                                                             kind, target):
+    # Encoding a shard or the manifest into its own directory would empty
+    # the shards before reading it: refused before any file is touched.
+    _, out = encoded_dir
+    source, before = _path_to(kind, tmp_path, out / target), _files(out)
+    assert main(["encode", *P1_FLAGS, "--input", str(source), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: input_is_output: {source} is {target} of {out}\n")
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("output,code", [
+    ("shard", "output_is_input"), ("lost shard", "output_is_input"),
+    ("manifest", "output_is_input"), ("hard link", "output_is_input"),
+    ("symbolic link", "output_is_input"), ("directory", "bad_output"),
+    ("in no directory", "bad_output")])
+def test_decode_refuses_an_output_it_reads_or_cannot_write_before_reading_a_shard(
+        tmp_path, capsys, monkeypatch, encoded_dir, output, code):
+    _, out = encoded_dir
+    (out / shard_name(0, 1)).unlink()
+    shard = out / shard_name(1, 0)
+    dest = {"shard": shard, "lost shard": out / shard_name(0, 1),
+            "manifest": out / "manifest.json", "directory": out,
+            "in no directory": tmp_path / "nodir" / "x.bin"}.get(output)
+    dest, before = dest or _path_to(output, tmp_path, shard), _files(out)
+
+    def refuse(*args):
+        raise AssertionError("a shard was read")
+
+    monkeypatch.setattr(os, "preadv", refuse)
+    assert main(["decode", "--in", str(out), "--output", str(dest)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {code}: {dest} is ")
+    assert _files(out) == before and not (tmp_path / "nodir").exists()
+
+
 @pytest.mark.parametrize("lost", [[], [(0, 0)]], ids=["none-lost", "node-0-0-lost"])
 def test_decode_names_the_shard_and_offset_of_a_data_symbol_outside_the_byte_range(
         tmp_path, capsys, lost):

@@ -295,16 +295,21 @@ def test_a_correct_code_verifies_without_dense_work(monkeypatch):
         assert Codec(CodeParams.from_total_k(*shape)).verify_mds("sample", samples=20, seed=1).ok
 
 
-def add_entries(monkeypatch, codec, e, entries):
-    """Append entries (row, column, value per node g) to rack e's table
-    codec.pcm.off_diagonal[e], which verify_mds and dense_node both read.
-    For codes with s_bar = 2: each row reads one sibling column."""
-    rows, cols, values = codec.pcm.off_diagonal[e]
-    new_rows, new_cols, new_values = zip(*entries)
-    table = list(codec.pcm.off_diagonal)
-    table[e] = (np.append(rows, new_rows), np.vstack([cols, np.array(new_cols)[:, None]]),
-                np.concatenate([values, np.array(new_values).T[:, :, None]], axis=1))
-    monkeypatch.setattr(codec.pcm, "off_diagonal", table)
+def add_entries(monkeypatch, codec, entries):
+    """Append to codec.pcm.siblings, the table that every product runs and
+    verify_mds and dense_node read, one gather row and one coefficient
+    column per (node, pairs, column) of entries: in the rows (t, a) of each
+    pair (a, b) the row reads node (e, g) at coordinate b, weighed by
+    column[t]."""
+    pcm, alpha = codec.pcm, codec.params.alpha
+    index, coef = pcm.siblings
+    position = np.argsort(pcm.order)  # coordinate -> order position
+    rows = np.zeros((len(entries), alpha), dtype=index.dtype)
+    for row, (node, pairs, _) in zip(rows, entries):
+        for a, b in pairs:
+            row[position[a]] = 1 + codec.params.node_index(*node) * alpha + position[b]
+    columns = np.array([column for _, _, column in entries], dtype=coef.dtype).T
+    monkeypatch.setattr(pcm, "siblings", (np.vstack([index, rows]), np.hstack([coef, columns])))
 
 
 def with_node(params, node):
@@ -321,11 +326,21 @@ def test_verify_mds_reports_an_entry_above_the_level_order(monkeypatch):
     codec = Codec(P1)
     level = codec.pcm.level
     assert (level[3], level[0]) == (0, 2)
-    # Row (t=1, a=3) of rack 1 gains an entry in column b=0, a coordinate of
-    # higher level than a, valued 5 for node (1, 0) and 0 for node (1, 1):
-    # node (1, 0)'s matrix is no longer block lower triangular.  The entry's
-    # position is the rack's, so both its nodes fail the certificate.
-    add_entries(monkeypatch, codec, 1, [(P1.alpha + 3, 0, [5, 0])])
+    data = np.zeros((P1.k, P1.alpha), dtype=np.int64)
+    data[2, 0] = 1
+    stripe = codec.encode_batch(data)
+    # Row (t=1, a=3) of nodes (1, 0) and (1, 1) gains an entry in column
+    # b=0, a coordinate of higher level than a, valued 5 for node (1, 0) and
+    # 0 for node (1, 1): node (1, 0)'s matrix is no longer block lower
+    # triangular.  The check goes by position, so both nodes fail the
+    # certificate.
+    add_entries(monkeypatch, codec, [((1, 0), [(3, 0)], [0, 5, 0, 0]),
+                                     ((1, 1), [(3, 0)], [0, 0, 0, 0])])
+    # The syndrome product runs the same table: it now reads node (1, 0)'s
+    # coordinate 0 in row (1, 3).
+    residual = np.zeros(P1.r * P1.alpha, dtype=np.int64)
+    residual[P1.alpha + 3] = 5
+    assert np.array_equal(codec.syndrome_batch(stripe), residual)
     calls = count_dense_ranks(monkeypatch, codec)
     report = codec.verify_mds("exhaustive")
     assert len(calls) == len(with_rack(P1, 1))
@@ -335,17 +350,13 @@ def test_verify_mds_reports_an_entry_above_the_level_order(monkeypatch):
 
 def test_verify_mds_reports_a_coupling_within_a_level(monkeypatch):
     codec = Codec(P1)
-    alpha = P1.alpha
     assert codec.pcm.level[1] == codec.pcm.level[2]
 
     # In every column group, rows (t, 1) and (t, 2) repeat their diagonal
     # value in each other's column.  Coordinates 1 and 2 share a level, and
     # each subset's matrix gains the singular block [[D, D], [D, D]] there.
-    for e in range(P1.n_bar):
-        diagonal = codec.pcm.diag[:, e]
-        add_entries(monkeypatch, codec, e,
-                    [(t * alpha + a, b, diagonal[t]) for t in range(P1.r)
-                     for a, b in ((1, 2), (2, 1))])
+    add_entries(monkeypatch, codec, [((e, g), [(1, 2), (2, 1)], codec.pcm.diag[:, e, g])
+                                     for e, g in P1.nodes()])
     calls = count_dense_ranks(monkeypatch, codec)
     report = codec.verify_mds("exhaustive")
     subsets = list(itertools.combinations(range(P1.n), P1.r))
@@ -356,11 +367,17 @@ def test_verify_mds_reports_a_coupling_within_a_level(monkeypatch):
 
 def test_verify_mds_reports_a_changed_diagonal_entry(monkeypatch):
     codec = Codec(P1)
-    # Rack 2 gains an entry on the diagonal, row (t=1, a=0) in column 0,
-    # valued 0 for node (2, 1) and node (2, 0)'s own diagonal value for it.
-    # Block t=1 of node (2, 1) carries a different value at coordinate 0 than
-    # at the other coordinates: the diagonal blocks are no longer all equal.
-    add_entries(monkeypatch, codec, 2, [(P1.alpha, 0, [codec.pcm.diag[1, 2, 0], 0])])
+    # Nodes (2, 0) and (2, 1) gain an entry on the diagonal, row (t=1, a=0)
+    # in column 0: 0 for node (2, 0), and minus its diagonal value for node
+    # (2, 1), whose entry there becomes 0.  Block t=1 of node (2, 1) carries
+    # a different value at coordinate 0 than at the other coordinates: the
+    # diagonal blocks are no longer all equal.
+    minus = (codec.p - codec.pcm.diag[1, 2, 1]) % codec.p
+    add_entries(monkeypatch, codec, [((2, 0), [(0, 0)], [0, 0, 0, 0]),
+                                     ((2, 1), [(0, 0)], [0, minus, 0, 0])])
+    # An entry adds to what its position holds, in dense_node as in the products.
+    assert codec.pcm.dense_node(2, 0)[P1.alpha, 0] == codec.pcm.diag[1, 2, 0]
+    assert codec.pcm.dense_node(2, 1)[P1.alpha, 0] == 0
     calls = count_dense_ranks(monkeypatch, codec)
     report = codec.verify_mds("exhaustive")
     assert len(calls) == len(with_rack(P1, 2))

@@ -71,13 +71,9 @@ def test_digit_tables_match_scalar_oracle():
         coords = range(params.alpha)
         assert pcm.digits.tolist() == [list(digits(params, a)) for a in coords]
         assert pcm.level.tolist() == [zero_digit_count(params, a) for a in coords]
-        assert len(pcm.zero_rows) == len(pcm.sibling_cols) == params.m
+        assert len(pcm.zero_rows) == params.m
         for tau in range(params.m):
-            rows = zero_digit_rows(params, tau)
-            assert pcm.zero_rows[tau].tolist() == rows, (params, tau)
-            assert [cols.tolist() for cols in pcm.sibling_cols[tau]] == [
-                [replace_digit(params, a, tau, v) for a in rows]
-                for v in range(1, params.s_bar)], (params, tau)
+            assert pcm.zero_rows[tau].tolist() == zero_digit_rows(params, tau), (params, tau)
 
 
 def test_level_blocks_and_sibling_gathers_match_scalar_oracle():
@@ -128,7 +124,7 @@ def test_rows_with_nonzero_owned_digit_are_diagonal_only(p3_codec):
                         assert len(entries) == 1
 
 
-def test_off_diagonal_shape_invariants(p2_codec):
+def test_sibling_entry_shape_invariants(p2_codec):
     params, pcm = p2_codec.params, p2_codec.pcm
     for t in range(params.r):
         for e in range(params.n_bar):
@@ -197,14 +193,18 @@ def test_degenerate_blocks_are_scaled_identities(degenerate_codec):
 
 @pytest.mark.parametrize("params", [P1, P3, P1_DEGENERATE])
 def test_rebuild_is_bit_identical(params):
-    a = Codec(params)
-    b = Codec(params)
-    assert a.constants == b.constants
-    assert a.pcm.diag.tobytes() == b.pcm.diag.tobytes()
-    def tables(codec):
-        return [[(part.shape, part.tobytes()) for part in table]
-                for table in codec.pcm.off_diagonal]
-    assert tables(a) == tables(b)
+    def arrays(pcm):
+        """(name, dtype, shape, bytes) of every array of pcm's own tables."""
+        return [(name, x.dtype, x.shape, x.tobytes()) for name, value in vars(pcm).items()
+                if name not in ("repair_layouts", "plans")
+                for x in (value if isinstance(value, (tuple, list)) else [value])
+                if isinstance(x, np.ndarray)]
+
+    # The shared tables against a second, separate build.
+    a, b = Codec(params).pcm, _pcm(params)
+    assert a is not b and a.constants == b.constants and a.dtype == b.dtype
+    assert {"diag", "siblings", "sibling_coef", "digits"} <= {name for name, *_ in arrays(a)}
+    assert arrays(a) == arrays(b)
 
 
 def test_constants_reject_mismatched_field():
